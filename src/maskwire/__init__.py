@@ -36,6 +36,7 @@ from .pipeline import (
 from .preimage import (
     EquivalenceReport,
     MultiplicityProfile,
+    PreimageHistogram,
     TrichotomyReport,
     WitnessReport,
     count_bruteforce,
@@ -69,6 +70,7 @@ __all__ = [
     "make_barrett_gadget",
     "make_identity_gadget",
     "MultiplicityProfile",
+    "PreimageHistogram",
     "WitnessReport",
     "TrichotomyReport",
     "EquivalenceReport",

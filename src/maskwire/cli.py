@@ -36,6 +36,7 @@ from .preimage import (
     DEFAULT_SEED,
     EXHAUSTIVE_SECRET_LIMIT,
     MultiplicityProfile,
+    PreimageHistogram,
     counts_bruteforce_all,
     counts_closedform_all,
     equivalence_check,
@@ -98,10 +99,14 @@ def _nonneg_int(text: str) -> int:
 
 
 def _pmap(fn: Callable[[int], Any], items: Iterable[int], threads: int) -> list:
-    """Order-preserving map, threaded only when the batch is worth it."""
+    """Order-preserving map, threaded only when the batch is worth it.
+
+    The pool never gets more threads than items or CPUs.
+    """
     items = list(items)
-    if threads > 1 and len(items) > 64:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(items), os.cpu_count() or 1)
+    if workers > 1 and len(items) > 64:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(i) for i in items]
 
@@ -224,23 +229,26 @@ def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
         secret_mode = "sampled"
 
     def one(x: int) -> dict:
-        prof = MultiplicityProfile.from_counts(
-            ZqElem(x, ring), counts_closedform_all(p, x)
-        )
-        bound = min_entropy(prof)
         xe = ZqElem(x, ring)
+        hist = PreimageHistogram.from_counts(counts_closedform_all(p, x))
+        try:
+            bound = min_entropy(MultiplicityProfile.from_histogram(xe, hist))
+        except ValueError:
+            # Broken conservation: the row shows the buckets, and zeros !=
+            # twos fails the run below.
+            bound = None
         return {
             "secret": x,
-            "zeros": prof.zeros,
-            "ones": prof.ones,
-            "twos": prof.twos,
-            "max_count": prof.max_count,
-            "support": prof.support_size,
-            "gap_observed": prof.zeros,
+            "zeros": hist.zeros,
+            "ones": hist.ones,
+            "twos": hist.twos,
+            "max_count": hist.max_count,
+            "support": hist.support_size,
+            "gap_observed": hist.zeros,
             "gap_paper": support_gap_predicted_paper(p, xe),
             "gap_extended": support_gap_predicted_extended(p, xe),
-            "min_entropy_bits": bound.exact_min_entropy_bits,
-            "floor_bits": bound.barrier_floor_bits,
+            "min_entropy_bits": bound.exact_min_entropy_bits if bound else None,
+            "floor_bits": bound.barrier_floor_bits if bound else None,
         }
 
     rows = _pmap(one, secrets, args.threads)
@@ -463,21 +471,15 @@ def _sweep_case(case: dict, seed: int, threads: int) -> tuple[dict, list[dict], 
         secrets = sample_secrets(q, SWEEP_SAMPLE_SECRETS, seed)
     gadget = None if exhaustive else make_barrett_gadget(p)
 
-    def one(x: int) -> tuple[int, int, bool, int, int, int]:
+    def one(x: int) -> tuple[int, int, bool, bool, int]:
         if exhaustive:
             counts = counts_closedform_all(p, x)
             agree = True
         else:
             counts = counts_bruteforce_all(gadget, x)
             agree = bool(np.array_equal(counts, counts_closedform_all(p, x)))
-        zeros = int(np.count_nonzero(counts == 0))
-        ones = int(np.count_nonzero(counts == 1))
-        twos = int(np.count_nonzero(counts == 2))
-        conserved = (
-            zeros + ones + twos == q and ones + 2 * twos == q and zeros == twos
-        )
-        MultiplicityProfile.from_counts(ZqElem(x, ring), counts)
-        return x, int(counts.max()), agree, conserved, zeros, ones
+        hist = PreimageHistogram.from_counts(counts)
+        return x, hist.max_count, agree, hist.conserved, hist.zeros
 
     results = _pmap(one, secrets, threads)
 
@@ -488,7 +490,7 @@ def _sweep_case(case: dict, seed: int, threads: int) -> tuple[dict, list[dict], 
     paper_miss = 0
     ext_miss = 0
     mismatch_rows: list[dict] = []
-    for x, top, agree, conserved, zeros, _ones in results:
+    for x, top, agree, conserved, zeros in results:
         max_count = max(max_count, top)
         if top > 2:
             trichotomy_ok = False

@@ -35,6 +35,48 @@ DEFAULT_SEED = 0
 
 
 @dataclass(frozen=True)
+class PreimageHistogram:
+    """Preimage-size buckets of one per-value counts array, unchecked.
+
+    A MultiplicityProfile is a histogram that passed the conservation
+    checks; reports keep the histogram, so a broken law is data.
+    """
+
+    q: int
+    zeros: int
+    ones: int
+    twos: int
+    max_count: int
+
+    @classmethod
+    def from_counts(cls, counts: np.ndarray) -> "PreimageHistogram":
+        return cls(
+            q=len(counts),
+            zeros=int(np.count_nonzero(counts == 0)),
+            ones=int(np.count_nonzero(counts == 1)),
+            twos=int(np.count_nonzero(counts == 2)),
+            max_count=int(counts.max()),
+        )
+
+    @property
+    def overflow(self) -> int:
+        return self.q - self.zeros - self.ones - self.twos
+
+    @property
+    def support_size(self) -> int:
+        return self.q - self.zeros
+
+    @property
+    def conserved(self) -> bool:
+        """No overflow, ones + 2*twos = q and zeros = twos."""
+        return (
+            self.overflow == 0
+            and self.ones + 2 * self.twos == self.q
+            and self.zeros == self.twos
+        )
+
+
+@dataclass(frozen=True)
 class MultiplicityProfile:
     """Per-secret histogram of preimage sizes over all q output values.
 
@@ -70,18 +112,21 @@ class MultiplicityProfile:
         q = secret.modulus.q
         if counts.shape != (q,):
             raise ValueError(f"counts array must have length q={q}")
-        zeros = int(np.count_nonzero(counts == 0))
-        ones = int(np.count_nonzero(counts == 1))
-        twos = int(np.count_nonzero(counts == 2))
-        overflow = q - zeros - ones - twos
+        return cls.from_histogram(secret, PreimageHistogram.from_counts(counts))
+
+    @classmethod
+    def from_histogram(
+        cls, secret: ZqElem, hist: PreimageHistogram
+    ) -> "MultiplicityProfile":
+        """Check a histogram of this secret's counts and wrap it as a profile."""
         return cls(
             secret=secret,
-            zeros=zeros,
-            ones=ones,
-            twos=twos,
-            overflow=overflow,
-            max_count=int(counts.max()),
-            support_size=q - zeros,
+            zeros=hist.zeros,
+            ones=hist.ones,
+            twos=hist.twos,
+            overflow=hist.overflow,
+            max_count=hist.max_count,
+            support_size=hist.support_size,
         )
 
 
@@ -156,14 +201,22 @@ def count_closedform(p: BarrettParams, x: ZqElem, v: ZqElem) -> int:
 
 
 def counts_closedform_all(p: BarrettParams, x: int) -> np.ndarray:
-    """Per-value closed-form preimage counts for secret x, vectorized."""
+    """Per-value closed-form preimage counts for canonical secret x, as int8.
+
+    Each count sums two candidate tests, so it never exceeds 2.
+    """
     q = p.q.q
     r = p.r.val
     if r == 0:
-        return np.ones(q, dtype=np.int64)
-    a = (x - np.arange(q, dtype=np.int64)) % q
-    b = (a + r) % q
-    return (a <= x).astype(np.int64) + (b > x).astype(np.int64)
+        return np.ones(q, dtype=np.int8)
+    # a = (x - v) mod q and b = (a + r) mod q; with x, v, r in [0, q)
+    # each needs at most one correction.
+    a = np.arange(x, x - q, -1, dtype=np.int64)
+    np.add(a, q, out=a, where=a < 0)
+    direct = a <= x
+    b = np.add(a, r, out=a)
+    np.subtract(b, q, out=b, where=b >= q)
+    return np.add(direct, b > x, dtype=np.int8)
 
 
 def multiplicity_profile(

@@ -1,0 +1,40 @@
+"""CLI rows pinned to digests recorded from maskwire 0.1.0.
+
+Each case in golden/cli_digests.json runs one command with
+``--format json --threads 1`` and hashes its exit code, ``rows`` and
+``summary`` (never ``parameters`` or ``elapsed_ms``).  A kernel rewrite
+that changes any output byte on these inputs fails here.  The digests
+were taken from the code before the in-place int64 kernels, and must
+not be regenerated from the code under test.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from maskwire.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_digests.json").read_text())
+
+
+def digest(code, doc) -> str:
+    payload = {"exit": code, "rows": doc["rows"], "summary": doc["summary"]}
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_rows_match_golden(name, tmp_path):
+    case = GOLDEN[name]
+    config = tmp_path / "sweep.json"
+    if "config" in case:
+        config.write_text(json.dumps(case["config"]))
+    argv = [arg.replace("{config}", str(config)) for arg in case["argv"]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--format", "json", "--threads", "1"])
+    assert digest(code, json.loads(out.getvalue())) == case["sha256"]

@@ -1,0 +1,93 @@
+"""Property tests: the in-place int64 kernels against independent forms.
+
+q ranges over [1, 2^16] and s from ceil_log2(q) to 80, with s = 61..64
+always tried, so both sides of the s > 62 Python-int fallback of the
+hardware-faithful evaluator are covered.  The evaluators are checked on
+arbitrary int64 inputs, negative and non-canonical ones included; the
+closed-form counter only promises exact counts for a canonical secret.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from maskwire.gadgets import (
+    BarrettParams,
+    barrett_algebraic_eval_vec,
+    barrett_nat_eval_vec,
+    identity_mask_eval_vec,
+)
+from maskwire.modring import Modulus
+from maskwire.preimage import counts_closedform_all
+
+from reference import ceil_log2, ref_counts, ref_wire_hw
+
+WIDE_S = (61, 62, 63, 64)
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def params(draw):
+    q = draw(st.integers(1, 2**16))
+    lo = ceil_log2(q)
+    s = draw(st.one_of(st.sampled_from(WIDE_S), st.integers(lo, 80)))
+    return q, s
+
+
+@st.composite
+def operands(draw):
+    """(x, m): m a 1-D int64 array, x a scalar or an array of m's shape."""
+    m = draw(hnp.arrays(np.int64, st.integers(0, 48), elements=INT64))
+    x = draw(st.one_of(INT64, hnp.arrays(np.int64, m.shape, elements=INT64)))
+    return x, m
+
+
+def remainder_form(q, r, x, m):
+    return np.where(m <= x, (x - m) % q, (x - m + r) % q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(params(), operands())
+@example((3329, 61), (-1, np.array([2**63 - 1, -(2**63), 0, 5], dtype=np.int64)))
+@example((3329, 62), (2**63 - 1, np.array([-(2**63), -1, 7], dtype=np.int64)))
+@example((12289, 63), (0, np.array([12288, 1], dtype=np.int64)))
+@example((65536, 64), (np.array([-(2**63)], dtype=np.int64), np.array([2**63 - 1])))
+def test_evaluators_match_independent_forms(qs, xm):
+    q, s = qs
+    x, m = xm
+    p = BarrettParams.create(q, s)
+    xa = np.asarray(x, dtype=np.int64)
+    shape = np.broadcast(xa, m).shape
+
+    alg = barrett_algebraic_eval_vec(p, x, m)
+    assert alg.dtype == np.int64 and alg.shape == shape
+    np.testing.assert_array_equal(alg, remainder_form(q, p.r.val, xa, m))
+
+    ident = identity_mask_eval_vec(Modulus(q), x, m)
+    assert ident.dtype == np.int64 and ident.shape == shape
+    np.testing.assert_array_equal(ident, (xa - m) % q)
+
+    hw = barrett_nat_eval_vec(p, x, m)
+    assert hw.dtype == np.int64 and hw.shape == shape
+    xs = np.broadcast_to(x, shape)
+    want_hw = [ref_wire_hw(q, s, int(a), int(b)) for a, b in zip(xs, m)]
+    assert hw.tolist() == want_hw
+
+
+@st.composite
+def params_and_secret(draw):
+    q, s = draw(params())
+    return q, s, draw(st.integers(0, q - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(params_and_secret())
+@example((1, 0, 0))
+@example((65536, 64, 65535))
+@example((3329, 24, 0))
+def test_closedform_counts_match_enumeration(qsx):
+    q, s, x = qsx
+    counts = counts_closedform_all(BarrettParams.create(q, s), x)
+    assert counts.dtype == np.int8
+    assert counts.tolist() == ref_counts(q, s, x)
