@@ -11,8 +11,8 @@ Subcommands map one-to-one onto the library's analysis entry points:
 * sweep       batch run over a JSON config of (q, s) cases
 
 Exit codes: 0 clean, 1 an asserted invariant failed (the report still
-renders), 2 usage or config error.  Result rows are deterministic for
-identical inputs; only elapsed_ms varies.
+renders), 2 usage or config error, or out of memory.  Result rows are
+deterministic for identical inputs; only elapsed_ms varies.
 """
 
 from __future__ import annotations
@@ -477,7 +477,11 @@ def _sweep_case(case: dict, seed: int, threads: int) -> tuple[dict, list[dict], 
             agree = True
         else:
             counts = counts_bruteforce_all(gadget, x)
-            agree = bool(np.array_equal(counts, counts_closedform_all(p, x)))
+            closed = counts_closedform_all(p, x)
+            agree = bool(np.array_equal(counts, closed))
+            if agree:
+                # Same buckets, from the int8 array: cheaper to histogram.
+                counts = closed
         hist = PreimageHistogram.from_counts(counts)
         return x, hist.max_count, agree, hist.conserved, hist.zeros
 
@@ -611,6 +615,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         # ScopeConditionError is a ValueError: usage errors, not findings.
         print(f"maskwire: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # A q too large for this machine is an input problem, not a finding.
+        detail = str(exc) or "allocation failed"
+        print(f"maskwire: error: out of memory ({detail})", file=sys.stderr)
         return 2
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     env = ReportEnvelope(

@@ -30,7 +30,9 @@ evaluators share no helper, because the equivalence scan checks one
 against the other.  Secrets are not blocked into 2-D arrays: at
 q = 12289, two-row blocks make 196 KB temporaries, past glibc's 128 KiB
 mmap threshold, and the exhaustive equivalence scan took 3.4 s against
-1.4 s one row at a time.
+1.4 s one row at a time.  The scans in preimage go the other way and cut
+each row into tiles of at most 2^14 masks (128 KiB of int64); its module
+docstring says why.
 """
 
 from __future__ import annotations
@@ -154,8 +156,9 @@ class WireGadget:
     """A single masked stage: its wire map, its unmasked stage function,
     and the claimed worst-case preimage multiplicity k.
 
-    eval is total on Z_q x Z_q and pure.  eval_vec is the same map on raw
-    int64 residues for bulk enumeration; tests pin it to eval pointwise.
+    eval is total on Z_q x Z_q and pure.  eval_vec, required, is the same
+    map on raw int64 residues for bulk enumeration, which every mask scan
+    uses; tests pin it to eval pointwise.
     barrett_params is set only for reduction gadgets and lets the analysis
     engine take the two-candidate counting shortcut.
     """
@@ -171,6 +174,8 @@ class WireGadget:
     def __post_init__(self) -> None:
         if self.claimed_max_mult < 1:
             raise ValueError("claimed_max_mult must be >= 1")
+        if self.eval_vec is None:
+            raise ValueError("eval_vec is required")
 
 
 def make_barrett_gadget(p: BarrettParams) -> WireGadget:

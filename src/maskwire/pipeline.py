@@ -19,7 +19,7 @@ import numpy as np
 
 from .gadgets import WireGadget
 from .modring import ZqElem
-from .preimage import DEFAULT_SEED, counts_bruteforce_all, sample_secrets
+from .preimage import DEFAULT_SEED, counts_bruteforce_all, sample_secrets, tally_masks
 
 # Per-secret mask enumeration is O(q), so exhaustive secret sweeps stop here.
 PIPELINE_EXHAUSTIVE_LIMIT = 2**12
@@ -68,23 +68,8 @@ def _default_secrets(q: int, seed: int) -> Sequence[int]:
 
 def _composed_counts_shared(spec: PipelineSpec, x: int) -> np.ndarray:
     """Histogram of m -> stage2(stage1(x, m), m) over all masks m."""
-    q = spec.stage1.q.q
-    if spec.stage1.eval_vec is not None and spec.stage2.eval_vec is not None:
-        masks = np.arange(q, dtype=np.int64)
-        w1 = spec.stage1.eval_vec(x, masks)
-        w2 = spec.stage2.eval_vec(w1, masks)
-        return np.bincount(w2, minlength=q)
-    ring = spec.stage1.q
-    xe = ZqElem(x, ring)
-    vals = np.fromiter(
-        (
-            spec.stage2.eval(spec.stage1.eval(xe, ZqElem(m, ring)), ZqElem(m, ring)).val
-            for m in range(q)
-        ),
-        dtype=np.int64,
-        count=q,
-    )
-    return np.bincount(vals, minlength=q)
+    stage1, stage2 = spec.stage1.eval_vec, spec.stage2.eval_vec
+    return tally_masks(spec.stage1.q.q, lambda masks: stage2(stage1(x, masks), masks))
 
 
 def compose_fresh(

@@ -79,3 +79,16 @@ def test_threads_capped_at_item_count(monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1000)
     assert cli._pmap(lambda i: i * i, range(70), 100000) == [i * i for i in range(70)]
     assert RecordingExecutor.created == [70]
+
+
+def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
+    def exhausted(p, x):
+        raise MemoryError("Unable to allocate 2.00 GiB for an array with shape (2147483647,)")
+
+    monkeypatch.setattr(cli, "counts_closedform_all", exhausted)
+    code = main(["analyze", "--q", "61", "--s", "6", "--format", "json", "--threads", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("maskwire: error: out of memory")
+    assert "2.00 GiB" in err
