@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,13 +30,13 @@ from .leakage import barrier_table, min_entropy
 from .modring import Modulus, ZqElem
 from .pipeline import PipelineSpec, compose
 from .preimage import (
-    DEFAULT_SAMPLE_SECRETS,
     DEFAULT_SEED,
     EXHAUSTIVE_SECRET_LIMIT,
     MultiplicityProfile,
     PreimageHistogram,
     counts_bruteforce_all,
     counts_closedform_all,
+    default_secrets,
     equivalence_check,
     sample_secrets,
     support_gap_predicted_extended,
@@ -98,17 +96,24 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _pmap(fn: Callable[[int], Any], items: Iterable[int], threads: int) -> list:
-    """Order-preserving map, threaded only when the batch is worth it.
-
-    The pool never gets more threads than items or CPUs.
-    """
-    items = list(items)
-    workers = min(threads, len(items), os.cpu_count() or 1)
-    if workers > 1 and len(items) > 64:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(i) for i in items]
+def _secret_scope(
+    q: int,
+    seed: int,
+    limit: int,
+    explicit: Optional[Sequence[int]] = None,
+    every: bool = False,
+    sample: Optional[int] = None,
+) -> tuple[Sequence[int], str]:
+    """(secrets, secret_mode) from the scope flags, else default_secrets."""
+    if explicit is not None:
+        ring = Modulus(q)
+        return [ZqElem(x, ring).val for x in explicit], "explicit"
+    if every:
+        return range(q), "exhaustive"
+    if sample is not None:
+        return sample_secrets(q, sample, seed), "sampled"
+    secrets = default_secrets(q, seed, limit)
+    return secrets, "exhaustive" if isinstance(secrets, range) else "sampled"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=_positive_int,
-        default=os.cpu_count() or 1,
-        help="worker threads for bulk per-secret analysis",
+        default=1,
+        help="accepted for compatibility; analysis runs on one thread",
     )
     common.add_argument(
         "--seed",
@@ -210,26 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
-    ring = Modulus(args.q)
     p = BarrettParams.create(args.q, args.s)
-    if args.secret is not None:
-        secrets: Sequence[int] = [ZqElem(x, ring).val for x in args.secret]
-        secret_mode = "explicit"
-    elif args.all_secrets:
-        secrets = range(args.q)
-        secret_mode = "exhaustive"
-    elif args.sample is not None:
-        secrets = sample_secrets(args.q, args.sample, args.seed)
-        secret_mode = "sampled"
-    elif args.q <= EXHAUSTIVE_SECRET_LIMIT:
-        secrets = range(args.q)
-        secret_mode = "exhaustive"
-    else:
-        secrets = sample_secrets(args.q, DEFAULT_SAMPLE_SECRETS, args.seed)
-        secret_mode = "sampled"
-
-    def one(x: int) -> dict:
-        xe = ZqElem(x, ring)
+    secrets, secret_mode = _secret_scope(
+        args.q, args.seed, EXHAUSTIVE_SECRET_LIMIT,
+        explicit=args.secret, every=args.all_secrets, sample=args.sample,
+    )
+    rows = []
+    for x in secrets:
+        xe = ZqElem(x, p.q)
         hist = PreimageHistogram.from_counts(counts_closedform_all(p, x))
         try:
             bound = min_entropy(MultiplicityProfile.from_histogram(xe, hist))
@@ -237,28 +230,28 @@ def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
             # Broken conservation: the row shows the buckets, and zeros !=
             # twos fails the run below.
             bound = None
-        return {
-            "secret": x,
-            "zeros": hist.zeros,
-            "ones": hist.ones,
-            "twos": hist.twos,
-            "max_count": hist.max_count,
-            "support": hist.support_size,
-            "gap_observed": hist.zeros,
-            "gap_paper": support_gap_predicted_paper(p, xe),
-            "gap_extended": support_gap_predicted_extended(p, xe),
-            "min_entropy_bits": bound.exact_min_entropy_bits if bound else None,
-            "floor_bits": bound.barrier_floor_bits if bound else None,
-        }
-
-    rows = _pmap(one, secrets, args.threads)
+        rows.append(
+            {
+                "secret": x,
+                "zeros": hist.zeros,
+                "ones": hist.ones,
+                "twos": hist.twos,
+                "max_count": hist.max_count,
+                "support": hist.support_size,
+                "gap_observed": hist.zeros,
+                "gap_paper": support_gap_predicted_paper(p, xe),
+                "gap_extended": support_gap_predicted_extended(p, xe),
+                "min_entropy_bits": bound.exact_min_entropy_bits if bound else None,
+                "floor_bits": bound.barrier_floor_bits if bound else None,
+            }
+        )
     passed = all(r["max_count"] <= 2 and r["zeros"] == r["twos"] for r in rows)
     params = {
         "q": args.q,
         "s": args.s,
         "r": p.r.val,
         "secret_mode": secret_mode,
-        "sample": len(rows) if secret_mode == "sampled" else "-",
+        "sample": len(secrets) if secret_mode == "sampled" else "-",
         "seed": args.seed,
     }
     summary = {"passed": passed, "secrets_checked": len(rows), "route": "closedform"}
@@ -267,18 +260,10 @@ def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
 
 def _cmd_trichotomy(args) -> tuple[dict, list[dict], dict, int]:
     p = BarrettParams.create(args.q, args.s)
-    if args.exhaustive:
-        secrets: Optional[Sequence[int]] = None
-        secret_mode = "exhaustive"
-    elif args.sample is not None:
-        secrets = sample_secrets(args.q, args.sample, args.seed)
-        secret_mode = "sampled"
-    elif args.q <= EXHAUSTIVE_SECRET_LIMIT:
-        secrets = None
-        secret_mode = "exhaustive"
-    else:
-        secrets = sample_secrets(args.q, DEFAULT_SAMPLE_SECRETS, args.seed)
-        secret_mode = "sampled"
+    secrets, secret_mode = _secret_scope(
+        args.q, args.seed, EXHAUSTIVE_SECRET_LIMIT,
+        every=args.exhaustive, sample=args.sample,
+    )
     rep = trichotomy_check(p, secrets=secrets, oracle=args.oracle)
     cx = rep.counterexample
     rows = [
@@ -298,7 +283,7 @@ def _cmd_trichotomy(args) -> tuple[dict, list[dict], dict, int]:
         "s": args.s,
         "r": p.r.val,
         "secret_mode": secret_mode,
-        "sample": len(secrets) if secrets is not None else "-",
+        "sample": len(secrets) if secret_mode == "sampled" else "-",
         "seed": args.seed,
     }
     summary = {"passed": rep.passed, "secrets_checked": rep.secrets_checked}
@@ -459,34 +444,13 @@ def _sweep_row(values: dict) -> dict:
     return {col: values.get(col) for col in _SWEEP_COLUMNS}
 
 
-def _sweep_case(case: dict, seed: int, threads: int) -> tuple[dict, list[dict], bool, int]:
-    """One case: (case row, mismatch rows, hard pass, extended mismatches)."""
+def _sweep_case(case: dict, seed: int) -> tuple[dict, list[dict], bool]:
+    """One case: (case row, mismatch rows, hard pass)."""
     q, s = case["q"], case["s"]
     p = BarrettParams.create(q, s)
-    ring = p.q
-    exhaustive = q <= SWEEP_EXHAUSTIVE_LIMIT
-    if exhaustive:
-        secrets: Sequence[int] = range(q)
-    else:
-        secrets = sample_secrets(q, SWEEP_SAMPLE_SECRETS, seed)
-    gadget = None if exhaustive else make_barrett_gadget(p)
-
-    def one(x: int) -> tuple[int, int, bool, bool, int]:
-        if exhaustive:
-            counts = counts_closedform_all(p, x)
-            agree = True
-        else:
-            counts = counts_bruteforce_all(gadget, x)
-            closed = counts_closedform_all(p, x)
-            agree = bool(np.array_equal(counts, closed))
-            if agree:
-                # Same buckets, from the int8 array: cheaper to histogram.
-                counts = closed
-        hist = PreimageHistogram.from_counts(counts)
-        return x, hist.max_count, agree, hist.conserved, hist.zeros
-
-    results = _pmap(one, secrets, threads)
-
+    secrets, secret_mode = _secret_scope(q, seed, SWEEP_EXHAUSTIVE_LIMIT)
+    # Sampled secrets are also enumerated, to cross-check the closed form.
+    gadget = make_barrett_gadget(p) if secret_mode == "sampled" else None
     max_count = 0
     trichotomy_ok = True
     conservation_ok = True
@@ -494,20 +458,27 @@ def _sweep_case(case: dict, seed: int, threads: int) -> tuple[dict, list[dict], 
     paper_miss = 0
     ext_miss = 0
     mismatch_rows: list[dict] = []
-    for x, top, agree, conserved, zeros in results:
-        max_count = max(max_count, top)
-        if top > 2:
+    for x in secrets:
+        counts = counts_closedform_all(p, x)
+        if gadget is not None:
+            oracle = counts_bruteforce_all(gadget, x)
+            if not np.array_equal(oracle, counts):
+                routes_agree = False
+                counts = oracle
+            # Free the q-length int64 array before the next secret's scan.
+            del oracle
+        hist = PreimageHistogram.from_counts(counts)
+        max_count = max(max_count, hist.max_count)
+        if hist.max_count > 2:
             trichotomy_ok = False
-        if not conserved:
+        if not hist.conserved:
             conservation_ok = False
-        if not agree:
-            routes_agree = False
-        xe = ZqElem(x, ring)
+        xe = ZqElem(x, p.q)
         for formula, predicted in (
             ("paper", support_gap_predicted_paper(p, xe)),
             ("extended", support_gap_predicted_extended(p, xe)),
         ):
-            if predicted == zeros:
+            if predicted == hist.zeros:
                 continue
             if formula == "paper":
                 paper_miss += 1
@@ -525,7 +496,7 @@ def _sweep_case(case: dict, seed: int, threads: int) -> tuple[dict, list[dict], 
                             "r": p.r.val,
                             "formula": formula,
                             "secret": x,
-                            "observed": zeros,
+                            "observed": hist.zeros,
                             "predicted": predicted,
                         }
                     )
@@ -543,8 +514,8 @@ def _sweep_case(case: dict, seed: int, threads: int) -> tuple[dict, list[dict], 
             "q": q,
             "s": s,
             "r": p.r.val,
-            "secret_mode": "exhaustive" if exhaustive else "sampled",
-            "secrets_checked": len(results),
+            "secret_mode": secret_mode,
+            "secrets_checked": len(secrets),
             "trichotomy_ok": trichotomy_ok,
             "conservation_ok": conservation_ok,
             "routes_agree": routes_agree,
@@ -554,7 +525,7 @@ def _sweep_case(case: dict, seed: int, threads: int) -> tuple[dict, list[dict], 
             "extended_gap_mismatches": ext_miss,
         }
     )
-    return case_row, mismatch_rows, hard_ok, ext_miss
+    return case_row, mismatch_rows, hard_ok
 
 
 def _cmd_sweep(args) -> tuple[dict, list[dict], dict, int]:
@@ -564,9 +535,7 @@ def _cmd_sweep(args) -> tuple[dict, list[dict], dict, int]:
     paper_total = 0
     extended_total = 0
     for case in cases:
-        case_row, mismatch_rows, hard_ok, _ = _sweep_case(
-            case, args.seed, args.threads
-        )
+        case_row, mismatch_rows, hard_ok = _sweep_case(case, args.seed)
         rows.append(case_row)
         rows.extend(mismatch_rows)
         if not hard_ok:

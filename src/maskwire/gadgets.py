@@ -9,7 +9,7 @@ Two wire maps are modeled:
   a plain translation and therefore a bijection.
 
 Both come wrapped in a uniform WireGadget record carrying the stage's
-unmasked logical function and its claimed worst-case preimage size.
+claimed worst-case preimage size.
 
 The *_eval_vec kernels feed every exhaustive scan, so they are written
 for few, cheap passes, and each computes exactly its scalar form:
@@ -153,8 +153,8 @@ def identity_mask_eval_vec(q: Modulus, x: IntOrArray, m: np.ndarray) -> np.ndarr
 
 @dataclass(frozen=True)
 class WireGadget:
-    """A single masked stage: its wire map, its unmasked stage function,
-    and the claimed worst-case preimage multiplicity k.
+    """A single masked stage: its wire map and the claimed worst-case
+    preimage multiplicity k.
 
     eval is total on Z_q x Z_q and pure.  eval_vec, required, is the same
     map on raw int64 residues for bulk enumeration, which every mask scan
@@ -166,7 +166,6 @@ class WireGadget:
     name: str
     q: Modulus
     eval: Callable[[ZqElem, ZqElem], ZqElem]
-    plain: Callable[[ZqElem], ZqElem]
     claimed_max_mult: int
     eval_vec: Optional[Callable[[IntOrArray, np.ndarray], np.ndarray]] = None
     barrett_params: Optional[BarrettParams] = None
@@ -179,16 +178,11 @@ class WireGadget:
 
 
 def make_barrett_gadget(p: BarrettParams) -> WireGadget:
-    """Reduction-stage gadget: two-branch wire map, claimed k = 2.
-
-    The stage's logical function on already-canonical inputs is the
-    identity: reducing a residue that is already in [0, q) is a no-op.
-    """
+    """Reduction-stage gadget: two-branch wire map, claimed k = 2."""
     return WireGadget(
         name="barrett",
         q=p.q,
         eval=lambda x, m: barrett_algebraic_eval(p, x, m),
-        plain=lambda x: x,
         claimed_max_mult=2,
         eval_vec=lambda x, m: barrett_algebraic_eval_vec(p, x, m),
         barrett_params=p,
@@ -201,7 +195,6 @@ def make_identity_gadget(q: Modulus) -> WireGadget:
         name="identity",
         q=q,
         eval=lambda x, m: identity_mask_eval(q, x, m),
-        plain=lambda x: x,
         claimed_max_mult=1,
         eval_vec=lambda x, m: identity_mask_eval_vec(q, x, m),
         barrett_params=None,

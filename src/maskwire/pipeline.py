@@ -18,12 +18,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .gadgets import WireGadget
-from .modring import ZqElem
-from .preimage import DEFAULT_SEED, counts_bruteforce_all, sample_secrets, tally_masks
+from .preimage import DEFAULT_SEED, counts_bruteforce_all, default_secrets, tally_masks
 
 # Per-secret mask enumeration is O(q), so exhaustive secret sweeps stop here.
 PIPELINE_EXHAUSTIVE_LIMIT = 2**12
-PIPELINE_SAMPLE_SECRETS = 16
 
 MODES = ("fresh", "shared")
 
@@ -60,12 +58,6 @@ class CompositionReport:
     product_bound_holds: bool
 
 
-def _default_secrets(q: int, seed: int) -> Sequence[int]:
-    if q <= PIPELINE_EXHAUSTIVE_LIMIT:
-        return range(q)
-    return sample_secrets(q, PIPELINE_SAMPLE_SECRETS, seed)
-
-
 def _composed_counts_shared(spec: PipelineSpec, x: int) -> np.ndarray:
     """Histogram of m -> stage2(stage1(x, m), m) over all masks m."""
     stage1, stage2 = spec.stage1.eval_vec, spec.stage2.eval_vec
@@ -80,17 +72,16 @@ def compose_fresh(
     """Measure both wires with independent masks per stage."""
     if spec.mode != "fresh":
         raise ValueError("compose_fresh requires mode=fresh")
-    q = spec.stage1.q.q
     if secrets is None:
-        secrets = _default_secrets(q, seed)
-    ring = spec.stage1.q
+        secrets = default_secrets(spec.stage1.q.q, seed, PIPELINE_EXHAUSTIVE_LIMIT)
     k1 = 0
     k2 = 0
     checked = 0
     for x in secrets:
         k1 = max(k1, int(counts_bruteforce_all(spec.stage1, x).max()))
-        plain1 = spec.stage1.plain(ZqElem(x, ring)).val
-        k2 = max(k2, int(counts_bruteforce_all(spec.stage2, plain1).max()))
+        # Both stage kinds compute the identity on a canonical residue, so
+        # stage 2 receives the secret itself.
+        k2 = max(k2, int(counts_bruteforce_all(spec.stage2, x).max()))
         checked += 1
     return _report(spec, checked, k1, k2, max(k1, k2))
 
@@ -103,9 +94,8 @@ def compose_shared(
     """Measure the stage-1 wire and the mask-reusing composed wire."""
     if spec.mode != "shared":
         raise ValueError("compose_shared requires mode=shared")
-    q = spec.stage1.q.q
     if secrets is None:
-        secrets = _default_secrets(q, seed)
+        secrets = default_secrets(spec.stage1.q.q, seed, PIPELINE_EXHAUSTIVE_LIMIT)
     k1 = 0
     k2 = 0
     checked = 0

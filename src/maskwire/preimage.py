@@ -8,6 +8,10 @@ Two counting routes are kept deliberately separate:
 
 Cross-checking the two routes is the core property this package exists
 to exercise, so neither is ever expressed in terms of the other.
+count_closedform also stays a scalar O(1) form next to the vectorised
+counts_closedform_all: the test suite checks the vectorised counts
+against it, and building it from counts_closedform_all would make that
+check vouch for itself.
 
 Every scan over the mask (or value) axis walks it in tiles of TILE =
 2^14 elements, so one secret's scan keeps only its q-length result
@@ -253,9 +257,15 @@ def sample_secrets(q: int, n: int, seed: int = DEFAULT_SEED) -> list[int]:
     return sorted(rng.sample(range(q), n))
 
 
-def default_secrets(q: int, seed: int = DEFAULT_SEED) -> Sequence[int]:
-    """All secrets up to the exhaustive limit, a 16-secret sample beyond."""
-    if q <= EXHAUSTIVE_SECRET_LIMIT:
+def default_secrets(
+    q: int, seed: int = DEFAULT_SEED, limit: int = EXHAUSTIVE_SECRET_LIMIT
+) -> Sequence[int]:
+    """range(q) while q <= limit, a seeded 16-secret sample (a list) beyond.
+
+    The one rule every analysis uses to pick secrets; callers pass their
+    own limit and tell the two outcomes apart by the range type.
+    """
+    if q <= limit:
         return range(q)
     return sample_secrets(q, DEFAULT_SAMPLE_SECRETS, seed)
 
@@ -335,34 +345,25 @@ def tightness_witness_search(p: BarrettParams) -> WitnessReport:
     """First (secret, value) pair, scanning ascending, with two preimages.
 
     No such pair exists when r = 0 (the map degenerates to a bijection).
-    The two masks are re-evaluated through the wire map before reporting.
+    For r != 0 the scan never gets past its first pair, x = 0 and v = 0:
+    the direct candidate mask x - v = 0 takes the direct branch (0 <= 0)
+    and the wrap candidate x - v + r = r takes the wrapping branch
+    (r > 0), so count_closedform is 2 there.  The two masks are still
+    re-evaluated through the wire map before reporting.
     """
-    q = p.q.q
-    r = p.r.val
-    if r == 0:
+    if p.r.val == 0:
         return WitnessReport(found=False)
-    for x in range(q):
-        counts = counts_closedform_all(p, x)
-        hits = np.nonzero(counts == 2)[0]
-        if len(hits) == 0:
-            continue
-        v = int(hits[0])
-        xe = ZqElem(x, p.q)
-        ve = ZqElem(v, p.q)
-        mask_a = ZqElem((x - v) % q, p.q)
-        mask_b = ZqElem((x - v + r) % q, p.q)
-        if (
-            barrett_algebraic_eval(p, xe, mask_a) != ve
-            or barrett_algebraic_eval(p, xe, mask_b) != ve
-            or mask_a == mask_b
-        ):
-            raise AssertionError(
-                f"closed-form witness ({x}, {v}) failed re-evaluation"
-            )
-        return WitnessReport(
-            found=True, secret=xe, value=ve, count=2, mask_a=mask_a, mask_b=mask_b
-        )
-    return WitnessReport(found=False)
+    zero = ZqElem(0, p.q)
+    mask_a, mask_b = zero, p.r
+    if (
+        barrett_algebraic_eval(p, zero, mask_a) != zero
+        or barrett_algebraic_eval(p, zero, mask_b) != zero
+        or mask_a == mask_b
+    ):
+        raise AssertionError("closed-form witness (0, 0) failed re-evaluation")
+    return WitnessReport(
+        found=True, secret=zero, value=zero, count=2, mask_a=mask_a, mask_b=mask_b
+    )
 
 
 def equivalence_check(

@@ -92,6 +92,46 @@ def test_sample_and_seed_echoed_in_envelope(capsys):
     assert doc["parameters"]["seed"] == 0
 
 
+# Expected values recorded from the CLI before the scope rule was merged
+# into preimage.default_secrets.  Sweep entries read the case row, whose
+# secrets_checked stands in for the sample size.
+@pytest.mark.parametrize(
+    "argv,secret_mode,sample",
+    [
+        (("analyze", "--q", "61", "--s", "6", "--secret", "5", "--secret", "3"), "explicit", "-"),
+        (("analyze", "--q", "61", "--s", "6", "--all-secrets"), "exhaustive", "-"),
+        (("analyze", "--q", "3329", "--s", "24", "--sample", "4"), "sampled", 4),
+        (("analyze", "--q", "61", "--s", "6", "--sample", "100"), "sampled", 61),
+        (("analyze", "--q", "61", "--s", "6"), "exhaustive", "-"),
+        (("analyze", "--q", "65537", "--s", "34"), "sampled", 16),
+        (("trichotomy", "--q", "61", "--s", "6", "--exhaustive"), "exhaustive", "-"),
+        (("trichotomy", "--q", "3329", "--s", "24", "--sample", "4"), "sampled", 4),
+        (("trichotomy", "--q", "61", "--s", "6", "--sample", "100"), "sampled", 61),
+        (("trichotomy", "--q", "61", "--s", "6"), "exhaustive", "-"),
+        (("trichotomy", "--q", "65537", "--s", "34"), "sampled", 16),
+        (("compose", "--q", "61", "--s", "6", "--stages", "identity,barrett",
+          "--mode", "fresh"), None, "-"),
+        (("compose", "--q", "4099", "--s", "13", "--stages", "identity,barrett",
+          "--mode", "shared"), None, 16),
+        (("sweep", {"q": 61, "s": 6}), "exhaustive", 61),
+        (("sweep", {"q": 16411, "s": 10}), "sampled", 16),
+    ],
+)
+def test_secret_scope_echoed(capsys, tmp_path, argv, secret_mode, sample):
+    if argv[0] == "sweep":
+        cfg = tmp_path / "cases.json"
+        cfg.write_text(json.dumps({"cases": [argv[1]]}))
+        argv = ("sweep", "--config", str(cfg))
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0
+    if argv[0] == "sweep":
+        case = doc["rows"][0]
+        got = (case["secret_mode"], case["secrets_checked"])
+    else:
+        got = (doc["parameters"].get("secret_mode"), doc["parameters"]["sample"])
+    assert got == (secret_mode, sample)
+
+
 def test_analyze_secret_out_of_range(capsys):
     code, out, err = run(capsys, "analyze", "--q", "3329", "--s", "24", "--secret", "3329")
     assert code == 2

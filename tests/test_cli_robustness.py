@@ -1,8 +1,11 @@
-"""CLI exit codes under injected faults, and the bounded thread pool."""
+"""CLI exit codes under injected faults, and single-threaded analysis."""
 
 import json
+import os
+import threading
 
 import numpy as np
+import pytest
 
 import maskwire.cli as cli
 from maskwire.cli import main
@@ -45,40 +48,38 @@ def test_sweep_reports_broken_conservation(monkeypatch, capsys, tmp_path):
     assert doc["summary"]["hard_failures"] == 1
 
 
-class RecordingExecutor:
-    """Stands in for ThreadPoolExecutor: records max_workers, maps inline."""
-
-    created: list = []
-
-    def __init__(self, max_workers):
-        RecordingExecutor.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
+def test_sweep_reports_route_disagreement(monkeypatch, capsys, tmp_path):
+    # q > 2^14 samples secrets and enumerates each one; on disagreement the
+    # enumerated counts, not the broken closed form, feed the histogram.
+    monkeypatch.setattr(cli, "counts_closedform_all", broken_counts)
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"cases": [{"q": 16411, "s": 10}]}))
+    code, doc = run_json(capsys, "sweep", "--config", str(config))
+    assert code == 1
+    case = doc["rows"][0]
+    assert case["secret_mode"] == "sampled"
+    assert case["routes_agree"] is False
+    assert case["conservation_ok"] is True
+    assert case["max_count"] == 2
+    assert doc["summary"]["hard_failures"] == 1
 
 
-def test_threads_capped_at_cpu_count(monkeypatch, capsys):
-    monkeypatch.setattr(RecordingExecutor, "created", [])
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+def test_threads_flag_starts_no_thread(monkeypatch, capsys):
+    started = []
+
+    def refuse(thread):
+        started.append(thread.name)
+        raise AssertionError("analysis started a thread")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     code = main(["analyze", "--q", "97", "--s", "7", "--format", "json", "--threads", "100000"])
-    capsys.readouterr()
     assert code == 0
-    assert RecordingExecutor.created == [3]
-
-
-def test_threads_capped_at_item_count(monkeypatch):
-    monkeypatch.setattr(RecordingExecutor, "created", [])
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1000)
-    assert cli._pmap(lambda i: i * i, range(70), 100000) == [i * i for i in range(70)]
-    assert RecordingExecutor.created == [70]
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 97
+    assert started == []
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--q", "97", "--s", "7", "--threads", "0"])
+    assert exc.value.code == 2
 
 
 def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):

@@ -140,7 +140,6 @@ def test_identity_gadget():
     g = make_identity_gadget(ring)
     assert g.name == "identity"
     assert g.claimed_max_mult == 1
-    assert g.plain(ZqElem(4, ring)).val == 4
 
 
 @pytest.mark.parametrize("q,s", [(7, 3), (64, 6), (3329, 24), (8380417, 48)])
@@ -199,7 +198,6 @@ def test_barrett_gadget_wrapper():
     ring = p.q
     xe, me = ZqElem(100, ring), ZqElem(2485, ring)
     assert g.eval(xe, me) == barrett_algebraic_eval(p, xe, me)
-    assert g.plain(xe) == xe
     got = g.eval_vec(100, np.arange(3329, dtype=np.int64))
     assert int(got[2485]) == barrett_algebraic_eval(p, xe, me).val
 
@@ -213,7 +211,6 @@ def test_gadget_validation():
             name="bad",
             q=ring,
             eval=lambda x, m: x,
-            plain=lambda x: x,
             claimed_max_mult=0,
         )
 

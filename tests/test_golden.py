@@ -2,10 +2,10 @@
 
 Each case in golden/cli_digests.json runs one command with
 ``--format json --threads 1`` and hashes its exit code, ``rows`` and
-``summary`` (never ``parameters`` or ``elapsed_ms``).  A kernel rewrite
-that changes any output byte on these inputs fails here.  The digests
-were taken from the code before the in-place int64 kernels, and must
-not be regenerated from the code under test.
+``summary`` (never ``parameters`` or ``elapsed_ms``).  A rewrite that
+changes any output byte on these inputs fails here.  Each digest was
+recorded from the parent of the change that added it, before any
+source edit, and must not be regenerated from the code under test.
 """
 
 import contextlib

@@ -269,6 +269,38 @@ def test_witness_search_bijection_params():
     assert rep.secret is None
 
 
+@given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=70))
+@settings(max_examples=200, deadline=None)
+def test_witness_is_first_two_preimage_pair(q, s):
+    rep = tightness_witness_search(BarrettParams.create(q, s))
+    first = next(
+        (
+            (x, v)
+            for x in range(q)
+            for v, count in enumerate(ref_counts(q, s, x))
+            if count == 2
+        ),
+        None,
+    )
+    if first is None:
+        assert not rep.found
+        return
+    assert rep.found and rep.count == 2
+    assert (rep.secret.val, rep.value.val) == first
+    assert rep.mask_a != rep.mask_b
+    x, v = first
+    assert ref_wire(q, s, x, rep.mask_a.val) == v
+    assert ref_wire(q, s, x, rep.mask_b.val) == v
+
+
+@pytest.mark.parametrize("limit", [1, 2**12, 2**14, 2**16])
+def test_default_secrets_limit_is_inclusive(limit):
+    assert default_secrets(limit, limit=limit) == range(limit)
+    over = default_secrets(limit + 1, seed=3, limit=limit)
+    assert not isinstance(over, range)
+    assert over == sample_secrets(limit + 1, 16, seed=3)
+
+
 def test_equivalence_exhaustive():
     rep = equivalence_check(BarrettParams.create(61, 6))
     assert rep.passed
