@@ -30,6 +30,7 @@ from .leakage import barrier_table, min_entropy
 from .modring import Modulus, ZqElem
 from .pipeline import PipelineSpec, compose
 from .preimage import (
+    DEFAULT_SAMPLE_SECRETS,
     DEFAULT_SEED,
     EXHAUSTIVE_SECRET_LIMIT,
     MultiplicityProfile,
@@ -52,11 +53,12 @@ EQUIV_EXHAUSTIVE_LIMIT = 2**12
 EQUIV_SAMPLE_PAIRS = 10**6
 
 # Sweep cases: exhaustive secrets (closed form) up to the first limit,
-# 16 enumerated-and-cross-checked secrets beyond; pointwise equivalence
-# runs while the full q^2 sweep stays affordable.
+# default_secrets' enumerated-and-cross-checked sample beyond; pointwise
+# equivalence runs while the full q^2 sweep stays affordable.  The
+# sample size is default_secrets' own, echoed as parameters.sample.
 SWEEP_EXHAUSTIVE_LIMIT = 2**14
 SWEEP_EQUIV_LIMIT = 2**16
-SWEEP_SAMPLE_SECRETS = 16
+SWEEP_SAMPLE_SECRETS = DEFAULT_SAMPLE_SECRETS
 MISMATCH_ROW_CAP = 100
 
 _SWEEP_COLUMNS = (
