@@ -25,7 +25,7 @@ from .leakage import (
     max_output_probability,
     min_entropy,
 )
-from .modring import Modulus, ZqElem, branch_offset, reduce, sub
+from .modring import Modulus, ZqElem, branch_offset, reduce
 from .pipeline import (
     CompositionReport,
     PipelineSpec,
@@ -36,7 +36,6 @@ from .pipeline import (
 from .preimage import (
     EquivalenceReport,
     MultiplicityProfile,
-    PreimageHistogram,
     TrichotomyReport,
     WitnessReport,
     count_bruteforce,
@@ -59,7 +58,6 @@ __all__ = [
     "Modulus",
     "ZqElem",
     "reduce",
-    "sub",
     "branch_offset",
     "BarrettParams",
     "ScopeConditionError",
@@ -70,7 +68,6 @@ __all__ = [
     "make_barrett_gadget",
     "make_identity_gadget",
     "MultiplicityProfile",
-    "PreimageHistogram",
     "WitnessReport",
     "TrichotomyReport",
     "EquivalenceReport",

@@ -34,7 +34,6 @@ from .preimage import (
     DEFAULT_SEED,
     EXHAUSTIVE_SECRET_LIMIT,
     MultiplicityProfile,
-    PreimageHistogram,
     counts_bruteforce_all,
     counts_closedform_all,
     default_secrets,
@@ -111,11 +110,25 @@ def _secret_scope(
         ring = Modulus(q)
         return [ZqElem(x, ring).val for x in explicit], "explicit"
     if every:
-        return range(q), "exhaustive"
-    if sample is not None:
-        return sample_secrets(q, sample, seed), "sampled"
-    secrets = default_secrets(q, seed, limit)
-    return secrets, "exhaustive" if isinstance(secrets, range) else "sampled"
+        secrets: Sequence[int] = range(q)
+    elif sample is not None:
+        secrets = sample_secrets(q, sample, seed)
+    else:
+        secrets = default_secrets(q, seed, limit)
+    return secrets, "exhaustive" if len(secrets) == q else "sampled"
+
+
+def _scope_params(
+    args, p: BarrettParams, secrets: Sequence[int], secret_mode: str
+) -> dict:
+    return {
+        "q": args.q,
+        "s": args.s,
+        "r": p.r.val,
+        "secret_mode": secret_mode,
+        "sample": len(secrets) if secret_mode == "sampled" else "-",
+        "seed": args.seed,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,22 +238,20 @@ def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
     rows = []
     for x in secrets:
         xe = ZqElem(x, p.q)
-        hist = PreimageHistogram.from_counts(counts_closedform_all(p, x))
-        try:
-            bound = min_entropy(MultiplicityProfile.from_histogram(xe, hist))
-        except ValueError:
-            # Broken conservation: the row shows the buckets, and zeros !=
-            # twos fails the run below.
-            bound = None
+        prof = MultiplicityProfile.from_counts(xe, counts_closedform_all(p, x))
+        # Off mask mass leaves no distribution to measure; a value hit
+        # three times keeps its min-entropy, which then reads below the
+        # floor.  Either way the row fails the run below.
+        bound = None if prof.overflow == 0 and not prof.conserved else min_entropy(prof)
         rows.append(
             {
                 "secret": x,
-                "zeros": hist.zeros,
-                "ones": hist.ones,
-                "twos": hist.twos,
-                "max_count": hist.max_count,
-                "support": hist.support_size,
-                "gap_observed": hist.zeros,
+                "zeros": prof.zeros,
+                "ones": prof.ones,
+                "twos": prof.twos,
+                "max_count": prof.max_count,
+                "support": prof.support_size,
+                "gap_observed": prof.zeros,
                 "gap_paper": support_gap_predicted_paper(p, xe),
                 "gap_extended": support_gap_predicted_extended(p, xe),
                 "min_entropy_bits": bound.exact_min_entropy_bits if bound else None,
@@ -248,14 +259,7 @@ def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
             }
         )
     passed = all(r["max_count"] <= 2 and r["zeros"] == r["twos"] for r in rows)
-    params = {
-        "q": args.q,
-        "s": args.s,
-        "r": p.r.val,
-        "secret_mode": secret_mode,
-        "sample": len(secrets) if secret_mode == "sampled" else "-",
-        "seed": args.seed,
-    }
+    params = _scope_params(args, p, secrets, secret_mode)
     summary = {"passed": passed, "secrets_checked": len(rows), "route": "closedform"}
     return params, rows, summary, 0 if passed else 1
 
@@ -280,14 +284,7 @@ def _cmd_trichotomy(args) -> tuple[dict, list[dict], dict, int]:
             "cx_count": cx[2] if cx else None,
         }
     ]
-    params = {
-        "q": args.q,
-        "s": args.s,
-        "r": p.r.val,
-        "secret_mode": secret_mode,
-        "sample": len(secrets) if secret_mode == "sampled" else "-",
-        "seed": args.seed,
-    }
+    params = _scope_params(args, p, secrets, secret_mode)
     summary = {"passed": rep.passed, "secrets_checked": rep.secrets_checked}
     return params, rows, summary, 0 if rep.passed else 1
 
@@ -457,8 +454,7 @@ def _sweep_case(case: dict, seed: int) -> tuple[dict, list[dict], bool]:
     trichotomy_ok = True
     conservation_ok = True
     routes_agree = True
-    paper_miss = 0
-    ext_miss = 0
+    misses = {"paper": 0, "extended": 0}
     mismatch_rows: list[dict] = []
     for x in secrets:
         counts = counts_closedform_all(p, x)
@@ -469,26 +465,21 @@ def _sweep_case(case: dict, seed: int) -> tuple[dict, list[dict], bool]:
                 counts = oracle
             # Free the q-length int64 array before the next secret's scan.
             del oracle
-        hist = PreimageHistogram.from_counts(counts)
-        max_count = max(max_count, hist.max_count)
-        if hist.max_count > 2:
-            trichotomy_ok = False
-        if not hist.conserved:
-            conservation_ok = False
         xe = ZqElem(x, p.q)
+        prof = MultiplicityProfile.from_counts(xe, counts)
+        max_count = max(max_count, prof.max_count)
+        if prof.max_count > 2:
+            trichotomy_ok = False
+        if not prof.conserved:
+            conservation_ok = False
         for formula, predicted in (
             ("paper", support_gap_predicted_paper(p, xe)),
             ("extended", support_gap_predicted_extended(p, xe)),
         ):
-            if predicted == hist.zeros:
+            if predicted == prof.zeros:
                 continue
-            if formula == "paper":
-                paper_miss += 1
-                capped = paper_miss > MISMATCH_ROW_CAP
-            else:
-                ext_miss += 1
-                capped = ext_miss > MISMATCH_ROW_CAP
-            if not capped:
+            misses[formula] += 1
+            if misses[formula] <= MISMATCH_ROW_CAP:
                 mismatch_rows.append(
                     _sweep_row(
                         {
@@ -498,7 +489,7 @@ def _sweep_case(case: dict, seed: int) -> tuple[dict, list[dict], bool]:
                             "r": p.r.val,
                             "formula": formula,
                             "secret": x,
-                            "observed": hist.zeros,
+                            "observed": prof.zeros,
                             "predicted": predicted,
                         }
                     )
@@ -523,8 +514,8 @@ def _sweep_case(case: dict, seed: int) -> tuple[dict, list[dict], bool]:
             "routes_agree": routes_agree,
             "equiv": equiv,
             "max_count": max_count,
-            "paper_gap_mismatches": paper_miss,
-            "extended_gap_mismatches": ext_miss,
+            "paper_gap_mismatches": misses["paper"],
+            "extended_gap_mismatches": misses["extended"],
         }
     )
     return case_row, mismatch_rows, hard_ok

@@ -23,10 +23,6 @@ class Modulus:
         if self.q > MAX_MODULUS:
             raise ValueError(f"modulus {self.q} exceeds supported bound {MAX_MODULUS}")
 
-    def elem(self, n: int) -> "ZqElem":
-        """Canonical representative of n in this ring (n may be negative)."""
-        return reduce(n, self)
-
 
 @dataclass(frozen=True)
 class ZqElem:
@@ -58,10 +54,6 @@ class ZqElem:
         self._check_same_ring(other)
         return ZqElem((self.val - other.val) % self.modulus.q, self.modulus)
 
-    def __mul__(self, other: "ZqElem") -> "ZqElem":
-        self._check_same_ring(other)
-        return ZqElem((self.val * other.val) % self.modulus.q, self.modulus)
-
     def __int__(self) -> int:
         return self.val
 
@@ -69,11 +61,6 @@ class ZqElem:
 def reduce(n: int, q: Modulus) -> ZqElem:
     """Unique canonical representative of n mod q; negative n lands in [0, q)."""
     return ZqElem(n % q.q, q)
-
-
-def sub(a: ZqElem, b: ZqElem) -> ZqElem:
-    """Canonical (a - b) mod q. Both operands must share a modulus."""
-    return a - b
 
 
 def branch_offset(q: Modulus, s: int) -> ZqElem:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from maskwire.cli import main
+from maskwire.preimage import MultiplicityProfile
 
 
 def run(capsys, *argv):
@@ -93,20 +94,22 @@ def test_sample_and_seed_echoed_in_envelope(capsys):
 
 
 # Expected values recorded from the CLI before the scope rule was merged
-# into preimage.default_secrets.  Sweep entries read the case row, whose
-# secrets_checked stands in for the sample size.
+# into preimage.default_secrets, except that a --sample covering all q
+# secrets now reports exhaustive: the mode follows coverage.  Sweep
+# entries read the case row, whose secrets_checked stands in for the
+# sample size.
 @pytest.mark.parametrize(
     "argv,secret_mode,sample",
     [
         (("analyze", "--q", "61", "--s", "6", "--secret", "5", "--secret", "3"), "explicit", "-"),
         (("analyze", "--q", "61", "--s", "6", "--all-secrets"), "exhaustive", "-"),
         (("analyze", "--q", "3329", "--s", "24", "--sample", "4"), "sampled", 4),
-        (("analyze", "--q", "61", "--s", "6", "--sample", "100"), "sampled", 61),
+        (("analyze", "--q", "61", "--s", "6", "--sample", "100"), "exhaustive", "-"),
         (("analyze", "--q", "61", "--s", "6"), "exhaustive", "-"),
         (("analyze", "--q", "65537", "--s", "34"), "sampled", 16),
         (("trichotomy", "--q", "61", "--s", "6", "--exhaustive"), "exhaustive", "-"),
         (("trichotomy", "--q", "3329", "--s", "24", "--sample", "4"), "sampled", 4),
-        (("trichotomy", "--q", "61", "--s", "6", "--sample", "100"), "sampled", 61),
+        (("trichotomy", "--q", "61", "--s", "6", "--sample", "100"), "exhaustive", "-"),
         (("trichotomy", "--q", "61", "--s", "6"), "exhaustive", "-"),
         (("trichotomy", "--q", "65537", "--s", "34"), "sampled", 16),
         (("compose", "--q", "61", "--s", "6", "--stages", "identity,barrett",
@@ -130,6 +133,28 @@ def test_secret_scope_echoed(capsys, tmp_path, argv, secret_mode, sample):
     else:
         got = (doc["parameters"].get("secret_mode"), doc["parameters"]["sample"])
     assert got == (secret_mode, sample)
+
+
+def test_every_secret_profiled_through_from_counts(monkeypatch, capsys, tmp_path):
+    # analyze and sweep build one MultiplicityProfile per secret, all
+    # through from_counts, so its per-call timing measures real work.
+    calls = []
+    original = MultiplicityProfile.from_counts.__func__
+
+    def counted(cls, secret, counts):
+        calls.append(secret.val)
+        return original(cls, secret, counts)
+
+    monkeypatch.setattr(MultiplicityProfile, "from_counts", classmethod(counted))
+    code, _, _ = run_json(capsys, "analyze", "--q", "97", "--s", "7")
+    assert code == 0
+    assert calls == list(range(97))
+    calls.clear()
+    cfg = tmp_path / "cases.json"
+    cfg.write_text(json.dumps({"cases": [{"q": 61, "s": 6}]}))
+    code, _, _ = run_json(capsys, "sweep", "--config", str(cfg))
+    assert code == 0
+    assert calls == list(range(61))
 
 
 def test_analyze_secret_out_of_range(capsys):

@@ -18,20 +18,41 @@ def broken_counts(p, x):
     return counts
 
 
+def three_hit_counts(p, x):
+    """One value hit three times, two values missed: the mask mass still adds up to q."""
+    counts = np.ones(p.q.q, dtype=np.int64)
+    counts[:3] = (3, 0, 0)
+    return counts
+
+
 def run_json(capsys, *argv):
     code = main([*argv, "--format", "json", "--threads", "1"])
     return code, json.loads(capsys.readouterr().out)
 
 
-def test_analyze_reports_broken_conservation(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "counts_closedform_all", broken_counts)
+# Min-entropy is withheld only where the mask mass is off; a value hit
+# three times keeps its min-entropy, which reads below the floor.
+@pytest.mark.parametrize(
+    "counts,buckets,max_count,min_entropy_bits",
+    [
+        pytest.param(broken_counts, (0, 60, 1), 2, None, id="mass-off"),
+        pytest.param(three_hit_counts, (2, 58, 0), 3, 4.345774836841731, id="three-hit"),
+    ],
+)
+def test_analyze_reports_broken_conservation(
+    monkeypatch, capsys, counts, buckets, max_count, min_entropy_bits
+):
+    monkeypatch.setattr(cli, "counts_closedform_all", counts)
     code, doc = run_json(capsys, "analyze", "--q", "61", "--s", "6")
     assert code == 1
     assert doc["summary"]["passed"] is False
     assert len(doc["rows"]) == 61
     row = doc["rows"][0]
-    assert (row["zeros"], row["ones"], row["twos"]) == (0, 60, 1)
-    assert row["min_entropy_bits"] is None
+    assert (row["zeros"], row["ones"], row["twos"]) == buckets
+    assert row["max_count"] == max_count
+    assert row["min_entropy_bits"] == min_entropy_bits
+    if min_entropy_bits is not None:
+        assert row["min_entropy_bits"] < row["floor_bits"]
 
 
 def test_sweep_reports_broken_conservation(monkeypatch, capsys, tmp_path):

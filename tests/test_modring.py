@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maskwire.modring import MAX_MODULUS, Modulus, ZqElem, branch_offset, reduce, sub
+from maskwire.modring import MAX_MODULUS, Modulus, ZqElem, branch_offset, reduce
 
 
 def test_reduce_examples():
@@ -51,18 +51,15 @@ def test_mixed_ring_rejected():
     with pytest.raises(ValueError):
         a + b
     with pytest.raises(ValueError):
-        sub(a, b)
-    with pytest.raises(ValueError):
-        a * b
+        a - b
 
 
 def test_arithmetic_examples():
     q = Modulus(7)
     assert (reduce(5, q) + reduce(4, q)).val == 2
     assert (reduce(2, q) - reduce(5, q)).val == 4
-    assert (reduce(3, q) * reduce(5, q)).val == 1
     assert int(reduce(6, q)) == 6
-    assert q.elem(-2).val == 5
+    assert reduce(-2, q).val == 5
 
 
 @given(st.integers(min_value=1, max_value=10**6), st.integers(), st.integers())
@@ -71,7 +68,6 @@ def test_arithmetic_matches_int_mod(q, a, b):
     ea, eb = reduce(a, ring), reduce(b, ring)
     assert (ea + eb).val == (a + b) % q
     assert (ea - eb).val == (a - b) % q
-    assert (ea * eb).val == (a * b) % q
 
 
 @given(st.integers(min_value=1, max_value=10**6), st.integers())

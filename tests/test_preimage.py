@@ -109,18 +109,23 @@ def test_profile_invariant_enforcement():
         secret=x, zeros=1, ones=5, twos=1, overflow=0, max_count=2, support_size=6
     )
     assert support_gap_observed(ok) == 1
-    with pytest.raises(ValueError):
+    assert ok.conserved
+    # Construction accepts a broken histogram; conserved reports it.
+    broken = [
+        # mask mass off: ones + 2*twos = 6 != 7
         MultiplicityProfile(
             secret=x, zeros=2, ones=4, twos=1, overflow=0, max_count=2, support_size=5
-        )
-    with pytest.raises(ValueError):
+        ),
+        # support_size disagrees with the buckets
         MultiplicityProfile(
             secret=x, zeros=1, ones=5, twos=1, overflow=0, max_count=2, support_size=5
-        )
-    with pytest.raises(ValueError):
+        ),
+        # buckets do not partition q = 7
         MultiplicityProfile(
             secret=x, zeros=1, ones=5, twos=2, overflow=0, max_count=2, support_size=6
-        )
+        ),
+    ]
+    assert [prof.conserved for prof in broken] == [False, False, False]
     with pytest.raises(ValueError):
         MultiplicityProfile.from_counts(x, np.zeros(6, dtype=np.int64))
 
