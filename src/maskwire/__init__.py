@@ -26,13 +26,7 @@ from .leakage import (
     min_entropy,
 )
 from .modring import Modulus, ZqElem, branch_offset, reduce
-from .pipeline import (
-    CompositionReport,
-    PipelineSpec,
-    compose,
-    compose_fresh,
-    compose_shared,
-)
+from .pipeline import CompositionReport, PipelineSpec, compose
 from .preimage import (
     EquivalenceReport,
     MultiplicityProfile,
@@ -91,8 +85,6 @@ __all__ = [
     "PipelineSpec",
     "CompositionReport",
     "compose",
-    "compose_fresh",
-    "compose_shared",
     "Preset",
     "PRESETS",
     "get_preset",

@@ -236,13 +236,15 @@ def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
         explicit=args.secret, every=args.all_secrets, sample=args.sample,
     )
     rows = []
+    passed = True
     for x in secrets:
         xe = ZqElem(x, p.q)
         prof = MultiplicityProfile.from_counts(xe, counts_closedform_all(p, x))
         # Off mask mass leaves no distribution to measure; a value hit
         # three times keeps its min-entropy, which then reads below the
-        # floor.  Either way the row fails the run below.
+        # floor.  Either way the profile is not conserved and fails the run.
         bound = None if prof.overflow == 0 and not prof.conserved else min_entropy(prof)
+        passed = passed and prof.conserved
         rows.append(
             {
                 "secret": x,
@@ -258,7 +260,6 @@ def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
                 "floor_bits": bound.barrier_floor_bits if bound else None,
             }
         )
-    passed = all(r["max_count"] <= 2 and r["zeros"] == r["twos"] for r in rows)
     params = _scope_params(args, p, secrets, secret_mode)
     summary = {"passed": passed, "secrets_checked": len(rows), "route": "closedform"}
     return params, rows, summary, 0 if passed else 1
@@ -451,7 +452,6 @@ def _sweep_case(case: dict, seed: int) -> tuple[dict, list[dict], bool]:
     # Sampled secrets are also enumerated, to cross-check the closed form.
     gadget = make_barrett_gadget(p) if secret_mode == "sampled" else None
     max_count = 0
-    trichotomy_ok = True
     conservation_ok = True
     routes_agree = True
     misses = {"paper": 0, "extended": 0}
@@ -468,8 +468,6 @@ def _sweep_case(case: dict, seed: int) -> tuple[dict, list[dict], bool]:
         xe = ZqElem(x, p.q)
         prof = MultiplicityProfile.from_counts(xe, counts)
         max_count = max(max_count, prof.max_count)
-        if prof.max_count > 2:
-            trichotomy_ok = False
         if not prof.conserved:
             conservation_ok = False
         for formula, predicted in (
@@ -495,6 +493,7 @@ def _sweep_case(case: dict, seed: int) -> tuple[dict, list[dict], bool]:
                     )
                 )
 
+    trichotomy_ok = max_count <= 2
     if q <= SWEEP_EQUIV_LIMIT and p.scope_ok():
         equiv = "ok" if equivalence_check(p).passed else "fail"
     else:

@@ -1,10 +1,11 @@
 """Two-stage gadget composition under fresh or shared masking.
 
-Fresh mode draws an independent mask per stage, so each observable wire
-is just that stage's own masked map and the pipeline inherits the worst
-single-stage multiplicity.  Shared mode reuses one mask across both
-stages; the second wire then composes through the first and its
-multiplicity is measured by brute force.  The product of the per-stage
+One loop, compose(spec), measures both observable wires by brute force
+for every secret; the mode only decides what the second wire is.  Fresh
+mode draws an independent mask per stage, so the second wire is stage
+2's own masked map and the pipeline inherits the worst single-stage
+multiplicity.  Shared mode reuses one mask across both stages, so the
+second wire composes through the first.  The product of the per-stage
 claims is reported as context for the shared case, never asserted —
 shared masking can beat it or break the fresh bound, and both outcomes
 are data.
@@ -64,66 +65,33 @@ def _composed_counts_shared(spec: PipelineSpec, x: int) -> np.ndarray:
     return tally_masks(spec.stage1.q.q, lambda masks: stage2(stage1(x, masks), masks))
 
 
-def compose_fresh(
-    spec: PipelineSpec,
-    secrets: Optional[Sequence[int]] = None,
-    seed: int = DEFAULT_SEED,
-) -> CompositionReport:
-    """Measure both wires with independent masks per stage."""
-    if spec.mode != "fresh":
-        raise ValueError("compose_fresh requires mode=fresh")
-    if secrets is None:
-        secrets = default_secrets(spec.stage1.q.q, seed, PIPELINE_EXHAUSTIVE_LIMIT)
-    k1 = 0
-    k2 = 0
-    checked = 0
-    for x in secrets:
-        k1 = max(k1, int(counts_bruteforce_all(spec.stage1, x).max()))
-        # Both stage kinds compute the identity on a canonical residue, so
-        # stage 2 receives the secret itself.
-        k2 = max(k2, int(counts_bruteforce_all(spec.stage2, x).max()))
-        checked += 1
-    return _report(spec, checked, k1, k2, max(k1, k2))
-
-
-def compose_shared(
-    spec: PipelineSpec,
-    secrets: Optional[Sequence[int]] = None,
-    seed: int = DEFAULT_SEED,
-) -> CompositionReport:
-    """Measure the stage-1 wire and the mask-reusing composed wire."""
-    if spec.mode != "shared":
-        raise ValueError("compose_shared requires mode=shared")
-    if secrets is None:
-        secrets = default_secrets(spec.stage1.q.q, seed, PIPELINE_EXHAUSTIVE_LIMIT)
-    k1 = 0
-    k2 = 0
-    checked = 0
-    for x in secrets:
-        k1 = max(k1, int(counts_bruteforce_all(spec.stage1, x).max()))
-        k2 = max(k2, int(_composed_counts_shared(spec, x).max()))
-        checked += 1
-    return _report(spec, checked, k1, k2, max(k1, k2))
-
-
 def compose(
     spec: PipelineSpec,
     secrets: Optional[Sequence[int]] = None,
     seed: int = DEFAULT_SEED,
 ) -> CompositionReport:
-    """Dispatch on the pipeline's masking mode."""
-    if spec.mode == "fresh":
-        return compose_fresh(spec, secrets, seed)
-    return compose_shared(spec, secrets, seed)
+    """Measure both wires over the secrets, under the spec's masking mode.
 
-
-def _report(
-    spec: PipelineSpec, checked: int, k1: int, k2: int, pipeline: int
-) -> CompositionReport:
-    c1 = spec.stage1.claimed_max_mult
-    c2 = spec.stage2.claimed_max_mult
-    bound_fresh = max(c1, c2)
-    bound_product = c1 * c2
+    secrets = None applies default_secrets with PIPELINE_EXHAUSTIVE_LIMIT.
+    """
+    if secrets is None:
+        secrets = default_secrets(spec.stage1.q.q, seed, PIPELINE_EXHAUSTIVE_LIMIT)
+    k1 = 0
+    k2 = 0
+    checked = 0
+    for x in secrets:
+        k1 = max(k1, int(counts_bruteforce_all(spec.stage1, x).max()))
+        if spec.mode == "fresh":
+            # Both stage kinds compute the identity on a canonical residue,
+            # so stage 2 receives the secret itself.
+            wire2 = counts_bruteforce_all(spec.stage2, x)
+        else:
+            wire2 = _composed_counts_shared(spec, x)
+        k2 = max(k2, int(wire2.max()))
+        checked += 1
+    pipeline = max(k1, k2)
+    bound_fresh = max(spec.stage1.claimed_max_mult, spec.stage2.claimed_max_mult)
+    bound_product = spec.stage1.claimed_max_mult * spec.stage2.claimed_max_mult
     return CompositionReport(
         mode=spec.mode,
         q=spec.stage1.q.q,

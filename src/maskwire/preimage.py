@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .gadgets import (
     BarrettParams,
+    IntOrArray,
     WireGadget,
     barrett_algebraic_eval,
     barrett_algebraic_eval_vec,
@@ -49,6 +50,8 @@ DEFAULT_SAMPLE_SECRETS = 16
 DEFAULT_SEED = 0
 # Elements per tile of every mask/value scan: 128 KiB of int64.
 TILE = 1 << 14
+# (pairs before the tile, secret or secrets, masks) for equivalence_check.
+PairTile = Tuple[int, IntOrArray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -325,6 +328,31 @@ def tightness_witness_search(p: BarrettParams) -> WitnessReport:
     )
 
 
+def _exhaustive_pair_tiles(q: int) -> Iterator[PairTile]:
+    """(pairs before, secret, masks) tiles over all q^2 pairs, secret-major.
+
+    The secret stays a scalar (gadgets explains why secrets are not
+    blocked into 2-D arrays), and every secret reuses the first tile's
+    arange.
+    """
+    first = np.arange(min(q, TILE), dtype=np.int64)
+    for x in range(q):
+        for lo in range(0, q, TILE):
+            if lo == 0:
+                masks = first
+            else:
+                masks = np.arange(lo, min(lo + TILE, q), dtype=np.int64)
+            yield x * q + lo, x, masks
+
+
+def _sampled_pair_tiles(q: int, sample: int, seed: int) -> Iterator[PairTile]:
+    """(pairs before, secrets, masks) tiles of `sample` seeded random pairs."""
+    rng = np.random.default_rng(seed)
+    for lo in range(0, sample, TILE):
+        xs, ms = rng.integers(0, q, size=(2, min(TILE, sample - lo)))
+        yield lo, xs, ms
+
+
 def equivalence_check(
     p: BarrettParams,
     sample: Optional[int] = None,
@@ -333,44 +361,27 @@ def equivalence_check(
     """Compare the algebraic and hardware-faithful forms pointwise.
 
     sample = None checks all q^2 (x, m) pairs; otherwise `sample` pairs
-    drawn by a seeded PRNG.  Raises ScopeConditionError when q > 2^s —
-    a usage error, distinct from a mismatch.
+    are drawn tile by tile from one np.random.default_rng(seed), each
+    tile's secrets and masks by one integers(0, q, size=(2, n)) call.
+    Raises ScopeConditionError when q > 2^s — a usage error, distinct
+    from a mismatch.
     """
     p.require_scope()
     q = p.q.q
     if sample is None:
-        first = np.arange(min(q, TILE), dtype=np.int64)
-        for x in range(q):
-            for lo in range(0, q, TILE):
-                if lo == 0:
-                    masks = first
-                else:
-                    masks = np.arange(lo, min(lo + TILE, q), dtype=np.int64)
-                alg = barrett_algebraic_eval_vec(p, x, masks)
-                hw = barrett_nat_eval_vec(p, x, masks)
-                bad = np.nonzero(alg != hw)[0]
-                if len(bad) > 0:
-                    i = int(bad[0])
-                    return EquivalenceReport(
-                        passed=False,
-                        pairs_checked=(x * q) + lo + i + 1,
-                        first_mismatch=(x, lo + i, int(alg[i]), int(hw[i])),
-                    )
-        return EquivalenceReport(passed=True, pairs_checked=q * q)
-    rng = random.Random(seed)
-    xs = np.fromiter((rng.randrange(q) for _ in range(sample)), dtype=np.int64)
-    ms = np.fromiter((rng.randrange(q) for _ in range(sample)), dtype=np.int64)
-    for lo in range(0, sample, TILE):
-        xt = xs[lo : lo + TILE]
-        mt = ms[lo : lo + TILE]
-        alg = barrett_algebraic_eval_vec(p, xt, mt)
-        hw = barrett_nat_eval_vec(p, xt, mt)
+        total, tiles = q * q, _exhaustive_pair_tiles(q)
+    else:
+        total, tiles = sample, _sampled_pair_tiles(q, sample, seed)
+    for before, xs, masks in tiles:
+        alg = barrett_algebraic_eval_vec(p, xs, masks)
+        hw = barrett_nat_eval_vec(p, xs, masks)
         bad = np.nonzero(alg != hw)[0]
         if len(bad) > 0:
             i = int(bad[0])
+            x = int(np.broadcast_to(xs, masks.shape)[i])
             return EquivalenceReport(
                 passed=False,
-                pairs_checked=lo + i + 1,
-                first_mismatch=(int(xt[i]), int(mt[i]), int(alg[i]), int(hw[i])),
+                pairs_checked=before + i + 1,
+                first_mismatch=(x, int(masks[i]), int(alg[i]), int(hw[i])),
             )
-    return EquivalenceReport(passed=True, pairs_checked=sample)
+    return EquivalenceReport(passed=True, pairs_checked=total)

@@ -1,16 +1,14 @@
 """Two-stage composition under fresh and shared masking."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskwire.gadgets import BarrettParams, make_barrett_gadget, make_identity_gadget
 from maskwire.modring import Modulus
-from maskwire.pipeline import (
-    PIPELINE_EXHAUSTIVE_LIMIT,
-    PipelineSpec,
-    compose,
-    compose_fresh,
-    compose_shared,
-)
+from maskwire.pipeline import PIPELINE_EXHAUSTIVE_LIMIT, PipelineSpec, compose
 
 from reference import ref_wire
 
@@ -32,14 +30,10 @@ def test_spec_validation():
         PipelineSpec(
             make_identity_gadget(Modulus(7)), make_identity_gadget(Modulus(11)), "fresh"
         )
-    with pytest.raises(ValueError):
-        compose_fresh(_identity_pair(7, "shared"))
-    with pytest.raises(ValueError):
-        compose_shared(_identity_pair(7, "fresh"))
 
 
 def test_fresh_identity_barrett():
-    rep = compose_fresh(_id_barrett(3329, 24, "fresh"))
+    rep = compose(_id_barrett(3329, 24, "fresh"))
     assert rep.wire1_max_mult == 1
     assert rep.wire2_max_mult == 2
     assert rep.pipeline_max_mult == 2
@@ -59,7 +53,7 @@ def test_fresh_identity_identity():
 def test_fresh_barrett_barrett():
     p = BarrettParams.create(7, 3)
     spec = PipelineSpec(make_barrett_gadget(p), make_barrett_gadget(p), "fresh")
-    rep = compose_fresh(spec)
+    rep = compose(spec)
     assert rep.wire1_max_mult == 2
     assert rep.wire2_max_mult == 2
     assert rep.pipeline_max_mult == 2
@@ -71,7 +65,7 @@ def test_fresh_barrett_barrett():
 @pytest.mark.parametrize("q", list(range(1, 65)))
 def test_shared_identity_identity_parity_law(q):
     # Shared mask feeds through as x - 2m: bijective iff 2 is invertible mod q.
-    rep = compose_shared(_identity_pair(q, "shared"))
+    rep = compose(_identity_pair(q, "shared"))
     expected = 1 if q % 2 == 1 else 2
     assert rep.wire2_max_mult == expected
     assert rep.pipeline_max_mult == expected
@@ -79,10 +73,10 @@ def test_shared_identity_identity_parity_law(q):
 
 
 def test_shared_identity_identity_examples():
-    rep7 = compose_shared(_identity_pair(7, "shared"))
+    rep7 = compose(_identity_pair(7, "shared"))
     assert rep7.pipeline_max_mult == 1
     assert rep7.secrets_checked == 7
-    rep4 = compose_shared(_identity_pair(4, "shared"))
+    rep4 = compose(_identity_pair(4, "shared"))
     assert rep4.pipeline_max_mult == 2
     assert rep4.bound_product == 1
     assert not rep4.product_bound_holds
@@ -100,7 +94,7 @@ def test_shared_barrett_barrett_measured():
         expected = max(expected, max(hits))
     p = BarrettParams.create(q, s)
     spec = PipelineSpec(make_barrett_gadget(p), make_barrett_gadget(p), "shared")
-    rep = compose_shared(spec)
+    rep = compose(spec)
     assert rep.pipeline_max_mult == expected == 3
     assert rep.bound_product == 4
     assert rep.product_bound_holds
@@ -109,16 +103,58 @@ def test_shared_barrett_barrett_measured():
 
 
 def test_default_secret_scope():
-    small = compose_shared(_identity_pair(64, "shared"))
+    small = compose(_identity_pair(64, "shared"))
     assert small.secrets_checked == 64
     q = PIPELINE_EXHAUSTIVE_LIMIT + 1
-    big = compose_shared(_identity_pair(q, "shared"))
+    big = compose(_identity_pair(q, "shared"))
     assert big.secrets_checked == 16
-    again = compose_shared(_identity_pair(q, "shared"))
+    again = compose(_identity_pair(q, "shared"))
     assert big == again
 
 
 def test_explicit_secrets():
-    rep = compose_fresh(_id_barrett(3329, 24, "fresh"), secrets=[0, 100, 3328])
+    rep = compose(_id_barrett(3329, 24, "fresh"), secrets=[0, 100, 3328])
     assert rep.secrets_checked == 3
     assert rep.pipeline_max_mult == 2
+
+
+@st.composite
+def pipeline_case(draw):
+    """(q, s, stage names, mode, secrets) with q <= 60; secrets None or a list."""
+    q = draw(st.integers(1, 60))
+    s = draw(st.integers(0, 12))
+    stage = st.sampled_from(["identity", "barrett"])
+    names = draw(st.tuples(stage, stage))
+    mode = draw(st.sampled_from(["fresh", "shared"]))
+    secrets = draw(st.none() | st.lists(st.integers(0, q - 1), max_size=5))
+    return q, s, names, mode, secrets
+
+
+@settings(max_examples=150, deadline=None)
+@given(pipeline_case())
+def test_compose_matches_scalar_loops(case):
+    q, s, (first, second), mode, secrets = case
+    p = BarrettParams.create(q, s)
+
+    def build(name):
+        return make_barrett_gadget(p) if name == "barrett" else make_identity_gadget(p.q)
+
+    def wire(name, x, m):
+        return ref_wire(q, s, x, m) if name == "barrett" else (x - m) % q
+
+    scope = range(q) if secrets is None else secrets
+    k1 = k2 = 0
+    for x in scope:
+        k1 = max(k1, max(Counter(wire(first, x, m) for m in range(q)).values()))
+        if mode == "fresh":
+            wire2 = Counter(wire(second, x, m) for m in range(q))
+        else:
+            wire2 = Counter(wire(second, wire(first, x, m), m) for m in range(q))
+        k2 = max(k2, max(wire2.values()))
+
+    rep = compose(PipelineSpec(build(first), build(second), mode), secrets=secrets)
+    assert rep.mode == mode
+    assert rep.secrets_checked == len(scope)
+    assert rep.wire1_max_mult == k1
+    assert rep.wire2_max_mult == k2
+    assert rep.pipeline_max_mult == max(k1, k2)

@@ -7,7 +7,6 @@ tests/reference.py can check every count.  The memory test runs at the
 real TILE and reads numpy's allocations from tracemalloc.
 """
 
-import random
 import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
@@ -106,10 +105,14 @@ def test_tiled_equivalence_reports_first_mismatch(case, data):
     assert exhaustive.first_mismatch[:2] == (x, m)
     assert exhaustive.first_mismatch[3] == hw + 1
 
-    # The sampled path draws every x, then every m, from one seeded PRNG.
-    rng = random.Random(q)
-    xs = [rng.randrange(q) for _ in range(3 * q)]
-    ms = [rng.randrange(q) for _ in range(3 * q)]
+    # The sampled path draws each tile's secrets, then its masks, from
+    # one seeded numpy generator.
+    rng = np.random.default_rng(q)
+    draws = [
+        rng.integers(0, q, size=(2, min(tile, 3 * q - lo)))
+        for lo in range(0, 3 * q, tile)
+    ]
+    xs, ms = np.concatenate(draws, axis=1).tolist()
     hits = [i for i, (a, b) in enumerate(zip(xs, ms)) if a * q + b in bad]
     if hits:
         i = hits[0]
@@ -163,3 +166,12 @@ def test_scan_memory_is_one_result_array():
     assert closed_peak < 2 * q
     assert oracle_peak < 9 * q
     assert np.array_equal(closed, oracle)
+
+
+def test_sampled_equivalence_memory_does_not_grow_with_sample():
+    # Pairs are drawn one tile at a time, so a million pairs hold no
+    # million-element coordinate arrays.
+    p = BarrettParams.create(40961, 32)
+    rep, peak = traced_peak(equivalence_check, p, 10**6)
+    assert rep.passed and rep.pairs_checked == 10**6
+    assert peak < 4 * 2**20
