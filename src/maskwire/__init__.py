@@ -32,14 +32,12 @@ from .preimage import (
     MultiplicityProfile,
     TrichotomyReport,
     WitnessReport,
-    count_bruteforce,
     count_closedform,
     counts_bruteforce_all,
     counts_closedform_all,
     equivalence_check,
     multiplicity_profile,
     sample_secrets,
-    support_gap_observed,
     support_gap_predicted_extended,
     support_gap_predicted_paper,
     tightness_witness_search,
@@ -65,14 +63,12 @@ __all__ = [
     "WitnessReport",
     "TrichotomyReport",
     "EquivalenceReport",
-    "count_bruteforce",
     "count_closedform",
     "counts_bruteforce_all",
     "counts_closedform_all",
     "multiplicity_profile",
     "sample_secrets",
     "trichotomy_check",
-    "support_gap_observed",
     "support_gap_predicted_paper",
     "support_gap_predicted_extended",
     "tightness_witness_search",

@@ -153,13 +153,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_SEED,
         help="PRNG seed for any sampled scan",
     )
+    ring = argparse.ArgumentParser(add_help=False)
+    ring.add_argument("--q", type=_positive_int, required=True)
+    ring.add_argument("--s", type=_nonneg_int, required=True)
+    scan = argparse.ArgumentParser(add_help=False)
+    scope = scan.add_mutually_exclusive_group()
+    scope.add_argument("--exhaustive", action="store_true")
+    scope.add_argument("--sample", type=_positive_int, metavar="N")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser(
-        "analyze", parents=[common], help="per-secret multiplicity profiles"
+        "analyze", parents=[common, ring], help="per-secret multiplicity profiles"
     )
-    p_an.add_argument("--q", type=_positive_int, required=True)
-    p_an.add_argument("--s", type=_nonneg_int, required=True)
     scope = p_an.add_mutually_exclusive_group()
     scope.add_argument(
         "--secret", type=_nonneg_int, action="append", help="analyze this secret (repeatable)"
@@ -168,27 +173,19 @@ def build_parser() -> argparse.ArgumentParser:
     scope.add_argument("--sample", type=_positive_int, metavar="N")
 
     p_tr = sub.add_parser(
-        "trichotomy", parents=[common], help="preimage sizes never exceed 2"
+        "trichotomy", parents=[common, ring, scan], help="preimage sizes never exceed 2"
     )
-    p_tr.add_argument("--q", type=_positive_int, required=True)
-    p_tr.add_argument("--s", type=_nonneg_int, required=True)
-    scope = p_tr.add_mutually_exclusive_group()
-    scope.add_argument("--exhaustive", action="store_true")
-    scope.add_argument("--sample", type=_positive_int, metavar="N")
     p_tr.add_argument(
         "--oracle",
         action="store_true",
         help="count by mask enumeration instead of the closed form",
     )
 
-    p_eq = sub.add_parser(
-        "equiv", parents=[common], help="algebraic vs hardware-faithful form"
+    sub.add_parser(
+        "equiv",
+        parents=[common, ring, scan],
+        help="algebraic vs hardware-faithful form",
     )
-    p_eq.add_argument("--q", type=_positive_int, required=True)
-    p_eq.add_argument("--s", type=_nonneg_int, required=True)
-    scope = p_eq.add_mutually_exclusive_group()
-    scope.add_argument("--exhaustive", action="store_true")
-    scope.add_argument("--sample", type=_positive_int, metavar="N")
 
     p_en = sub.add_parser(
         "entropy", parents=[common], help="min-entropy floor for a parameter set"
@@ -197,11 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_en.add_argument("--s", type=_nonneg_int)
     p_en.add_argument("--preset", choices=sorted(PRESETS))
 
-    p_wi = sub.add_parser(
-        "witness", parents=[common], help="first two-preimage collision"
+    sub.add_parser(
+        "witness", parents=[common, ring], help="first two-preimage collision"
     )
-    p_wi.add_argument("--q", type=_positive_int, required=True)
-    p_wi.add_argument("--s", type=_nonneg_int, required=True)
 
     p_co = sub.add_parser(
         "compose", parents=[common], help="two-stage pipeline multiplicity"
@@ -224,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument(
         "--strict-formula",
         action="store_true",
-        help="exit 1 if the extended gap predictor mismatches anywhere",
+        help="exit 1 if either gap predictor mismatches anywhere",
     )
     return parser
 

@@ -64,8 +64,6 @@ class BarrettParams:
     r: ZqElem = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.s < 0:
-            raise ValueError(f"shift exponent must be >= 0, got {self.s}")
         object.__setattr__(self, "r", branch_offset(self.q, self.s))
 
     @classmethod
@@ -167,14 +165,12 @@ class WireGadget:
     q: Modulus
     eval: Callable[[ZqElem, ZqElem], ZqElem]
     claimed_max_mult: int
-    eval_vec: Optional[Callable[[IntOrArray, np.ndarray], np.ndarray]] = None
+    eval_vec: Callable[[IntOrArray, np.ndarray], np.ndarray]
     barrett_params: Optional[BarrettParams] = None
 
     def __post_init__(self) -> None:
         if self.claimed_max_mult < 1:
             raise ValueError("claimed_max_mult must be >= 1")
-        if self.eval_vec is None:
-            raise ValueError("eval_vec is required")
 
 
 def make_barrett_gadget(p: BarrettParams) -> WireGadget:

@@ -2,13 +2,14 @@
 
 Two counting routes are kept deliberately separate:
 
-* count_bruteforce enumerates every mask and tallies hits — the oracle;
-* count_closedform tests only the two algebraic candidates x - v and
-  x - v + r against their branch conditions — the O(1) production path.
+* counts_bruteforce_all tallies hits over every mask — the oracle;
+* counts_closedform_all tests only the two algebraic candidates x - v
+  and x - v + r against their branch conditions — the production path.
 
 Cross-checking the two routes is the core property this package exists
-to exercise, so neither is ever expressed in terms of the other.
-count_closedform also stays a scalar O(1) form next to the vectorised
+to exercise, so neither is ever expressed in terms of the other.  Both
+take a canonical secret 0 <= x < q and raise ValueError otherwise.
+count_closedform stays a scalar O(1) form next to the vectorised
 counts_closedform_all: the test suite checks the vectorised counts
 against it, and building it from counts_closedform_all would make that
 check vouch for itself.
@@ -145,28 +146,24 @@ def tally_masks(q: int, wire: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     return counts
 
 
-def count_bruteforce(g: WireGadget, x: ZqElem, v: ZqElem) -> int:
-    """|{m in Z_q : g.eval(x, m) = v}| by enumerating all q masks."""
-    return int(counts_bruteforce_all(g, x.val)[v.val])
-
-
 def counts_bruteforce_all(g: WireGadget, x: int) -> np.ndarray:
     """Per-value preimage counts for secret x, by one pass over all masks."""
-    return tally_masks(g.q.q, lambda masks: g.eval_vec(x, masks))
+    q = g.q.q
+    if not 0 <= x < q:
+        raise ValueError(f"secret {x} not canonical for modulus {q}")
+    return tally_masks(q, lambda masks: g.eval_vec(x, masks))
 
 
 def count_closedform(p: BarrettParams, x: ZqElem, v: ZqElem) -> int:
     """Preimage size from the two-candidate characterization, in {0, 1, 2}.
 
-    With r = 0 both candidates coincide and the map is the bijection
-    m -> x - m, so every value has exactly one preimage.  Otherwise
-    candidate x - v counts iff it takes the direct branch, and candidate
-    x - v + r counts iff it takes the wrapping branch.
+    Candidate x - v counts iff it takes the direct branch, and candidate
+    x - v + r counts iff it takes the wrapping branch.  With r = 0 both
+    candidates coincide and exactly one test holds: the map is the
+    bijection m -> x - m.
     """
     q = p.q.q
     r = p.r.val
-    if r == 0:
-        return 1
     a = (x.val - v.val) % q
     b = (a + r) % q
     return (1 if a <= x.val else 0) + (1 if b > x.val else 0)
@@ -175,12 +172,13 @@ def count_closedform(p: BarrettParams, x: ZqElem, v: ZqElem) -> int:
 def counts_closedform_all(p: BarrettParams, x: int) -> np.ndarray:
     """Per-value closed-form preimage counts for canonical secret x, as int8.
 
-    Each count sums two candidate tests, so it never exceeds 2.
+    Each count sums two candidate tests, so it never exceeds 2.  With
+    r = 0 the tests read a <= x and a > x, so every count is 1.
     """
     q = p.q.q
     r = p.r.val
-    if r == 0:
-        return np.ones(q, dtype=np.int8)
+    if not 0 <= x < q:
+        raise ValueError(f"secret {x} not canonical for modulus {q}")
     counts = np.empty(q, dtype=np.int8)
     for lo in range(0, q, TILE):
         hi = min(lo + TILE, q)
@@ -195,15 +193,13 @@ def counts_closedform_all(p: BarrettParams, x: int) -> np.ndarray:
     return counts
 
 
-def multiplicity_profile(
-    g: WireGadget, x: ZqElem, force_oracle: bool = False
-) -> MultiplicityProfile:
+def multiplicity_profile(g: WireGadget, x: ZqElem) -> MultiplicityProfile:
     """Profile of preimage sizes for one secret.
 
     Barrett gadgets use the closed-form counts (O(q) per secret); other
-    gadgets — or any gadget when force_oracle is set — are enumerated.
+    gadgets are enumerated.
     """
-    if g.barrett_params is not None and not force_oracle:
+    if g.barrett_params is not None:
         counts = counts_closedform_all(g.barrett_params, x.val)
     else:
         counts = counts_bruteforce_all(g, x.val)
@@ -244,41 +240,29 @@ def trichotomy_check(
     error: the first offending (secret, value, count) is reported.
     """
     q = p.q.q
-    scope = range(q) if secrets is None else secrets
     gadget = make_barrett_gadget(p) if oracle else None
     checked = 0
     max_seen = 0
-    for x in scope:
+    counterexample = None
+    for x in range(q) if secrets is None else secrets:
         if oracle:
             counts = counts_bruteforce_all(gadget, x)
         else:
             counts = counts_closedform_all(p, x)
         checked += 1
-        top = int(counts.max())
-        if top > max_seen:
-            max_seen = top
-        if top > 2:
-            v = int(np.nonzero(counts > 2)[0][0])
-            return TrichotomyReport(
-                passed=False,
-                secrets_checked=checked,
-                pairs_checked=checked * q,
-                max_count_seen=max_seen,
-                oracle=oracle,
-                counterexample=(x, v, int(counts[v])),
-            )
+        max_seen = max(max_seen, int(counts.max()))
+        if max_seen > 2:
+            v = int(np.argmax(counts > 2))
+            counterexample = (x, v, int(counts[v]))
+            break
     return TrichotomyReport(
-        passed=True,
+        passed=counterexample is None,
         secrets_checked=checked,
         pairs_checked=checked * q,
         max_count_seen=max_seen,
         oracle=oracle,
+        counterexample=counterexample,
     )
-
-
-def support_gap_observed(profile: MultiplicityProfile) -> int:
-    """Number of output values the wire can never take for this secret."""
-    return profile.zeros
 
 
 def support_gap_predicted_paper(p: BarrettParams, x: ZqElem) -> int:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import maskwire.cli as cli
+import maskwire.preimage as preimage
 from maskwire.cli import main
 
 
@@ -22,6 +23,14 @@ def three_hit_counts(p, x):
     """One value hit three times, two values missed: the mask mass still adds up to q."""
     counts = np.ones(p.q.q, dtype=np.int64)
     counts[:3] = (3, 0, 0)
+    return counts
+
+
+def three_hit_at_secret_5(p, x):
+    """All ones, except secret 5 gets counts 0, 3, 0 on values 0, 1, 2."""
+    counts = np.ones(p.q.q, dtype=np.int8)
+    if x == 5:
+        counts[:3] = (0, 3, 0)
     return counts
 
 
@@ -53,6 +62,17 @@ def test_analyze_reports_broken_conservation(
     assert row["min_entropy_bits"] == min_entropy_bits
     if min_entropy_bits is not None:
         assert row["min_entropy_bits"] < row["floor_bits"]
+
+
+def test_trichotomy_failure_renders_counterexample(monkeypatch, capsys):
+    monkeypatch.setattr(preimage, "counts_closedform_all", three_hit_at_secret_5)
+    code, doc = run_json(capsys, "trichotomy", "--q", "61", "--s", "6")
+    assert code == 1
+    assert doc["summary"] == {"passed": False, "secrets_checked": 6}
+    (row,) = doc["rows"]
+    assert (row["cx_secret"], row["cx_value"], row["cx_count"]) == (5, 1, 3)
+    assert (row["pairs_checked"], row["max_count_seen"]) == (366, 3)
+    assert row["route"] == "closedform"
 
 
 def test_sweep_reports_broken_conservation(monkeypatch, capsys, tmp_path):

@@ -32,6 +32,11 @@ def test_params_construction():
     p.require_scope()
 
 
+def test_negative_shift_rejected():
+    with pytest.raises(ValueError, match="shift exponent must be >= 0"):
+        BarrettParams.create(7, -1)
+
+
 def test_scope_condition():
     # 2^s below q: the width-s wrap can strand values, so the hw form refuses.
     p = BarrettParams.create(5, 2)
@@ -212,6 +217,7 @@ def test_gadget_validation():
             q=ring,
             eval=lambda x, m: x,
             claimed_max_mult=0,
+            eval_vec=lambda x, m: m,
         )
 
 

@@ -1,5 +1,7 @@
 """The package's public names."""
 
+import inspect
+
 import maskwire
 
 
@@ -14,3 +16,14 @@ def test_compose_is_the_only_composition_entry_point():
         assert name not in maskwire.__all__
         assert not hasattr(maskwire, name)
     assert "compose" in maskwire.__all__
+
+
+def test_scalar_pass_throughs_are_gone():
+    import maskwire.preimage as preimage
+
+    for name in ("count_bruteforce", "support_gap_observed"):
+        assert name not in maskwire.__all__
+        assert not hasattr(maskwire, name)
+        assert not hasattr(preimage, name)
+    params = inspect.signature(maskwire.multiplicity_profile).parameters
+    assert list(params) == ["g", "x"]

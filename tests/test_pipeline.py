@@ -118,6 +118,14 @@ def test_explicit_secrets():
     assert rep.pipeline_max_mult == 2
 
 
+@pytest.mark.parametrize("mode", ["fresh", "shared"])
+def test_non_canonical_secret_rejected(mode):
+    # 10 = 3 (mod 7), where the barrett stage has a two-preimage value;
+    # enumerating secret 10 as given would measure all ones instead.
+    with pytest.raises(ValueError, match="not canonical"):
+        compose(_id_barrett(7, 3, mode), secrets=[10])
+
+
 @st.composite
 def pipeline_case(draw):
     """(q, s, stage names, mode, secrets) with q <= 60; secrets None or a list."""

@@ -9,7 +9,6 @@ from maskwire.gadgets import BarrettParams, ScopeConditionError, make_barrett_ga
 from maskwire.modring import Modulus, ZqElem
 from maskwire.preimage import (
     MultiplicityProfile,
-    count_bruteforce,
     count_closedform,
     counts_bruteforce_all,
     counts_closedform_all,
@@ -17,7 +16,6 @@ from maskwire.preimage import (
     equivalence_check,
     multiplicity_profile,
     sample_secrets,
-    support_gap_observed,
     support_gap_predicted_extended,
     support_gap_predicted_paper,
     tightness_witness_search,
@@ -43,17 +41,17 @@ def test_count_closedform_examples():
 
 def test_count_bruteforce_examples():
     g = make_barrett_gadget(MLKEM)
-    assert count_bruteforce(g, _elem(MLKEM, 100), _elem(MLKEM, 0)) == 2
-    assert count_bruteforce(g, _elem(MLKEM, 3328), _elem(MLKEM, 17)) == 1
+    assert counts_bruteforce_all(g, 100)[0] == 2
+    assert counts_bruteforce_all(g, 3328)[17] == 1
 
 
 def test_count_degenerate_offset():
     p = BarrettParams.create(16, 4)  # r = 0, bijection
     g = make_barrett_gadget(p)
     for x in range(16):
+        assert list(counts_bruteforce_all(g, x)) == [1] * 16
         for v in range(16):
             assert count_closedform(p, _elem(p, x), _elem(p, v)) == 1
-            assert count_bruteforce(g, _elem(p, x), _elem(p, v)) == 1
 
 
 @pytest.mark.parametrize("q,s", [(7, 3), (12, 5), (16, 4), (61, 6), (64, 7)])
@@ -98,7 +96,9 @@ def test_known_profiles(x, zeros, ones, twos):
     assert (prof.zeros, prof.ones, prof.twos) == (zeros, ones, twos)
     assert prof.overflow == 0
     assert prof.support_size == 3329 - zeros
-    oracle = multiplicity_profile(g, _elem(MLKEM, x), force_oracle=True)
+    oracle = MultiplicityProfile.from_counts(
+        _elem(MLKEM, x), counts_bruteforce_all(g, x)
+    )
     assert oracle == prof
 
 
@@ -108,7 +108,7 @@ def test_profile_invariant_enforcement():
     ok = MultiplicityProfile(
         secret=x, zeros=1, ones=5, twos=1, overflow=0, max_count=2, support_size=6
     )
-    assert support_gap_observed(ok) == 1
+    assert ok.zeros == 1
     assert ok.conserved
     # Construction accepts a broken histogram; conserved reports it.
     broken = [
@@ -134,9 +134,7 @@ def test_gap_predictors_small_case():
     # q=7, s=3 has r=1, the regime where the three-term predictor overshoots.
     p = BarrettParams.create(7, 3)
     g = make_barrett_gadget(p)
-    observed = [
-        support_gap_observed(multiplicity_profile(g, _elem(p, x))) for x in range(7)
-    ]
+    observed = [multiplicity_profile(g, _elem(p, x)).zeros for x in range(7)]
     assert observed == [1, 1, 1, 1, 1, 1, 0]
     paper = [support_gap_predicted_paper(p, _elem(p, x)) for x in range(7)]
     assert paper == [1, 2, 3, 3, 2, 1, 0]
@@ -148,7 +146,7 @@ def test_gap_predictors_mlkem():
     g = make_barrett_gadget(MLKEM)
     for x in range(3329):
         xe = _elem(MLKEM, x)
-        obs = support_gap_observed(multiplicity_profile(g, xe))
+        obs = multiplicity_profile(g, xe).zeros
         assert support_gap_predicted_extended(MLKEM, xe) == obs
         # 2r >= q here, so the published predictor agrees everywhere too.
         assert support_gap_predicted_paper(MLKEM, xe) == obs
@@ -160,8 +158,8 @@ def test_gap_extended_large_case():
     xe = _elem(p, 4000000)
     assert support_gap_predicted_extended(p, xe) == 196580
     g = make_barrett_gadget(p)
-    prof = multiplicity_profile(g, xe, force_oracle=True)
-    assert support_gap_observed(prof) == 196580
+    prof = MultiplicityProfile.from_counts(xe, counts_bruteforce_all(g, xe.val))
+    assert prof.zeros == 196580
     # Here the three-term form reports x + 1 instead: its min lacks the r term.
     assert support_gap_predicted_paper(p, xe) == 4000001
 
@@ -172,7 +170,7 @@ def test_gap_zero_offset():
         xe = _elem(p, x)
         assert support_gap_predicted_extended(p, xe) == 0
         g = make_barrett_gadget(p)
-        assert support_gap_observed(multiplicity_profile(g, xe)) == 0
+        assert multiplicity_profile(g, xe).zeros == 0
 
 
 @given(
@@ -247,6 +245,46 @@ def test_trichotomy_check_subset_and_bijection():
     assert rep.passed and rep.secrets_checked == 3
     rep0 = trichotomy_check(BarrettParams.create(16, 4))
     assert rep0.passed and rep0.max_count_seen == 1
+
+
+def _three_hit_at_secret_5(_p_or_gadget, x):
+    """All ones, except secret 5 gets counts 0, 3, 0 on values 0, 1, 2."""
+    counts = np.ones(61, dtype=np.int8)
+    if x == 5:
+        counts[:3] = (0, 3, 0)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "route,oracle",
+    [("counts_closedform_all", False), ("counts_bruteforce_all", True)],
+)
+def test_trichotomy_check_stops_at_first_counterexample(monkeypatch, route, oracle):
+    import maskwire.preimage as preimage
+
+    monkeypatch.setattr(preimage, route, _three_hit_at_secret_5)
+    rep = trichotomy_check(BarrettParams.create(61, 6), oracle=oracle)
+    assert not rep.passed
+    assert rep.oracle is oracle
+    assert rep.counterexample == (5, 1, 3)
+    assert rep.secrets_checked == 6
+    assert rep.pairs_checked == 366
+    assert rep.max_count_seen == 3
+
+
+@pytest.mark.parametrize("x", [-1, 7, 10])
+def test_non_canonical_secret_rejected(x):
+    # 10 = 3 (mod 7), and secret 3 has a two-preimage value: a route that
+    # counted secret 10 as given would see all ones and pass trichotomy.
+    p = BarrettParams.create(7, 3)
+    with pytest.raises(ValueError, match="not canonical"):
+        counts_closedform_all(p, x)
+    with pytest.raises(ValueError, match="not canonical"):
+        counts_bruteforce_all(make_barrett_gadget(p), x)
+    with pytest.raises(ValueError, match="not canonical"):
+        trichotomy_check(p, secrets=[x])
+    with pytest.raises(ValueError, match="not canonical"):
+        trichotomy_check(p, secrets=[x], oracle=True)
 
 
 def test_trichotomy_check_trivial_ring():
