@@ -14,24 +14,31 @@ claimed worst-case preimage size.
 The *_eval_vec kernels feed every exhaustive scan, so they are written
 for few, cheap passes, and each computes exactly its scalar form:
 
-* every vec evaluator returns int64 and is exact for any int64 inputs,
-  negative and non-canonical ones included, with wrapping int64
+* on int64 inputs every vec evaluator returns int64 and is exact for any
+  values, negative and non-canonical ones included, with wrapping int64
   arithmetic; the hardware-faithful one takes this path for s <= 62 and
   exact Python ints above;
+* the two Barrett evaluators run in int32 lanes when the mask array is
+  int32 and lane_dtype(q, s) allows it, and then treat both operands as
+  canonical residues 0 <= x, m < q and return int32; an int32 mask array
+  at any other (q, s) is widened to int64 first;
 * counts_closedform_all (in preimage) needs a canonical secret
   0 <= x < q, because it corrects x - v and a + r only once.
 
-Each evaluator builds one int64 output array and updates it in place.
-The floor-mod v % q is written v -= (v // q) * q, exact for every int64
-since the true result lies in [0, q) and wrapping cancels; % 2^s is
-written & (2^s - 1).  With numpy 2.4 on a 2-vCPU x86-64 host, int64 % q
-costs 4.1 ns per element, // q 1.1 ns and & 0.8 ns.  The two Barrett
-evaluators share no helper, because the equivalence scan checks one
-against the other.  Secrets are not blocked into 2-D arrays: at
-q = 12289, two-row blocks make 196 KB temporaries, past glibc's 128 KiB
-mmap threshold, and the exhaustive equivalence scan took 3.4 s against
-1.4 s one row at a time.  The scans in preimage go the other way and cut
-each row into tiles of at most 2^14 masks (128 KiB of int64); its module
+Each evaluator builds one output array in its lane and updates it in
+place.  The floor-mod v % q is written v -= (v // q) * q, exact for
+every int64 since the true result lies in [0, q) and wrapping cancels;
+% 2^s is written & (2^s - 1).  With numpy 2.4 on a 2-vCPU x86-64 host,
+int64 % q costs 4.1 ns per element, // q 1.1 ns and & 0.8 ns, and both
+Barrett evaluators plus their compare at q = 12289, s = 28 cost 8.4 ns
+per pair in int64 lanes and 4.9 ns in int32 lanes.  The two Barrett
+evaluators share no arithmetic, because the equivalence scan checks one
+against the other; they only read the one lane rule.  Secrets are not
+blocked into 2-D arrays: at q = 12289, two-row blocks make 196 KB
+temporaries, past glibc's 128 KiB mmap threshold, and the exhaustive
+equivalence scan took 3.4 s against 1.4 s one row at a time.  The scans
+in preimage go the other way and cut each row into tiles of at most
+2^14 masks (128 KiB of int64, 64 KiB in the int32 lane); its module
 docstring says why.
 """
 
@@ -45,6 +52,21 @@ import numpy as np
 from .modring import Modulus, ZqElem, branch_offset
 
 IntOrArray = Union[int, np.ndarray]
+INT32 = np.dtype(np.int32)
+INT64 = np.dtype(np.int64)
+
+
+def lane_dtype(q: int, s: int = 0) -> np.dtype:
+    """int32 when q <= 2^30 and s <= 31, else int64.
+
+    The dtype in which a scan over canonical residues of Z_q keeps every
+    intermediate exact.  Residue arithmetic alone (the two-branch form's
+    x - m + r, the closed form's a + r) stays in (-q, 2q), inside int32
+    for q <= 2^30; s is the width of the word the hardware-faithful form
+    wraps at, whose (x - m) & (2^s - 1) fits int32 for s <= 31.  Arithmetic
+    that wraps at no s-bit word leaves s at 0.
+    """
+    return INT32 if q <= 2**30 and s <= 31 else INT64
 
 
 class ScopeConditionError(ValueError):
@@ -71,8 +93,11 @@ class BarrettParams:
         return cls(Modulus(q), s)
 
     def scope_ok(self) -> bool:
-        """True when q <= 2^s, i.e. one s-bit word holds a full residue."""
-        return self.q.q <= 2**self.s
+        """True when q <= 2^s, i.e. one s-bit word holds a full residue.
+
+        Compared by bit length, so no s-bit integer is built.
+        """
+        return (self.q.q - 1).bit_length() <= self.s
 
     def require_scope(self) -> None:
         if not self.scope_ok():
@@ -106,10 +131,11 @@ def identity_mask_eval(q: Modulus, x: ZqElem, m: ZqElem) -> ZqElem:
 
 
 def barrett_algebraic_eval_vec(p: BarrettParams, x: IntOrArray, m: np.ndarray) -> np.ndarray:
-    """Vectorized two-branch wire map on raw int64 residues."""
+    """Vectorized two-branch wire map on raw residues, in the masks' lane."""
     q = p.q.q
-    x = np.asarray(x, dtype=np.int64)
-    m = np.asarray(m, dtype=np.int64)
+    lane = lane_dtype(q, p.s) if getattr(m, "dtype", None) == INT32 else INT64
+    x = np.asarray(x, dtype=lane)
+    m = np.asarray(m, dtype=lane)
     out = x - m
     np.add(out, p.r.val, out=out, where=m > x)
     out -= (out // q) * q
@@ -117,7 +143,7 @@ def barrett_algebraic_eval_vec(p: BarrettParams, x: IntOrArray, m: np.ndarray) -
 
 
 def barrett_nat_eval_vec(p: BarrettParams, x: IntOrArray, m: np.ndarray) -> np.ndarray:
-    """Vectorized hardware-faithful wire map on raw int64 residues."""
+    """Vectorized hardware-faithful wire map on raw residues, in the masks' lane."""
     p.require_scope()
     q = p.q.q
     if p.s > 62:
@@ -131,8 +157,9 @@ def barrett_nat_eval_vec(p: BarrettParams, x: IntOrArray, m: np.ndarray) -> np.n
             count=len(ms),
         )
         return out.reshape(np.shape(m))
-    x = np.asarray(x, dtype=np.int64)
-    m = np.asarray(m, dtype=np.int64)
+    lane = lane_dtype(q, p.s) if getattr(m, "dtype", None) == INT32 else INT64
+    x = np.asarray(x, dtype=lane)
+    m = np.asarray(m, dtype=lane)
     # The + 2^s of the scalar form sets only bits above the s-bit mask.
     out = x - m
     out &= (1 << p.s) - 1

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Keeps every intermediate sum/product of canonical residues inside a
-# 64-bit integer, which the enumeration engine (numpy int64) relies on.
+# Keeps q below 2^31, so the scans' intermediates on canonical residues,
+# all in (-q, 2q) or below 2^s, fit int32 lanes for q <= 2^30 and s <= 31
+# (gadgets.lane_dtype) and int64 lanes for everything else up to s = 62.
 MAX_MODULUS = 2**31 - 1
 
 

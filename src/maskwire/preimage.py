@@ -24,6 +24,13 @@ ns/element over a full q = 8,380,417 array and 5.6 ns/element in 2^14
 tiles, copying the result out included.  Every q <= TILE (ML-KEM's
 3329 and the NTT primes up to 12289 among them) is a single tile, so
 small rings run the same numpy operations as an untiled scan.
+
+The closed form and the exhaustive equivalence scan build their tiles
+in gadgets.lane_dtype: int32, 64 KiB a tile, for every q <= 2^30 (and
+s <= 31 for the equivalence scan).  Mask enumeration stays int64: its
+cost is the np.add.at scatter, which int32 masks did not speed up.
+Sampled equivalence draws int64 pairs, so a seed keeps drawing the
+same pairs.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from .gadgets import (
     barrett_algebraic_eval,
     barrett_algebraic_eval_vec,
     barrett_nat_eval_vec,
+    lane_dtype,
     make_barrett_gadget,
 )
 from .modring import ZqElem
@@ -169,27 +177,39 @@ def count_closedform(p: BarrettParams, x: ZqElem, v: ZqElem) -> int:
     return (1 if a <= x.val else 0) + (1 if b > x.val else 0)
 
 
+def _closedform_tile(
+    x: int, q: int, r: int, lo: int, hi: int, dtype: np.dtype, out: np.ndarray
+) -> None:
+    """Write the closed-form counts of values v in [lo, hi) into out, as int8.
+
+    a = (x - v) mod q and b = (a + r) mod q are computed in dtype; with
+    x, v, r in [0, q) each needs at most one correction, and every
+    intermediate lies in (-q, 2q).
+    """
+    a = np.arange(x - lo, x - hi, -1, dtype=dtype)
+    np.add(a, q, out=a, where=a < 0)
+    direct = a <= x
+    b = np.add(a, r, out=a)
+    np.subtract(b, q, out=b, where=b >= q)
+    np.add(direct, b > x, out=out, dtype=np.int8)
+
+
 def counts_closedform_all(p: BarrettParams, x: int) -> np.ndarray:
     """Per-value closed-form preimage counts for canonical secret x, as int8.
 
     Each count sums two candidate tests, so it never exceeds 2.  With
-    r = 0 the tests read a <= x and a > x, so every count is 1.
+    r = 0 the tests read a <= x and a > x, so every count is 1.  The
+    tiles wrap at no s-bit word, so their lane depends on q alone.
     """
     q = p.q.q
     r = p.r.val
     if not 0 <= x < q:
         raise ValueError(f"secret {x} not canonical for modulus {q}")
+    lane = lane_dtype(q)
     counts = np.empty(q, dtype=np.int8)
     for lo in range(0, q, TILE):
         hi = min(lo + TILE, q)
-        # a = (x - v) mod q and b = (a + r) mod q for v in [lo, hi); with
-        # x, v, r in [0, q) each needs at most one correction.
-        a = np.arange(x - lo, x - hi, -1, dtype=np.int64)
-        np.add(a, q, out=a, where=a < 0)
-        direct = a <= x
-        b = np.add(a, r, out=a)
-        np.subtract(b, q, out=b, where=b >= q)
-        np.add(direct, b > x, out=counts[lo:hi], dtype=np.int8)
+        _closedform_tile(x, q, r, lo, hi, lane, counts[lo:hi])
     return counts
 
 
@@ -312,20 +332,20 @@ def tightness_witness_search(p: BarrettParams) -> WitnessReport:
     )
 
 
-def _exhaustive_pair_tiles(q: int) -> Iterator[PairTile]:
+def _exhaustive_pair_tiles(q: int, dtype: np.dtype) -> Iterator[PairTile]:
     """(pairs before, secret, masks) tiles over all q^2 pairs, secret-major.
 
-    The secret stays a scalar (gadgets explains why secrets are not
-    blocked into 2-D arrays), and every secret reuses the first tile's
-    arange.
+    The masks are built in dtype, which picks both evaluators' lane.  The
+    secret stays a scalar (gadgets explains why secrets are not blocked
+    into 2-D arrays), and every secret reuses the first tile's arange.
     """
-    first = np.arange(min(q, TILE), dtype=np.int64)
+    first = np.arange(min(q, TILE), dtype=dtype)
     for x in range(q):
         for lo in range(0, q, TILE):
             if lo == 0:
                 masks = first
             else:
-                masks = np.arange(lo, min(lo + TILE, q), dtype=np.int64)
+                masks = np.arange(lo, min(lo + TILE, q), dtype=dtype)
             yield x * q + lo, x, masks
 
 
@@ -344,7 +364,8 @@ def equivalence_check(
 ) -> EquivalenceReport:
     """Compare the algebraic and hardware-faithful forms pointwise.
 
-    sample = None checks all q^2 (x, m) pairs; otherwise `sample` pairs
+    sample = None checks all q^2 (x, m) pairs, with masks in the lane
+    gadgets.lane_dtype(q, s) picks; otherwise `sample` int64 pairs
     are drawn tile by tile from one np.random.default_rng(seed), each
     tile's secrets and masks by one integers(0, q, size=(2, n)) call.
     Raises ScopeConditionError when q > 2^s — a usage error, distinct
@@ -353,7 +374,7 @@ def equivalence_check(
     p.require_scope()
     q = p.q.q
     if sample is None:
-        total, tiles = q * q, _exhaustive_pair_tiles(q)
+        total, tiles = q * q, _exhaustive_pair_tiles(q, lane_dtype(q, p.s))
     else:
         total, tiles = sample, _sampled_pair_tiles(q, sample, seed)
     for before, xs, masks in tiles:

@@ -52,6 +52,19 @@ def test_scope_condition():
     assert barrett_algebraic_eval(p, x, m).val == ref_wire(5, 2, 3, 1)
 
 
+@pytest.mark.parametrize("k", [1, 2, 12, 30])
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("ds", [-1, 0, 1])
+def test_scope_check_at_powers_of_two(k, extra, ds):
+    q, s = 2**k + extra, k + ds
+    assert BarrettParams.create(q, s).scope_ok() is (q <= 2**s)
+
+
+def test_scope_check_at_huge_shift():
+    assert BarrettParams.create(2**31 - 1, 10**8).scope_ok()
+    assert BarrettParams.create(1, 0).scope_ok()
+
+
 def test_branch_examples():
     p = BarrettParams.create(7, 3)  # r = 1
     q = p.q
