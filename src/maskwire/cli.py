@@ -25,7 +25,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gadgets import BarrettParams, make_barrett_gadget, make_identity_gadget
+from .gadgets import (
+    INT64,
+    BarrettParams,
+    lane_dtype,
+    make_barrett_gadget,
+    make_identity_gadget,
+)
 from .leakage import barrier_table, min_entropy
 from .modring import Modulus, ZqElem
 from .pipeline import PipelineSpec, compose
@@ -39,6 +45,7 @@ from .preimage import (
     default_secrets,
     equivalence_check,
     sample_secrets,
+    secret_blocks,
     support_gap_predicted_extended,
     support_gap_predicted_paper,
     tightness_witness_search,
@@ -232,29 +239,32 @@ def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
     )
     rows = []
     passed = True
-    for x in secrets:
-        xe = ZqElem(x, p.q)
-        prof = MultiplicityProfile.from_counts(xe, counts_closedform_all(p, x))
-        # Off mask mass leaves no distribution to measure; a value hit
-        # three times keeps its min-entropy, which then reads below the
-        # floor.  Either way the profile is not conserved and fails the run.
-        bound = None if prof.overflow == 0 and not prof.conserved else min_entropy(prof)
-        passed = passed and prof.conserved
-        rows.append(
-            {
-                "secret": x,
-                "zeros": prof.zeros,
-                "ones": prof.ones,
-                "twos": prof.twos,
-                "max_count": prof.max_count,
-                "support": prof.support_size,
-                "gap_observed": prof.zeros,
-                "gap_paper": support_gap_predicted_paper(p, xe),
-                "gap_extended": support_gap_predicted_extended(p, xe),
-                "min_entropy_bits": bound.exact_min_entropy_bits if bound else None,
-                "floor_bits": bound.barrier_floor_bits if bound else None,
-            }
-        )
+    for block in secret_blocks(secrets, args.q, lane_dtype(args.q)):
+        for x, counts in zip(block.tolist(), counts_closedform_all(p, block)):
+            xe = ZqElem(x, p.q)
+            prof = MultiplicityProfile.from_counts(xe, counts)
+            # Off mask mass leaves no distribution to measure; a value hit
+            # three times keeps its min-entropy, which then reads below the
+            # floor.  Either way the profile is not conserved and fails the run.
+            bound = None if prof.overflow == 0 and not prof.conserved else min_entropy(prof)
+            passed = passed and prof.conserved
+            rows.append(
+                {
+                    "secret": x,
+                    "zeros": prof.zeros,
+                    "ones": prof.ones,
+                    "twos": prof.twos,
+                    "max_count": prof.max_count,
+                    "support": prof.support_size,
+                    "gap_observed": prof.zeros,
+                    "gap_paper": support_gap_predicted_paper(p, xe),
+                    "gap_extended": support_gap_predicted_extended(p, xe),
+                    "min_entropy_bits": bound.exact_min_entropy_bits if bound else None,
+                    "floor_bits": bound.barrier_floor_bits if bound else None,
+                }
+            )
+        # Free the block's counts before the next block's scan.
+        del counts
     params = _scope_params(args, p, secrets, secret_mode)
     summary = {"passed": passed, "secrets_checked": len(rows), "route": "closedform"}
     return params, rows, summary, 0 if passed else 1
@@ -451,42 +461,45 @@ def _sweep_case(case: dict, seed: int) -> tuple[dict, list[dict], bool]:
     routes_agree = True
     misses = {"paper": 0, "extended": 0}
     mismatch_rows: list[dict] = []
-    for x in secrets:
-        counts = counts_closedform_all(p, x)
+    lane = lane_dtype(q) if gadget is None else INT64
+    for block in secret_blocks(secrets, q, lane):
+        closed = counts_closedform_all(p, block)
         if gadget is not None:
-            oracle = counts_bruteforce_all(gadget, x)
-            if not np.array_equal(oracle, counts):
+            oracle = counts_bruteforce_all(gadget, block)
+            if not np.array_equal(oracle, closed):
                 routes_agree = False
-                counts = oracle
-            # Free the q-length int64 array before the next secret's scan.
+                closed = oracle
             del oracle
-        xe = ZqElem(x, p.q)
-        prof = MultiplicityProfile.from_counts(xe, counts)
-        max_count = max(max_count, prof.max_count)
-        if not prof.conserved:
-            conservation_ok = False
-        for formula, predicted in (
-            ("paper", support_gap_predicted_paper(p, xe)),
-            ("extended", support_gap_predicted_extended(p, xe)),
-        ):
-            if predicted == prof.zeros:
-                continue
-            misses[formula] += 1
-            if misses[formula] <= MISMATCH_ROW_CAP:
-                mismatch_rows.append(
-                    _sweep_row(
-                        {
-                            "row": "mismatch",
-                            "q": q,
-                            "s": s,
-                            "r": p.r.val,
-                            "formula": formula,
-                            "secret": x,
-                            "observed": prof.zeros,
-                            "predicted": predicted,
-                        }
+        for x, counts in zip(block.tolist(), closed):
+            xe = ZqElem(x, p.q)
+            prof = MultiplicityProfile.from_counts(xe, counts)
+            max_count = max(max_count, prof.max_count)
+            if not prof.conserved:
+                conservation_ok = False
+            for formula, predicted in (
+                ("paper", support_gap_predicted_paper(p, xe)),
+                ("extended", support_gap_predicted_extended(p, xe)),
+            ):
+                if predicted == prof.zeros:
+                    continue
+                misses[formula] += 1
+                if misses[formula] <= MISMATCH_ROW_CAP:
+                    mismatch_rows.append(
+                        _sweep_row(
+                            {
+                                "row": "mismatch",
+                                "q": q,
+                                "s": s,
+                                "r": p.r.val,
+                                "formula": formula,
+                                "secret": x,
+                                "observed": prof.zeros,
+                                "predicted": predicted,
+                            }
+                        )
                     )
-                )
+        # Free the block's q-length arrays before the next block's scan.
+        del closed, counts
 
     trichotomy_ok = max_count <= 2
     if q <= SWEEP_EQUIV_LIMIT and p.scope_ok():

@@ -33,13 +33,20 @@ int64 % q costs 4.1 ns per element, // q 1.1 ns and & 0.8 ns, and both
 Barrett evaluators plus their compare at q = 12289, s = 28 cost 8.4 ns
 per pair in int64 lanes and 4.9 ns in int32 lanes.  The two Barrett
 evaluators share no arithmetic, because the equivalence scan checks one
-against the other; they only read the one lane rule.  Secrets are not
-blocked into 2-D arrays: at q = 12289, two-row blocks make 196 KB
-temporaries, past glibc's 128 KiB mmap threshold, and the exhaustive
-equivalence scan took 3.4 s against 1.4 s one row at a time.  The scans
-in preimage go the other way and cut each row into tiles of at most
-2^14 masks (128 KiB of int64, 64 KiB in the int32 lane); its module
-docstring says why.
+against the other; they only read the one lane rule.
+
+Every evaluator broadcasts x against m: a scan passes a (B, 1) column
+of B consecutive secrets against one row of masks and gets a (B, n)
+block back, so a small ring pays numpy's per-call cost once per block
+instead of once per secret.  preimage.block_rows sizes B so that every
+block-sized array stays under glibc's 128 KiB mmap threshold; past it,
+each temporary is mapped and faulted in afresh.  At q = 12289, two-row
+int64 blocks (196 KB temporaries) made the exhaustive equivalence scan
+take 3.4 s against 1.4 s one row at a time.  On a 2-vCPU x86-64 host
+the NTT acceptance sweep (q = 3329, 4591, 7681, 12289) took 2.1-2.5 s
+with the 128 KiB budget, 2.9-3.7 s with a 256 KiB one and 2.8-4.0 s
+one secret at a time.  A row too long for one block is cut into tiles
+of at most 2^14 masks instead; preimage's module docstring says why.
 """
 
 from __future__ import annotations
@@ -149,14 +156,15 @@ def barrett_nat_eval_vec(p: BarrettParams, x: IntOrArray, m: np.ndarray) -> np.n
     if p.s > 62:
         # x + 2^s would overflow int64; fall back to exact Python ints.
         w = 2**p.s
-        xs = np.broadcast_to(np.asarray(x), np.shape(m)).ravel()
-        ms = np.asarray(m).ravel()
+        shape = np.broadcast_shapes(np.shape(x), np.shape(m))
+        xs = np.broadcast_to(x, shape).ravel()
+        ms = np.broadcast_to(m, shape).ravel()
         out = np.fromiter(
             ((int(a) + w - int(b)) % w % q for a, b in zip(xs, ms)),
             dtype=np.int64,
             count=len(ms),
         )
-        return out.reshape(np.shape(m))
+        return out.reshape(shape)
     lane = lane_dtype(q, p.s) if getattr(m, "dtype", None) == INT32 else INT64
     x = np.asarray(x, dtype=lane)
     m = np.asarray(m, dtype=lane)
@@ -183,7 +191,11 @@ class WireGadget:
 
     eval is total on Z_q x Z_q and pure.  eval_vec, required, is the same
     map on raw int64 residues for bulk enumeration, which every mask scan
-    uses; tests pin it to eval pointwise.
+    uses; tests pin it to eval pointwise.  It must broadcast: a scan
+    passes a (B, 1) column of secrets (a lone secret as a 0-d array)
+    against a 1-D row of masks and reads row i of the (B, n) result as
+    secret i's wire values, so a column call must equal the
+    scalar-secret calls stacked.
     barrett_params is set only for reduction gadgets and lets the analysis
     engine take the two-candidate counting shortcut.
     """

@@ -1,14 +1,14 @@
 """Two-stage gadget composition under fresh or shared masking.
 
 One loop, compose(spec), measures both observable wires by brute force
-for every secret; the mode only decides what the second wire is.  Fresh
-mode draws an independent mask per stage, so the second wire is stage
-2's own masked map and the pipeline inherits the worst single-stage
-multiplicity.  Shared mode reuses one mask across both stages, so the
-second wire composes through the first.  The product of the per-stage
-claims is reported as context for the shared case, never asserted —
-shared masking can beat it or break the fresh bound, and both outcomes
-are data.
+for every secret, a block of secrets per scan; the mode only decides
+what the second wire is.  Fresh mode draws an independent mask per
+stage, so the second wire is stage 2's own masked map and the pipeline
+inherits the worst single-stage multiplicity.  Shared mode reuses one
+mask across both stages, so the second wire composes through the first.
+The product of the per-stage claims is reported as context for the
+shared case, never asserted — shared masking can beat it or break the
+fresh bound, and both outcomes are data.
 """
 
 from __future__ import annotations
@@ -18,8 +18,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gadgets import WireGadget
-from .preimage import DEFAULT_SEED, counts_bruteforce_all, default_secrets, tally_masks
+from .gadgets import INT64, IntOrArray, WireGadget
+from .preimage import (
+    DEFAULT_SEED,
+    counts_bruteforce_all,
+    default_secrets,
+    secret_blocks,
+    tally_masks,
+)
 
 # Per-secret mask enumeration is O(q), so exhaustive secret sweeps stop here.
 PIPELINE_EXHAUSTIVE_LIMIT = 2**12
@@ -59,10 +65,10 @@ class CompositionReport:
     product_bound_holds: bool
 
 
-def _composed_counts_shared(spec: PipelineSpec, x: int) -> np.ndarray:
-    """Histogram of m -> stage2(stage1(x, m), m) over all masks m."""
+def _composed_counts_shared(spec: PipelineSpec, x: IntOrArray) -> np.ndarray:
+    """Histograms of m -> stage2(stage1(x, m), m) over all masks m, shape(x) + (q,)."""
     stage1, stage2 = spec.stage1.eval_vec, spec.stage2.eval_vec
-    return tally_masks(spec.stage1.q.q, lambda masks: stage2(stage1(x, masks), masks))
+    return tally_masks(spec.stage1.q.q, x, lambda xs, masks: stage2(stage1(xs, masks), masks))
 
 
 def compose(
@@ -79,16 +85,16 @@ def compose(
     k1 = 0
     k2 = 0
     checked = 0
-    for x in secrets:
-        k1 = max(k1, int(counts_bruteforce_all(spec.stage1, x).max()))
+    for block in secret_blocks(secrets, spec.stage1.q.q, INT64):
+        k1 = max(k1, int(counts_bruteforce_all(spec.stage1, block).max()))
         if spec.mode == "fresh":
             # Both stage kinds compute the identity on a canonical residue,
-            # so stage 2 receives the secret itself.
-            wire2 = counts_bruteforce_all(spec.stage2, x)
+            # so stage 2 receives the secrets themselves.
+            wire2 = counts_bruteforce_all(spec.stage2, block)
         else:
-            wire2 = _composed_counts_shared(spec, x)
+            wire2 = _composed_counts_shared(spec, block)
         k2 = max(k2, int(wire2.max()))
-        checked += 1
+        checked += len(block)
     pipeline = max(k1, k2)
     bound_fresh = max(spec.stage1.claimed_max_mult, spec.stage2.claimed_max_mult)
     bound_product = spec.stage1.claimed_max_mult * spec.stage2.claimed_max_mult

@@ -190,6 +190,15 @@ def test_equiv_exhaustive(capsys):
     assert doc["rows"][0]["pair_mode"] == "exhaustive"
 
 
+def test_equiv_exhaustive_past_62_bits(capsys):
+    # s > 62 takes the Python-int fallback, which gets a column of
+    # secrets against a row of masks like the int lanes.
+    code, doc, _ = run_json(capsys, "equiv", "--q", "5", "--s", "70", "--exhaustive")
+    assert code == 0
+    assert doc["rows"][0]["passed"] is True
+    assert doc["rows"][0]["pairs_checked"] == 25
+
+
 def test_equiv_scope_violation_is_usage_error(capsys):
     code, out, err = run(capsys, "equiv", "--q", "5", "--s", "2", "--exhaustive")
     assert code == 2

@@ -12,25 +12,25 @@ import maskwire.preimage as preimage
 from maskwire.cli import main
 
 
-def broken_counts(p, x):
-    """A histogram that breaks mask conservation: one value hit twice, none missed."""
-    counts = np.ones(p.q.q, dtype=np.int64)
-    counts[0] = 2
+def broken_counts(p, xs):
+    """One row per secret that breaks mask conservation: one value hit twice, none missed."""
+    counts = np.ones((len(xs), p.q.q), dtype=np.int64)
+    counts[:, 0] = 2
     return counts
 
 
-def three_hit_counts(p, x):
-    """One value hit three times, two values missed: the mask mass still adds up to q."""
-    counts = np.ones(p.q.q, dtype=np.int64)
-    counts[:3] = (3, 0, 0)
+def three_hit_counts(p, xs):
+    """One row per secret with one value hit three times and two values missed:
+    the mask mass still adds up to q."""
+    counts = np.ones((len(xs), p.q.q), dtype=np.int64)
+    counts[:, :3] = (3, 0, 0)
     return counts
 
 
-def three_hit_at_secret_5(p, x):
-    """All ones, except secret 5 gets counts 0, 3, 0 on values 0, 1, 2."""
-    counts = np.ones(p.q.q, dtype=np.int8)
-    if x == 5:
-        counts[:3] = (0, 3, 0)
+def three_hit_at_secret_5(p, xs):
+    """All ones, except secret 5's row gets counts 0, 3, 0 on values 0, 1, 2."""
+    counts = np.ones((len(xs), p.q.q), dtype=np.int8)
+    counts[np.asarray(xs) == 5, :3] = (0, 3, 0)
     return counts
 
 
@@ -124,7 +124,7 @@ def test_threads_flag_starts_no_thread(monkeypatch, capsys):
 
 
 def test_out_of_memory_is_a_usage_error(monkeypatch, capsys):
-    def exhausted(p, x):
+    def exhausted(p, xs):
         raise MemoryError("Unable to allocate 2.00 GiB for an array with shape (2147483647,)")
 
     monkeypatch.setattr(cli, "counts_closedform_all", exhausted)

@@ -5,6 +5,8 @@ always tried, so both sides of the s > 62 Python-int fallback of the
 hardware-faithful evaluator are covered.  The evaluators are checked on
 arbitrary int64 inputs, negative and non-canonical ones included; the
 closed-form counter only promises exact counts for a canonical secret.
+Scans pass a (B, 1) column of secrets against a row of masks, and each
+evaluator must then give the scalar-secret rows stacked, in both lanes.
 """
 
 import numpy as np
@@ -17,6 +19,8 @@ from maskwire.gadgets import (
     barrett_algebraic_eval_vec,
     barrett_nat_eval_vec,
     identity_mask_eval_vec,
+    make_barrett_gadget,
+    make_identity_gadget,
 )
 from maskwire.modring import Modulus
 from maskwire.preimage import counts_closedform_all
@@ -91,3 +95,39 @@ def test_closedform_counts_match_enumeration(qsx):
     counts = counts_closedform_all(BarrettParams.create(q, s), x)
     assert counts.dtype == np.int8
     assert counts.tolist() == ref_counts(q, s, x)
+
+
+@st.composite
+def column_case(draw):
+    """(q, s, xs, masks, dtype): canonical secrets and masks in one lane."""
+    q, s = draw(params())
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    canonical = st.integers(0, q - 1)
+    xs = draw(st.lists(canonical, min_size=1, max_size=9))
+    masks = draw(st.lists(canonical, min_size=0, max_size=24))
+    return q, s, xs, np.array(masks, dtype=dtype), dtype
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_case())
+@example((5, 70, [0, 3, 4], np.arange(5, dtype=np.int64), np.int64))
+@example((3329, 24, [0, 1, 3328], np.arange(3320, 3329, dtype=np.int32), np.int32))
+def test_column_call_equals_stacked_scalar_calls(case):
+    # Scans pass a (B, 1) column of secrets, in the masks' dtype, against
+    # one row of masks; row i must be what secret i alone gets.
+    q, s, xs, masks, dtype = case
+    p = BarrettParams.create(q, s)
+    col = np.array(xs, dtype=dtype).reshape(-1, 1)
+    evaluators = [
+        lambda x, m: barrett_algebraic_eval_vec(p, x, m),
+        make_barrett_gadget(p).eval_vec,
+        make_identity_gadget(p.q).eval_vec,
+    ]
+    if p.scope_ok():
+        evaluators.append(lambda x, m: barrett_nat_eval_vec(p, x, m))
+    for evaluate in evaluators:
+        got = evaluate(col, masks)
+        want = np.stack([evaluate(x, masks) for x in xs])
+        assert got.shape == (len(xs), len(masks))
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)

@@ -247,11 +247,10 @@ def test_trichotomy_check_subset_and_bijection():
     assert rep0.passed and rep0.max_count_seen == 1
 
 
-def _three_hit_at_secret_5(_p_or_gadget, x):
-    """All ones, except secret 5 gets counts 0, 3, 0 on values 0, 1, 2."""
-    counts = np.ones(61, dtype=np.int8)
-    if x == 5:
-        counts[:3] = (0, 3, 0)
+def _three_hit_at_secret_5(_p_or_gadget, xs):
+    """All ones, except secret 5's row gets counts 0, 3, 0 on values 0, 1, 2."""
+    counts = np.ones((len(xs), 61), dtype=np.int8)
+    counts[np.asarray(xs) == 5, :3] = (0, 3, 0)
     return counts
 
 

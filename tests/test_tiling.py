@@ -1,10 +1,12 @@
-"""The tiled mask/value scans: tile boundaries and the memory bound.
+"""The blocked, tiled scans: block and tile boundaries and the memory bound.
 
-The scans in preimage walk the mask (or value) axis in tiles of
-preimage.TILE elements.  Patching TILE down to 2..9 puts many tile
-boundaries inside rings of q <= 300, where the scalar reference in
-tests/reference.py can check every count.  The memory test runs at the
-real TILE and reads numpy's allocations from tracemalloc.
+The scans in preimage take secrets in blocks of preimage.block_rows
+rows and walk the mask (or value) axis in tiles of preimage.TILE
+elements.  Patching TILE down to 2..9 puts many tile boundaries inside
+rings of q <= 300, and patching BLOCK_BYTES gives those rings blocks of
+2..9 secrets with a short last block, where the scalar reference in
+tests/reference.py can check every count.  The memory tests run at the
+real TILE and BLOCK_BYTES and read numpy's allocations from tracemalloc.
 """
 
 import tracemalloc
@@ -16,21 +18,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maskwire.preimage as preimage
+import pytest
+
 from maskwire.gadgets import (
+    INT32,
+    INT64,
     BarrettParams,
+    WireGadget,
     barrett_nat_eval_vec,
+    lane_dtype,
     make_barrett_gadget,
     make_identity_gadget,
 )
-from maskwire.modring import ZqElem
-from maskwire.pipeline import PipelineSpec, _composed_counts_shared
+from maskwire.modring import Modulus, ZqElem
+from maskwire.pipeline import PipelineSpec, _composed_counts_shared, compose
 from maskwire.preimage import (
+    BLOCK_BYTES,
+    block_rows,
     counts_bruteforce_all,
     counts_closedform_all,
     equivalence_check,
+    secret_blocks,
+    trichotomy_check,
 )
 
-from reference import ceil_log2, ref_counts
+from reference import ceil_log2, ref_counts, ref_wire_hw
 
 
 @st.composite
@@ -50,6 +62,21 @@ STAGES = st.sampled_from(["barrett", "identity"])
 def tiles_of(tile):
     with mock.patch.object(preimage, "TILE", tile):
         yield
+
+
+@contextmanager
+def blocks_of(rows, q, dtype):
+    """Patch the block budget so that block_rows(q, dtype) == rows."""
+    with mock.patch.object(preimage, "BLOCK_BYTES", rows * q * np.dtype(dtype).itemsize):
+        yield
+
+
+ROWS = st.integers(2, 9)
+
+
+def a_few_blocks(q, x, rows):
+    """Secrets from x on: two whole blocks of `rows`, then a short one, as far as q allows."""
+    return range(x, min(q, x + 3 * rows - 1))
 
 
 @settings(max_examples=150, deadline=None)
@@ -175,3 +202,194 @@ def test_sampled_equivalence_memory_does_not_grow_with_sample():
     rep, peak = traced_peak(equivalence_check, p, 10**6)
     assert rep.passed and rep.pairs_checked == 10**6
     assert peak < 4 * 2**20
+
+
+# --- blocks of secrets ------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(tiled_case(), ROWS)
+def test_blocked_counts_match_scalar_enumeration(case, rows):
+    tile, q, s, x = case
+    p = BarrettParams.create(q, s)
+    g = make_barrett_gadget(p)
+    secrets = a_few_blocks(q, x, rows)
+    want = [ref_counts(q, s, x) for x in secrets]
+    routes = (
+        (lane_dtype(q), lambda xs: counts_closedform_all(p, xs)),
+        (INT64, lambda xs: counts_bruteforce_all(g, xs)),
+    )
+    for dtype, count in routes:
+        with tiles_of(tile), blocks_of(rows, q, dtype):
+            blocks = list(secret_blocks(secrets, q, dtype))
+            got = [count(xs) for xs in blocks]
+        assert [len(xs) for xs in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= rows
+        assert [c.shape for c in got] == [(len(xs), q) for xs in blocks]
+        assert np.concatenate(got).tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiled_case(), ROWS, STAGES, STAGES)
+def test_blocked_shared_composition_matches_scalar_loop(case, rows, first, second):
+    tile, q, s, x = case
+    p = BarrettParams.create(q, s)
+
+    def build(name):
+        return make_barrett_gadget(p) if name == "barrett" else make_identity_gadget(p.q)
+
+    spec = PipelineSpec(build(first), build(second), "shared")
+    secrets = a_few_blocks(q, x, rows)
+    wire1, wire2 = [], []
+    for x in secrets:
+        xe = ZqElem(x, p.q)
+        h1, h2 = [0] * q, [0] * q
+        for m in range(q):
+            me = ZqElem(m, p.q)
+            v = spec.stage1.eval(xe, me)
+            h1[v.val] += 1
+            h2[spec.stage2.eval(v, me).val] += 1
+        wire1.append(h1)
+        wire2.append(h2)
+    with tiles_of(tile), blocks_of(rows, q, INT64):
+        got = _composed_counts_shared(spec, np.array(secrets))
+        rep = compose(spec, secrets=secrets)
+    assert got.tolist() == wire2
+    assert rep.secrets_checked == len(secrets)
+    assert rep.wire1_max_mult == max(max(h) for h in wire1)
+    assert rep.wire2_max_mult == max(max(h) for h in wire2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tiled_case(), ROWS, st.data())
+def test_blocked_equivalence_reports_first_mismatch_in_a_later_row(case, rows, data):
+    # Blocks hold whole rows, so the real TILE (> q) stays in place here.
+    _, q, s, _ = case
+    q = max(q, 2)
+    s = max(s, ceil_log2(q))
+    p = BarrettParams.create(q, s)
+    x = data.draw(st.integers(1, q - 1).filter(lambda v: v % rows != 0))
+    m = data.draw(st.integers(0, q - 1))
+    later = data.draw(st.lists(st.integers(x * q + m, q * q - 1), max_size=3))
+    bad = np.array([x * q + m, *later], dtype=np.int64)
+    faulty = faulty_hw(q, bad)
+    sizes = []
+
+    def evaluate(p, xs, masks):
+        sizes.append(np.size(xs))
+        return faulty(p, xs, masks)
+
+    with blocks_of(rows, q, lane_dtype(q, s)), mock.patch.object(
+        preimage, "barrett_nat_eval_vec", evaluate
+    ):
+        rep = equivalence_check(p)
+    assert not rep.passed
+    assert rep.pairs_checked == x * q + m + 1
+    assert rep.first_mismatch[:2] == (x, m)
+    assert rep.first_mismatch[3] == ref_wire_hw(q, s, x, m) + 1
+    assert sizes[:-1] == [rows] * (len(sizes) - 1)
+    assert sizes[-1] == min(rows, q - x // rows * rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 9), st.integers(20, 300), st.data())
+def test_blocked_trichotomy_stops_at_a_middle_row(rows, q, data):
+    # Secret c sits strictly inside its block, and secret c + 1, in the
+    # same block, has a worse count that must go unseen.
+    c = data.draw(st.integers(0, q - 2).filter(lambda v: 0 < v % rows < rows - 1))
+    p = BarrettParams.create(q, ceil_log2(q) + 3)
+    blocks = []
+
+    def faulty(_p_or_gadget, xs):
+        blocks.append(len(xs))
+        counts = np.ones((len(xs), q), dtype=np.int8)
+        counts[xs == c, :3] = (0, 3, 0)
+        counts[xs == c + 1, :4] = (0, 0, 0, 4)
+        return counts
+
+    routes = (
+        ("counts_closedform_all", False, lane_dtype(q)),
+        ("counts_bruteforce_all", True, INT64),
+    )
+    for route, oracle, dtype in routes:
+        blocks.clear()
+        with blocks_of(rows, q, dtype), mock.patch.object(preimage, route, faulty):
+            rep = trichotomy_check(p, oracle=oracle)
+        assert rep.counterexample == (c, 1, 3)
+        assert rep.secrets_checked == c + 1
+        assert rep.pairs_checked == (c + 1) * q
+        assert rep.max_count_seen == 3
+        assert blocks == [min(rows, q - lo) for lo in range(0, c + 1, rows)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 40), st.integers(63, 70), ROWS, st.data())
+def test_blocked_scans_past_62_bits(q, s, rows, data):
+    # s > 62 sends the hardware-faithful evaluator to its Python-int
+    # fallback, which must broadcast a secret column like the int lanes.
+    p = BarrettParams.create(q, s)
+    x = data.draw(st.integers(0, q - 1))
+    secrets = a_few_blocks(q, x, rows)
+    xs = np.array(secrets)
+    hw = barrett_nat_eval_vec(p, xs.reshape(-1, 1), np.arange(q))
+    assert hw.tolist() == [[ref_wire_hw(q, s, x, m) for m in range(q)] for x in secrets]
+    assert counts_closedform_all(p, xs).tolist() == [ref_counts(q, s, x) for x in secrets]
+    with blocks_of(rows, q, INT64):
+        rep = equivalence_check(p)
+    assert rep.passed and rep.pairs_checked == q * q
+
+
+@pytest.mark.parametrize("tile", [2, preimage.TILE])
+@pytest.mark.parametrize("wrong", [7, 8, -1])
+def test_wire_value_outside_the_ring_is_rejected(tile, wrong):
+    # Without the check, value 7 of secret 2's row would be counted as
+    # value 0 of secret 3's row.
+    q = 7
+
+    def eval_vec(x, m):
+        return np.where((x == 2) & (m == 3), wrong, (x - m) % q)
+
+    g = WireGadget("out-of-range", Modulus(q), lambda x, m: x - m, 1, eval_vec)
+    with tiles_of(tile):
+        for secrets in (np.arange(q), 2):
+            with pytest.raises(ValueError, match=r"outside \[0, 7\)"):
+                counts_bruteforce_all(g, secrets)
+        assert counts_bruteforce_all(g, np.array([0, 1, 3])).tolist() == [[1] * q] * 3
+
+
+def test_empty_block_has_no_rows():
+    p = BarrettParams.create(7, 3)
+    empty = np.array([], dtype=np.int64)
+    assert counts_closedform_all(p, empty).shape == (0, 7)
+    assert counts_bruteforce_all(make_barrett_gadget(p), empty).shape == (0, 7)
+
+
+@pytest.mark.parametrize(
+    "q,dtype,rows",
+    [(3329, INT32, 9), (4591, INT32, 7), (7681, INT32, 4), (12289, INT32, 2),
+     (3329, INT64, 4), (16353, INT32, 1), (2**20, INT32, 1)],
+)
+def test_block_rows_at_the_documented_moduli(q, dtype, rows):
+    assert block_rows(q, dtype) == rows
+    assert rows == 1 or rows * q * dtype.itemsize <= BLOCK_BYTES < 2**17
+
+
+def test_block_scan_memory_stays_near_the_mmap_threshold():
+    # One block scan holds a few block-sized arrays at once, each under
+    # glibc's 128 KiB mmap threshold.  A budget twice as large pushes
+    # every peak here past its bound (measured 3.6 / 5.7 / 9.8 x 128 KiB).
+    q, s = 3329, 24
+    threshold = 2**17
+    p = BarrettParams.create(q, s)
+    closed_rows, oracle_rows = block_rows(q, lane_dtype(q)), block_rows(q, INT64)
+    assert closed_rows > 1 and oracle_rows > 1
+    closed, closed_peak = traced_peak(counts_closedform_all, p, np.arange(closed_rows))
+    oracle, oracle_peak = traced_peak(
+        counts_bruteforce_all, make_barrett_gadget(p), np.arange(oracle_rows)
+    )
+    rep, equiv_peak = traced_peak(equivalence_check, p)
+    assert np.array_equal(closed[:oracle_rows], oracle)
+    assert rep.passed and rep.pairs_checked == q * q
+    assert closed_peak < 2.5 * threshold
+    assert oracle_peak < 3.5 * threshold
+    assert equiv_peak < 6 * threshold
