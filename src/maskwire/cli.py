@@ -25,13 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gadgets import (
-    INT64,
-    BarrettParams,
-    lane_dtype,
-    make_barrett_gadget,
-    make_identity_gadget,
-)
+from .gadgets import BarrettParams, make_barrett_gadget, make_identity_gadget
 from .leakage import barrier_table, min_entropy
 from .modring import Modulus, ZqElem
 from .pipeline import PipelineSpec, compose
@@ -239,7 +233,7 @@ def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
     )
     rows = []
     passed = True
-    for block in secret_blocks(secrets, args.q, lane_dtype(args.q)):
+    for block in secret_blocks(secrets, p):
         for x, counts in zip(block.tolist(), counts_closedform_all(p, block)):
             xe = ZqElem(x, p.q)
             prof = MultiplicityProfile.from_counts(xe, counts)
@@ -461,8 +455,7 @@ def _sweep_case(case: dict, seed: int) -> tuple[dict, list[dict], bool]:
     routes_agree = True
     misses = {"paper": 0, "extended": 0}
     mismatch_rows: list[dict] = []
-    lane = lane_dtype(q) if gadget is None else INT64
-    for block in secret_blocks(secrets, q, lane):
+    for block in secret_blocks(secrets, p if gadget is None else gadget):
         closed = counts_closedform_all(p, block)
         if gadget is not None:
             oracle = counts_bruteforce_all(gadget, block)

@@ -45,8 +45,8 @@ int64 blocks (196 KB temporaries) made the exhaustive equivalence scan
 take 3.4 s against 1.4 s one row at a time.  On a 2-vCPU x86-64 host
 the NTT acceptance sweep (q = 3329, 4591, 7681, 12289) took 2.1-2.5 s
 with the 128 KiB budget, 2.9-3.7 s with a 256 KiB one and 2.8-4.0 s
-one secret at a time.  A row too long for one block is cut into tiles
-of at most 2^14 masks instead; preimage's module docstring says why.
+one secret at a time.  A row too long for one block runs alone, cut
+into tiles within the same budget; preimage's module docstring says how.
 """
 
 from __future__ import annotations
@@ -192,10 +192,10 @@ class WireGadget:
     eval is total on Z_q x Z_q and pure.  eval_vec, required, is the same
     map on raw int64 residues for bulk enumeration, which every mask scan
     uses; tests pin it to eval pointwise.  It must broadcast: a scan
-    passes a (B, 1) column of secrets (a lone secret as a 0-d array)
-    against a 1-D row of masks and reads row i of the (B, n) result as
-    secret i's wire values, so a column call must equal the
-    scalar-secret calls stacked.
+    passes a (B, 1) column of secrets, B = 1 for a lone secret, against
+    a 1-D row of masks and reads row i of the (B, n) result as secret
+    i's wire values, so a column call must equal the scalar-secret
+    calls stacked.
     barrett_params is set only for reduction gadgets and lets the analysis
     engine take the two-candidate counting shortcut.
     """

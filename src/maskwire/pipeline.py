@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gadgets import INT64, IntOrArray, WireGadget
+from .gadgets import IntOrArray, WireGadget
 from .preimage import (
     DEFAULT_SEED,
     counts_bruteforce_all,
@@ -85,7 +85,7 @@ def compose(
     k1 = 0
     k2 = 0
     checked = 0
-    for block in secret_blocks(secrets, spec.stage1.q.q, INT64):
+    for block in secret_blocks(secrets, spec.stage1):
         k1 = max(k1, int(counts_bruteforce_all(spec.stage1, block).max()))
         if spec.mode == "fresh":
             # Both stage kinds compute the identity on a canonical residue,

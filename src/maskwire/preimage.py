@@ -16,33 +16,28 @@ counts_closedform_all: the test suite checks the vectorised counts
 against it, and building it from counts_closedform_all would make that
 check vouch for itself.
 
-Every scan takes its secrets in blocks of B = block_rows(q, dtype)
-consecutive secrets and computes a block as one (B, q) array: a (B, 1)
-secret column against a row of values or masks.  B is the most rows
-whose dtype arrays stay within BLOCK_BYTES, under glibc's 128 KiB mmap
-threshold (gadgets says what crossing it cost): 9 / 7 / 4 / 2 secrets
-in int32 at q = 3329 / 4591 / 7681 / 12289, and 4 in int64 at 3329.
-Small rings then pay numpy's fixed per-call cost once per block instead
-of once per secret: at q = 3329, on a 2-vCPU x86-64 host with numpy
-2.4, the closed-form trichotomy scan went from 65-88 ms to 31-48 ms
-and the exhaustive equivalence scan from 0.105 s to 0.046 s.
+Every scan keeps each array it builds within BLOCK_BYTES, under glibc's
+128 KiB mmap threshold (gadgets says what crossing it cost).  Secrets go
+in blocks of B = block_rows(q, dtype), the most whole rows of q that
+fit, and a block is one (B, q) array: a (B, 1) secret column against a
+row of values or masks.  That is 9 / 7 / 4 / 2 secrets in int32 at
+q = 3329 / 4591 / 7681 / 12289, and 4 in int64 at 3329, so small rings
+pay numpy's per-call cost once per block: at q = 3329 the closed-form
+trichotomy scan went from 65-88 ms to 31-48 ms and the exhaustive
+equivalence scan from 0.105 s to 0.046 s.  A row that does not fit is
+a block of one, a lone secret included, cut into tiles of
+tile_len(dtype) = BLOCK_BYTES // itemsize elements (32,704 in int32,
+16,352 in int64) whose temporaries stay in L2 cache.  The full budget
+pays for having one path: at q = 8,380,417 one secret's closed form
+took 10.8-10.9 ms as a 0-d array in 2^14-element tiles, 11.7-11.9 ms
+as a (1, 1) column in those tiles, and 9.6-9.9 ms as a column in
+32,704-element tiles (2-vCPU x86-64 host, numpy 2.4).
 
-A row too long for two to share a block (B = 1) is walked in tiles of
-TILE = 2^14 elements, so one secret's scan keeps only its q-length
-result array and never builds a q-length int64 temporary.  A
-2^14-element int64 tile is 128 KiB, so a tile's temporaries stay in a
-2 MB L2 cache instead of being page-faulted and streamed through
-memory: on a 2-vCPU x86-64 host with numpy 2.4, the algebraic evaluator
-costs 13.1 ns/element over a full q = 8,380,417 array and 5.6
-ns/element in 2^14 tiles, copying the result out included.  B > 1
-implies q < TILE, so a block is always one tile wide.
-
-The closed form and the exhaustive equivalence scan build their tiles
-in gadgets.lane_dtype: int32, 64 KiB a tile, for every q <= 2^30 (and
-s <= 31 for the equivalence scan).  Mask enumeration stays int64: its
-cost is the np.add.at scatter, which int32 masks did not speed up.
-Sampled equivalence draws int64 pairs, so a seed keeps drawing the
-same pairs.
+secret_blocks sizes blocks in the lane of the route it is handed: the
+closed form counts in gadgets.lane_dtype(q), int32 for q <= 2^30, as
+the exhaustive equivalence scan does in lane_dtype(q, s).  Mask
+enumeration stays int64: its cost is the np.add.at scatter, which int32
+masks did not speed up.  Sampled equivalence draws int64 pairs.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,9 +66,7 @@ from .modring import ZqElem
 EXHAUSTIVE_SECRET_LIMIT = 2**16
 DEFAULT_SAMPLE_SECRETS = 16
 DEFAULT_SEED = 0
-# Elements per tile of every mask/value scan: 128 KiB of int64.
-TILE = 1 << 14
-# Bytes per block-sized array, kept under glibc's 128 KiB mmap threshold.
+# Bytes per block or tile array, kept under glibc's 128 KiB mmap threshold.
 BLOCK_BYTES = 2**17 - 256
 # (pairs before the tile, secrets, masks) for equivalence_check.
 PairTile = Tuple[int, np.ndarray, np.ndarray]
@@ -162,32 +155,37 @@ class EquivalenceReport:
     first_mismatch: Optional[Tuple[int, int, int, int]] = None  # (x, m, algebraic, hw)
 
 
+def tile_len(dtype: np.dtype) -> int:
+    """Elements of dtype per tile: as many as fit BLOCK_BYTES."""
+    return BLOCK_BYTES // np.dtype(dtype).itemsize
+
+
 def block_rows(q: int, dtype: np.dtype) -> int:
     """Secrets per block: the most (B, q) dtype rows within BLOCK_BYTES, at least 1."""
-    return max(1, BLOCK_BYTES // (np.dtype(dtype).itemsize * q))
+    return max(1, tile_len(dtype) // q)
 
 
 def secret_blocks(
-    secrets: Iterable[int], q: int, dtype: np.dtype
+    secrets: Iterable[int], route: Union[BarrettParams, WireGadget]
 ) -> Iterator[np.ndarray]:
-    """The secrets in order, as int64 arrays of block_rows(q, dtype) each.
+    """The secrets in order, as int64 arrays of block_rows each.
 
+    route is what the caller hands its counting route: BarrettParams for
+    the closed form, whose blocks are sized in lane_dtype(q), or a
+    WireGadget for mask enumeration, whose blocks are sized in int64.
     Only the last block may be shorter.
     """
+    q = route.q.q
+    lane = lane_dtype(q) if isinstance(route, BarrettParams) else INT64
     it = iter(secrets)
-    rows = block_rows(q, dtype)
+    rows = block_rows(q, lane)
     while block := list(islice(it, rows)):
         yield np.array(block, dtype=np.int64)
 
 
 def _column(xs: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """Secrets as a (B, 1) column in dtype, broadcast against one row.
-
-    A lone secret stays 0-d, because numpy runs (1, n) broadcasts slower
-    than 1-D ones: at q = 8,380,417 one secret's closed form took 20.5 ms
-    as a (1, 1) column and 18.8 ms as a 0-d array (2-vCPU x86-64 host).
-    """
-    return xs.astype(dtype).reshape(() if xs.size == 1 else (-1, 1))
+    """Secrets, one or many, as a (B, 1) column in dtype, broadcast against one row."""
+    return xs.astype(dtype).reshape(-1, 1)
 
 
 def _canonical(x: IntOrArray, q: int) -> np.ndarray:
@@ -211,9 +209,10 @@ def tally_masks(
     """
     col = _column(np.asarray(x), INT64)
     offsets = np.arange(0, col.size * q, q).reshape(-1, 1)
+    step = tile_len(INT64)
     counts = None
-    for lo in range(0, q, TILE):
-        values = wire(col, np.arange(lo, min(lo + TILE, q), dtype=np.int64))
+    for lo in range(0, q, step):
+        values = wire(col, np.arange(lo, min(lo + step, q), dtype=np.int64))
         # Read unsigned, a negative value is huge, so one max bounds both ends.
         if values.view(f"u{values.itemsize}").max(initial=0) >= q:
             raise ValueError(f"wire value outside [0, {q}) for modulus {q}")
@@ -252,17 +251,12 @@ def _closedform_tile(
 ) -> None:
     """Write the closed-form counts of values v in [lo, hi) into out, as int8.
 
-    x is one secret or a (B, 1) column of them, and out is (hi - lo,) or
-    (B, hi - lo) to match.  a = (x - v) mod q and b = (a + r) mod q are
-    computed in dtype; with x, v, r in [0, q) each needs at most one
-    correction, and every intermediate lies in (-q, 2q).  A lone secret
-    builds a in one descending arange, a column by one shared arange and
-    a broadcast.
+    x is a (B, 1) column of secrets and out is (B, hi - lo) to match.
+    a = (x - v) mod q and b = (a + r) mod q are computed in dtype; with
+    x, v, r in [0, q) each needs at most one correction, and every
+    intermediate lies in (-q, 2q).
     """
-    if np.ndim(x) == 0:
-        a = np.arange(x - lo, x - hi, -1, dtype=dtype)
-    else:
-        a = x - np.arange(lo, hi, dtype=dtype)
+    a = x - np.arange(lo, hi, dtype=dtype)
     np.add(a, q, out=a, where=a < 0)
     direct = a <= x
     b = np.add(a, r, out=a)
@@ -282,10 +276,11 @@ def counts_closedform_all(p: BarrettParams, x: IntOrArray) -> np.ndarray:
     xs = _canonical(x, q)
     lane = lane_dtype(q)
     col = _column(xs, lane)
-    counts = np.empty(col.shape[:1] + (q,), dtype=np.int8)
-    for lo in range(0, q, TILE):
-        hi = min(lo + TILE, q)
-        _closedform_tile(col, q, r, lo, hi, lane, counts[..., lo:hi])
+    step = tile_len(lane)
+    counts = np.empty((col.size, q), dtype=np.int8)
+    for lo in range(0, q, step):
+        hi = min(lo + step, q)
+        _closedform_tile(col, q, r, lo, hi, lane, counts[:, lo:hi])
     return counts.reshape(xs.shape + (q,))
 
 
@@ -336,14 +331,13 @@ def trichotomy_check(
     error: the first offending (secret, value, count) is reported.
     """
     q = p.q.q
-    gadget = make_barrett_gadget(p) if oracle else None
+    route = make_barrett_gadget(p) if oracle else p
     checked = 0
     max_seen = 0
     counterexample = None
-    lane = INT64 if oracle else lane_dtype(q)
-    for xs in secret_blocks(range(q) if secrets is None else secrets, q, lane):
+    for xs in secret_blocks(range(q) if secrets is None else secrets, route):
         if oracle:
-            counts = counts_bruteforce_all(gadget, xs)
+            counts = counts_bruteforce_all(route, xs)
         else:
             counts = counts_closedform_all(p, xs)
         peaks = counts.max(axis=1)
@@ -370,8 +364,9 @@ def trichotomy_check(
 def support_gap_predicted_paper(p: BarrettParams, x: ZqElem) -> int:
     """Published three-term gap predictor min(x+1, q-r, q-1-x).
 
-    Known to disagree with enumeration in some regimes (see the extended
-    predictor); reported side by side so the data can speak.
+    It lacks the r term of the derived four-term form (see the extended
+    predictor), so it overshoots exactly when r < min(x+1, q-1-x, q-r);
+    both are reported side by side so the data can speak.
     """
     q = p.q.q
     r = p.r.val
@@ -379,10 +374,13 @@ def support_gap_predicted_paper(p: BarrettParams, x: ZqElem) -> int:
 
 
 def support_gap_predicted_extended(p: BarrettParams, x: ZqElem) -> int:
-    """Four-term gap predictor min(x+1, q-1-x, r, q-r).
+    """Four-term gap predictor min(x+1, q-1-x, r, q-r), derived exactly.
 
-    Candidate correction of the three-term formula; validated against
-    brute-force enumeration by the test suite and the sweep command.
+    With D = [0, x], the direct masks m <= x hit each v in D once and the
+    wrap masks m in [x+1, q-1] hit each v in D^c + r (mod q) once.  So
+    count(v) = [v in D] + [v in D^c + r] lies in {0, 1, 2}, the counts sum
+    to q, and zeros = twos = |D| - |D & (D + r)| = max(0, min(x+1, q-1-x,
+    r, q-r)).  The test suite and the sweep still check it by enumeration.
     """
     q = p.q.q
     r = p.r.val
@@ -420,26 +418,31 @@ def _exhaustive_pair_tiles(q: int, dtype: np.dtype) -> Iterator[PairTile]:
     Each tile is a _column of B consecutive secrets against one row of
     masks, both built in dtype, which picks both evaluators' lane;
     every block reuses the first tile's arange.  Blocks hold whole rows
-    (B > 1 only when q <= TILE), so a tile's flat order is secret-major
-    pair order.
+    (B > 1 only when a row fits in half a tile), so a tile's flat order
+    is secret-major pair order.
     """
-    rows = block_rows(q, dtype) if q <= TILE else 1
-    first = np.arange(min(q, TILE), dtype=dtype)
+    rows = block_rows(q, dtype)
+    step = tile_len(dtype)
+    first = np.arange(min(q, step), dtype=dtype)
     for x in range(0, q, rows):
         xs = _column(np.arange(x, min(x + rows, q)), dtype)
-        for lo in range(0, q, TILE):
+        for lo in range(0, q, step):
             if lo == 0:
                 masks = first
             else:
-                masks = np.arange(lo, min(lo + TILE, q), dtype=dtype)
+                masks = np.arange(lo, min(lo + step, q), dtype=dtype)
             yield x * q + lo, xs, masks
 
 
 def _sampled_pair_tiles(q: int, sample: int, seed: int) -> Iterator[PairTile]:
-    """(pairs before, secrets, masks) tiles of `sample` seeded random pairs."""
+    """(pairs before, secrets, masks) tiles of `sample` seeded random pairs.
+
+    Each (2, n) int64 draw fits BLOCK_BYTES, as every scan array does.
+    """
     rng = np.random.default_rng(seed)
-    for lo in range(0, sample, TILE):
-        xs, ms = rng.integers(0, q, size=(2, min(TILE, sample - lo)))
+    n = tile_len(INT64) // 2
+    for lo in range(0, sample, n):
+        xs, ms = rng.integers(0, q, size=(2, min(n, sample - lo)))
         yield lo, xs, ms
 
 

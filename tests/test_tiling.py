@@ -1,12 +1,14 @@
 """The blocked, tiled scans: block and tile boundaries and the memory bound.
 
 The scans in preimage take secrets in blocks of preimage.block_rows
-rows and walk the mask (or value) axis in tiles of preimage.TILE
-elements.  Patching TILE down to 2..9 puts many tile boundaries inside
-rings of q <= 300, and patching BLOCK_BYTES gives those rings blocks of
-2..9 secrets with a short last block, where the scalar reference in
-tests/reference.py can check every count.  The memory tests run at the
-real TILE and BLOCK_BYTES and read numpy's allocations from tracemalloc.
+rows and walk the mask (or value) axis in tiles of preimage.tile_len
+elements, both derived from preimage.BLOCK_BYTES.  Patching BLOCK_BYTES
+to 8 * tile gives int64 tiles of 2..9 elements (int32 tiles of twice
+that), which puts many tile boundaries inside rings of q <= 300; patching
+it to rows * q * itemsize gives those rings blocks of 2..9 secrets with
+a short last block, where the scalar reference in tests/reference.py can
+check every count.  The memory tests run at the real BLOCK_BYTES and
+read numpy's allocations from tracemalloc.
 """
 
 import tracemalloc
@@ -39,6 +41,7 @@ from maskwire.preimage import (
     counts_closedform_all,
     equivalence_check,
     secret_blocks,
+    tile_len,
     trichotomy_check,
 )
 
@@ -60,7 +63,8 @@ STAGES = st.sampled_from(["barrett", "identity"])
 
 @contextmanager
 def tiles_of(tile):
-    with mock.patch.object(preimage, "TILE", tile):
+    """Patch the budget so that int64 tiles hold `tile` elements, int32 tiles 2 * tile."""
+    with mock.patch.object(preimage, "BLOCK_BYTES", 8 * tile):
         yield
 
 
@@ -123,6 +127,7 @@ def test_tiled_equivalence_reports_first_mismatch(case, data):
     with tiles_of(tile), mock.patch.object(preimage, "barrett_nat_eval_vec", evaluate):
         exhaustive = equivalence_check(p)
         sampled = equivalence_check(p, sample=3 * q, seed=q)
+        n = tile_len(INT64) // 2
 
     first = min(bad)
     x, m = divmod(first, q)
@@ -133,11 +138,11 @@ def test_tiled_equivalence_reports_first_mismatch(case, data):
     assert exhaustive.first_mismatch[3] == hw + 1
 
     # The sampled path draws each tile's secrets, then its masks, from
-    # one seeded numpy generator.
+    # one seeded numpy generator, n pairs a draw.
     rng = np.random.default_rng(q)
     draws = [
-        rng.integers(0, q, size=(2, min(tile, 3 * q - lo)))
-        for lo in range(0, 3 * q, tile)
+        rng.integers(0, q, size=(2, min(n, 3 * q - lo)))
+        for lo in range(0, 3 * q, n)
     ]
     xs, ms = np.concatenate(draws, axis=1).tolist()
     hits = [i for i, (a, b) in enumerate(zip(xs, ms)) if a * q + b in bad]
@@ -216,12 +221,12 @@ def test_blocked_counts_match_scalar_enumeration(case, rows):
     secrets = a_few_blocks(q, x, rows)
     want = [ref_counts(q, s, x) for x in secrets]
     routes = (
-        (lane_dtype(q), lambda xs: counts_closedform_all(p, xs)),
-        (INT64, lambda xs: counts_bruteforce_all(g, xs)),
+        (lane_dtype(q), p, lambda xs: counts_closedform_all(p, xs)),
+        (INT64, g, lambda xs: counts_bruteforce_all(g, xs)),
     )
-    for dtype, count in routes:
+    for dtype, route, count in routes:
         with tiles_of(tile), blocks_of(rows, q, dtype):
-            blocks = list(secret_blocks(secrets, q, dtype))
+            blocks = list(secret_blocks(secrets, route))
             got = [count(xs) for xs in blocks]
         assert [len(xs) for xs in blocks[:-1]] == [rows] * (len(blocks) - 1)
         assert 1 <= len(blocks[-1]) <= rows
@@ -263,7 +268,7 @@ def test_blocked_shared_composition_matches_scalar_loop(case, rows, first, secon
 @settings(max_examples=100, deadline=None)
 @given(tiled_case(), ROWS, st.data())
 def test_blocked_equivalence_reports_first_mismatch_in_a_later_row(case, rows, data):
-    # Blocks hold whole rows, so the real TILE (> q) stays in place here.
+    # blocks_of makes a tile rows * q long, so every block holds whole rows.
     _, q, s, _ = case
     q = max(q, 2)
     s = max(s, ceil_log2(q))
@@ -339,7 +344,7 @@ def test_blocked_scans_past_62_bits(q, s, rows, data):
     assert rep.passed and rep.pairs_checked == q * q
 
 
-@pytest.mark.parametrize("tile", [2, preimage.TILE])
+@pytest.mark.parametrize("tile", [2, tile_len(INT64)])
 @pytest.mark.parametrize("wrong", [7, 8, -1])
 def test_wire_value_outside_the_ring_is_rejected(tile, wrong):
     # Without the check, value 7 of secret 2's row would be counted as
@@ -393,3 +398,37 @@ def test_block_scan_memory_stays_near_the_mmap_threshold():
     assert closed_peak < 2.5 * threshold
     assert oracle_peak < 3.5 * threshold
     assert equiv_peak < 6 * threshold
+
+
+def test_tile_len_is_the_block_budget_in_elements():
+    assert tile_len(INT32) == 32704
+    assert tile_len(INT64) == 16352
+
+
+@pytest.mark.parametrize(
+    "q,route,rows",
+    [(3329, "closed", 9), (4591, "closed", 7), (7681, "closed", 4), (12289, "closed", 2),
+     (3329, "enumerate", 4)],
+)
+def test_secret_blocks_are_sized_in_the_lane_of_the_route(q, route, rows):
+    # The closed form counts in lane_dtype(q), int32 here; enumeration in int64.
+    p = BarrettParams.create(q, 2 * ceil_log2(q))
+    handed = p if route == "closed" else make_barrett_gadget(p)
+    lengths = [len(xs) for xs in secret_blocks(range(q), handed)]
+    assert lengths[:-1] == [rows] * (len(lengths) - 1)
+    assert 1 <= lengths[-1] <= rows and sum(lengths) == q
+
+
+@pytest.mark.parametrize("q", [40961, 65537])
+def test_lone_secret_scan_memory_stays_within_a_few_tiles(q):
+    # A lone secret runs as a (1, 1) column in tiles of BLOCK_BYTES: a few
+    # tile-sized temporaries beside its result array (measured 2.0 and
+    # 5.0 x 128 KiB).  Doubling the budget reads 4.0 and 10.0 at q = 65537.
+    threshold = 2**17
+    p = BarrettParams.create(q, 40)
+    assert block_rows(q, lane_dtype(q)) == block_rows(q, INT64) == 1
+    closed, closed_peak = traced_peak(counts_closedform_all, p, q // 3)
+    oracle, oracle_peak = traced_peak(counts_bruteforce_all, make_barrett_gadget(p), q // 3)
+    assert np.array_equal(closed, oracle)
+    assert closed_peak - closed.nbytes < 3 * threshold
+    assert oracle_peak - oracle.nbytes < 6 * threshold
