@@ -23,8 +23,6 @@ import sys
 import time
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .gadgets import BarrettParams, make_barrett_gadget, make_identity_gadget
 from .leakage import barrier_table, min_entropy
 from .modring import Modulus, ZqElem
@@ -39,7 +37,7 @@ from .preimage import (
     default_secrets,
     equivalence_check,
     sample_secrets,
-    secret_blocks,
+    scan,
     support_gap_predicted_extended,
     support_gap_predicted_paper,
     tightness_witness_search,
@@ -157,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     ring = argparse.ArgumentParser(add_help=False)
     ring.add_argument("--q", type=_positive_int, required=True)
     ring.add_argument("--s", type=_nonneg_int, required=True)
-    scan = argparse.ArgumentParser(add_help=False)
-    scope = scan.add_mutually_exclusive_group()
+    scan_scope = argparse.ArgumentParser(add_help=False)
+    scope = scan_scope.add_mutually_exclusive_group()
     scope.add_argument("--exhaustive", action="store_true")
     scope.add_argument("--sample", type=_positive_int, metavar="N")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -174,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     scope.add_argument("--sample", type=_positive_int, metavar="N")
 
     p_tr = sub.add_parser(
-        "trichotomy", parents=[common, ring, scan], help="preimage sizes never exceed 2"
+        "trichotomy", parents=[common, ring, scan_scope], help="preimage sizes never exceed 2"
     )
     p_tr.add_argument(
         "--oracle",
@@ -184,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "equiv",
-        parents=[common, ring, scan],
+        parents=[common, ring, scan_scope],
         help="algebraic vs hardware-faithful form",
     )
 
@@ -225,6 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _profiles(p: BarrettParams):
+    """scan's reduce for analyze and sweep: one MultiplicityProfile per secret."""
+    return lambda xs, counts: [
+        MultiplicityProfile.from_counts(ZqElem(x, p.q), row)
+        for x, row in zip(xs.tolist(), counts)
+    ]
+
+
 def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
     p = BarrettParams.create(args.q, args.s)
     secrets, secret_mode = _secret_scope(
@@ -233,10 +239,9 @@ def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
     )
     rows = []
     passed = True
-    for block in secret_blocks(secrets, p):
-        for x, counts in zip(block.tolist(), counts_closedform_all(p, block)):
-            xe = ZqElem(x, p.q)
-            prof = MultiplicityProfile.from_counts(xe, counts)
+    for profiles, _ in scan(secrets, (p, counts_closedform_all), _profiles(p)):
+        for prof in profiles:
+            xe = prof.secret
             # Off mask mass leaves no distribution to measure; a value hit
             # three times keeps its min-entropy, which then reads below the
             # floor.  Either way the profile is not conserved and fails the run.
@@ -244,7 +249,7 @@ def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
             passed = passed and prof.conserved
             rows.append(
                 {
-                    "secret": x,
+                    "secret": xe.val,
                     "zeros": prof.zeros,
                     "ones": prof.ones,
                     "twos": prof.twos,
@@ -257,8 +262,6 @@ def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
                     "floor_bits": bound.barrier_floor_bits if bound else None,
                 }
             )
-        # Free the block's counts before the next block's scan.
-        del counts
     params = _scope_params(args, p, secrets, secret_mode)
     summary = {"passed": passed, "secrets_checked": len(rows), "route": "closedform"}
     return params, rows, summary, 0 if passed else 1
@@ -439,7 +442,7 @@ def _load_sweep_config(path: str) -> list[dict]:
     return out
 
 
-def _sweep_row(values: dict) -> dict:
+def _sweep_row(**values) -> dict:
     return {col: values.get(col) for col in _SWEEP_COLUMNS}
 
 
@@ -449,23 +452,16 @@ def _sweep_case(case: dict, seed: int) -> tuple[dict, list[dict], bool]:
     p = BarrettParams.create(q, s)
     secrets, secret_mode = _secret_scope(q, seed, SWEEP_EXHAUSTIVE_LIMIT)
     # Sampled secrets are also enumerated, to cross-check the closed form.
-    gadget = make_barrett_gadget(p) if secret_mode == "sampled" else None
+    check = (make_barrett_gadget(p), counts_bruteforce_all) if secret_mode == "sampled" else None
     max_count = 0
     conservation_ok = True
     routes_agree = True
     misses = {"paper": 0, "extended": 0}
     mismatch_rows: list[dict] = []
-    for block in secret_blocks(secrets, p if gadget is None else gadget):
-        closed = counts_closedform_all(p, block)
-        if gadget is not None:
-            oracle = counts_bruteforce_all(gadget, block)
-            if not np.array_equal(oracle, closed):
-                routes_agree = False
-                closed = oracle
-            del oracle
-        for x, counts in zip(block.tolist(), closed):
-            xe = ZqElem(x, p.q)
-            prof = MultiplicityProfile.from_counts(xe, counts)
+    for profiles, agree in scan(secrets, (p, counts_closedform_all), _profiles(p), check):
+        routes_agree = routes_agree and agree
+        for prof in profiles:
+            xe = prof.secret
             max_count = max(max_count, prof.max_count)
             if not prof.conserved:
                 conservation_ok = False
@@ -479,20 +475,10 @@ def _sweep_case(case: dict, seed: int) -> tuple[dict, list[dict], bool]:
                 if misses[formula] <= MISMATCH_ROW_CAP:
                     mismatch_rows.append(
                         _sweep_row(
-                            {
-                                "row": "mismatch",
-                                "q": q,
-                                "s": s,
-                                "r": p.r.val,
-                                "formula": formula,
-                                "secret": x,
-                                "observed": prof.zeros,
-                                "predicted": predicted,
-                            }
+                            row="mismatch", q=q, s=s, r=p.r.val, formula=formula,
+                            secret=xe.val, observed=prof.zeros, predicted=predicted,
                         )
                     )
-        # Free the block's q-length arrays before the next block's scan.
-        del closed, counts
 
     trichotomy_ok = max_count <= 2
     if q <= SWEEP_EQUIV_LIMIT and p.scope_ok():
@@ -502,21 +488,11 @@ def _sweep_case(case: dict, seed: int) -> tuple[dict, list[dict], bool]:
 
     hard_ok = trichotomy_ok and conservation_ok and routes_agree and equiv != "fail"
     case_row = _sweep_row(
-        {
-            "row": "case",
-            "q": q,
-            "s": s,
-            "r": p.r.val,
-            "secret_mode": secret_mode,
-            "secrets_checked": len(secrets),
-            "trichotomy_ok": trichotomy_ok,
-            "conservation_ok": conservation_ok,
-            "routes_agree": routes_agree,
-            "equiv": equiv,
-            "max_count": max_count,
-            "paper_gap_mismatches": misses["paper"],
-            "extended_gap_mismatches": misses["extended"],
-        }
+        row="case", q=q, s=s, r=p.r.val, secret_mode=secret_mode,
+        secrets_checked=len(secrets), trichotomy_ok=trichotomy_ok,
+        conservation_ok=conservation_ok, routes_agree=routes_agree, equiv=equiv,
+        max_count=max_count, paper_gap_mismatches=misses["paper"],
+        extended_gap_mismatches=misses["extended"],
     )
     return case_row, mismatch_rows, hard_ok
 

@@ -1,14 +1,15 @@
 """Two-stage gadget composition under fresh or shared masking.
 
-One loop, compose(spec), measures both observable wires by brute force
-for every secret, a block of secrets per scan; the mode only decides
-what the second wire is.  Fresh mode draws an independent mask per
-stage, so the second wire is stage 2's own masked map and the pipeline
-inherits the worst single-stage multiplicity.  Shared mode reuses one
-mask across both stages, so the second wire composes through the first.
-The product of the per-stage claims is reported as context for the
-shared case, never asserted — shared masking can beat it or break the
-fresh bound, and both outcomes are data.
+compose(spec) measures both observable wires by brute force, one
+preimage.scan each over the secrets; the mode only decides what the
+second wire is.  Fresh mode draws an independent mask per stage, so the
+second wire is stage 2's own masked map and the pipeline inherits the
+worst single-stage multiplicity.  Shared mode reuses one mask across
+both stages, so the second wire composes through the first: it is
+_shared_wire(spec), a gadget of its own.  The product of the per-stage
+claims is reported as context for the shared case, never asserted —
+shared masking can beat it or break the fresh bound, and both outcomes
+are data.
 """
 
 from __future__ import annotations
@@ -16,16 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .gadgets import IntOrArray, WireGadget
-from .preimage import (
-    DEFAULT_SEED,
-    counts_bruteforce_all,
-    default_secrets,
-    secret_blocks,
-    tally_masks,
-)
+from .gadgets import WireGadget
+from .preimage import DEFAULT_SEED, counts_bruteforce_all, default_secrets, scan
 
 # Per-secret mask enumeration is O(q), so exhaustive secret sweeps stop here.
 PIPELINE_EXHAUSTIVE_LIMIT = 2**12
@@ -65,10 +58,16 @@ class CompositionReport:
     product_bound_holds: bool
 
 
-def _composed_counts_shared(spec: PipelineSpec, x: IntOrArray) -> np.ndarray:
-    """Histograms of m -> stage2(stage1(x, m), m) over all masks m, shape(x) + (q,)."""
-    stage1, stage2 = spec.stage1.eval_vec, spec.stage2.eval_vec
-    return tally_masks(spec.stage1.q.q, x, lambda xs, masks: stage2(stage1(xs, masks), masks))
+def _shared_wire(spec: PipelineSpec) -> WireGadget:
+    """The wire m -> stage2(stage1(x, m), m) of one mask fed through both stages."""
+    s1, s2 = spec.stage1, spec.stage2
+    return WireGadget(
+        name=f"{s1.name}+{s2.name}",
+        q=s1.q,
+        eval=lambda x, m: s2.eval(s1.eval(x, m), m),
+        claimed_max_mult=s1.claimed_max_mult * s2.claimed_max_mult,
+        eval_vec=lambda x, m: s2.eval_vec(s1.eval_vec(x, m), m),
+    )
 
 
 def compose(
@@ -79,22 +78,20 @@ def compose(
     """Measure both wires over the secrets, under the spec's masking mode.
 
     secrets = None applies default_secrets with PIPELINE_EXHAUSTIVE_LIMIT.
+    secrets is scanned twice, so it must be a sequence, not an iterator.
     """
     if secrets is None:
         secrets = default_secrets(spec.stage1.q.q, seed, PIPELINE_EXHAUSTIVE_LIMIT)
-    k1 = 0
-    k2 = 0
-    checked = 0
-    for block in secret_blocks(secrets, spec.stage1):
-        k1 = max(k1, int(counts_bruteforce_all(spec.stage1, block).max()))
-        if spec.mode == "fresh":
-            # Both stage kinds compute the identity on a canonical residue,
-            # so stage 2 receives the secrets themselves.
-            wire2 = counts_bruteforce_all(spec.stage2, block)
-        else:
-            wire2 = _composed_counts_shared(spec, block)
-        k2 = max(k2, int(wire2.max()))
-        checked += len(block)
+    checked = len(secrets)
+
+    def peak(wire: WireGadget) -> int:
+        blocks = scan(secrets, (wire, counts_bruteforce_all), lambda xs, c: int(c.max()))
+        return max((k for k, _ in blocks), default=0)
+
+    k1 = peak(spec.stage1)
+    # Both stage kinds compute the identity on a canonical residue, so in
+    # fresh mode stage 2 receives the secrets themselves.
+    k2 = peak(spec.stage2 if spec.mode == "fresh" else _shared_wire(spec))
     pipeline = max(k1, k2)
     bound_fresh = max(spec.stage1.claimed_max_mult, spec.stage2.claimed_max_mult)
     bound_product = spec.stage1.claimed_max_mult * spec.stage2.claimed_max_mult

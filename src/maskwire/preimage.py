@@ -33,11 +33,17 @@ took 10.8-10.9 ms as a 0-d array in 2^14-element tiles, 11.7-11.9 ms
 as a (1, 1) column in those tiles, and 9.6-9.9 ms as a column in
 32,704-element tiles (2-vCPU x86-64 host, numpy 2.4).
 
-secret_blocks sizes blocks in the lane of the route it is handed: the
-closed form counts in gadgets.lane_dtype(q), int32 for q <= 2^30, as
-the exhaustive equivalence scan does in lane_dtype(q, s).  Mask
-enumeration stays int64: its cost is the np.add.at scatter, which int32
-masks did not speed up.  Sampled equivalence draws int64 pairs.
+scan(secrets, route, reduce, check) is the one driver of every
+per-secret scan.  A route is an (arg, count) pair run as count(arg, xs):
+BarrettParams with counts_closedform_all, which counts in
+gadgets.lane_dtype(q) (int32 for q <= 2^30, as the exhaustive
+equivalence scan does in lane_dtype(q, s)), or a WireGadget with
+counts_bruteforce_all, which stays int64: its cost is the np.add.at
+scatter, which int32 masks did not speed up.  Blocks hold the smaller
+block_rows of the routes run.  A check route counts each block a second
+way; on disagreement reduce gets its counts.  Only reduce's result
+outlives a block, so one block's counts are alive at a time.  Sampled
+equivalence draws int64 pairs.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +76,8 @@ DEFAULT_SEED = 0
 BLOCK_BYTES = 2**17 - 256
 # (pairs before the tile, secrets, masks) for equivalence_check.
 PairTile = Tuple[int, np.ndarray, np.ndarray]
+# (arg, count) for scan, run as count(arg, xs).
+Route = Tuple[Any, Callable[[Any, np.ndarray], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -165,22 +173,39 @@ def block_rows(q: int, dtype: np.dtype) -> int:
     return max(1, tile_len(dtype) // q)
 
 
-def secret_blocks(
-    secrets: Iterable[int], route: Union[BarrettParams, WireGadget]
-) -> Iterator[np.ndarray]:
-    """The secrets in order, as int64 arrays of block_rows each.
+def scan(
+    secrets: Iterable[int],
+    route: Route,
+    reduce: Callable[[np.ndarray, np.ndarray], Any],
+    check: Optional[Route] = None,
+) -> Iterator[Tuple[Any, bool]]:
+    """(reduce(xs, counts), agree) for each block xs of the secrets, in order.
 
-    route is what the caller hands its counting route: BarrettParams for
-    the closed form, whose blocks are sized in lane_dtype(q), or a
-    WireGadget for mask enumeration, whose blocks are sized in int64.
-    Only the last block may be shorter.
+    xs is an int64 array of the smaller block_rows of the routes run, in
+    each route's lane: lane_dtype(q) for BarrettParams, int64 for a
+    WireGadget; only the last block may be shorter.  check, if given,
+    counts each block a second way, agree says whether the two arrays
+    are equal, and on disagreement reduce gets check's counts.
     """
-    q = route.q.q
-    lane = lane_dtype(q) if isinstance(route, BarrettParams) else INT64
+    rows = min(
+        block_rows(arg.q.q, lane_dtype(arg.q.q) if isinstance(arg, BarrettParams) else INT64)
+        for arg, _ in filter(None, (route, check))
+    )
     it = iter(secrets)
-    rows = block_rows(q, lane)
     while block := list(islice(it, rows)):
-        yield np.array(block, dtype=np.int64)
+        yield _scan_block(np.array(block, dtype=np.int64), route, reduce, check)
+
+
+def _scan_block(
+    xs: np.ndarray, route: Route, reduce: Callable, check: Optional[Route]
+) -> Tuple[Any, bool]:
+    """One block of scan; its count arrays die on return, before the next block."""
+    counts = route[1](route[0], xs)
+    if check is None:
+        return reduce(xs, counts), True
+    checked = check[1](check[0], xs)
+    agree = np.array_equal(checked, counts)
+    return reduce(xs, counts if agree else checked), agree
 
 
 def _column(xs: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -197,22 +222,22 @@ def _canonical(x: IntOrArray, q: int) -> np.ndarray:
     return xs.astype(np.int64)
 
 
-def tally_masks(
-    q: int, x: IntOrArray, wire: Callable[[np.ndarray, np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """Per-value counts of wire(x, m) over every mask m in Z_q, shape(x) + (q,).
+def counts_bruteforce_all(g: WireGadget, x: IntOrArray) -> np.ndarray:
+    """Per-value preimage counts for secret(s) x over every mask, shape(x) + (q,).
 
-    wire gets x as a _column against one tile of int64 masks and returns
-    a new (B, n) array, to which row i's offset i*q is added in place; one
-    bincount then tallies every row.  A value outside [0, q) raises
-    ValueError instead of landing in a neighbouring secret's row.
+    g.eval_vec gets x as a _column against one tile of int64 masks and
+    returns a new (B, n) array, to which row i's offset i*q is added in
+    place; one bincount then tallies every row.  A value outside [0, q)
+    raises ValueError instead of landing in a neighbouring secret's row.
     """
-    col = _column(np.asarray(x), INT64)
+    q = g.q.q
+    xs = _canonical(x, q)
+    col = _column(xs, INT64)
     offsets = np.arange(0, col.size * q, q).reshape(-1, 1)
     step = tile_len(INT64)
     counts = None
     for lo in range(0, q, step):
-        values = wire(col, np.arange(lo, min(lo + step, q), dtype=np.int64))
+        values = g.eval_vec(col, np.arange(lo, min(lo + step, q), dtype=np.int64))
         # Read unsigned, a negative value is huge, so one max bounds both ends.
         if values.view(f"u{values.itemsize}").max(initial=0) >= q:
             raise ValueError(f"wire value outside [0, {q}) for modulus {q}")
@@ -223,12 +248,7 @@ def tally_masks(
             counts = np.bincount(flat, minlength=col.size * q)
         else:
             np.add.at(counts, flat, 1)
-    return counts.reshape(np.shape(x) + (q,))
-
-
-def counts_bruteforce_all(g: WireGadget, x: IntOrArray) -> np.ndarray:
-    """Per-value preimage counts for secret(s) x, by one pass over all masks."""
-    return tally_masks(g.q.q, _canonical(x, g.q.q), g.eval_vec)
+    return counts.reshape(xs.shape + (q,))
 
 
 def count_closedform(p: BarrettParams, x: ZqElem, v: ZqElem) -> int:
@@ -319,6 +339,17 @@ def default_secrets(
     return sample_secrets(q, DEFAULT_SAMPLE_SECRETS, seed)
 
 
+def _trichotomy_block(xs: np.ndarray, counts: np.ndarray) -> Tuple[int, int, Optional[tuple]]:
+    """(secrets seen, their peak, counterexample or None), stopping at the first offender."""
+    peaks = counts.max(axis=1)
+    over = np.flatnonzero(peaks > 2)
+    if not len(over):
+        return len(xs), int(peaks.max()), None
+    i = int(over[0])
+    v = int(np.argmax(counts[i] > 2))
+    return i + 1, int(peaks[: i + 1].max()), (int(xs[i]), v, int(counts[i, v]))
+
+
 def trichotomy_check(
     p: BarrettParams,
     secrets: Optional[Iterable[int]] = None,
@@ -328,28 +359,22 @@ def trichotomy_check(
 
     secrets = None sweeps every secret.  oracle = True counts by mask
     enumeration instead of the closed form.  A failure is data, not an
-    error: the first offending (secret, value, count) is reported.
+    error: the first offending (secret, value, count) is reported, and
+    no block after it is counted.
     """
     q = p.q.q
-    route = make_barrett_gadget(p) if oracle else p
-    checked = 0
-    max_seen = 0
+    if oracle:
+        route = (make_barrett_gadget(p), counts_bruteforce_all)
+    else:
+        route = (p, counts_closedform_all)
+    checked = max_seen = 0
     counterexample = None
-    for xs in secret_blocks(range(q) if secrets is None else secrets, route):
-        if oracle:
-            counts = counts_bruteforce_all(route, xs)
-        else:
-            counts = counts_closedform_all(p, xs)
-        peaks = counts.max(axis=1)
-        over = np.flatnonzero(peaks > 2)
-        # Stop at the block's first offending secret, counting none after it.
-        seen = int(over[0]) + 1 if len(over) else len(xs)
+    for (seen, peak, counterexample), _ in scan(
+        range(q) if secrets is None else secrets, route, _trichotomy_block
+    ):
         checked += seen
-        max_seen = max(max_seen, int(peaks[:seen].max()))
-        if len(over):
-            i = seen - 1
-            v = int(np.argmax(counts[i] > 2))
-            counterexample = (int(xs[i]), v, int(counts[i, v]))
+        max_seen = max(max_seen, peak)
+        if counterexample:
             break
     return TrichotomyReport(
         passed=counterexample is None,

@@ -261,6 +261,31 @@ def test_compose_fresh_and_shared(capsys):
     assert row["product_bound_holds"] is False
 
 
+def test_compose_shared_barrett_pair_exceeds_the_product_bound(capsys):
+    # r = 2: one mask through both stages sends secret 0 to value 0 for
+    # five of the six masks.  Shared results are data, so the run exits 0.
+    code, doc, _ = run_json(
+        capsys, "compose", "--q", "6", "--s", "1", "--stages", "barrett,barrett",
+        "--mode", "shared",
+    )
+    assert code == 0
+    assert doc["rows"] == [
+        {
+            "mode": "shared",
+            "q": 6,
+            "stages": "barrett+barrett",
+            "wire1_max_mult": 2,
+            "wire2_max_mult": 5,
+            "pipeline_max_mult": 5,
+            "bound_fresh": 2,
+            "bound_product": 4,
+            "fresh_bound_holds": False,
+            "product_bound_holds": False,
+            "secrets_checked": 6,
+        }
+    ]
+
+
 def test_compose_usage_errors(capsys):
     code, _, err = run(
         capsys, "compose", "--q", "7", "--stages", "identity,barrett", "--mode", "fresh"

@@ -33,14 +33,14 @@ from maskwire.gadgets import (
     make_identity_gadget,
 )
 from maskwire.modring import Modulus, ZqElem
-from maskwire.pipeline import PipelineSpec, _composed_counts_shared, compose
+from maskwire.pipeline import PipelineSpec, _shared_wire, compose
 from maskwire.preimage import (
     BLOCK_BYTES,
     block_rows,
     counts_bruteforce_all,
     counts_closedform_all,
     equivalence_check,
-    secret_blocks,
+    scan,
     tile_len,
     trichotomy_check,
 )
@@ -171,7 +171,7 @@ def test_tiled_shared_composition_matches_scalar_loop(case, first, second):
         me = ZqElem(m, p.q)
         want[spec.stage2.eval(spec.stage1.eval(xe, me), me).val] += 1
     with tiles_of(tile):
-        got = _composed_counts_shared(spec, x)
+        got = counts_bruteforce_all(_shared_wire(spec), x)
     assert got.tolist() == want
 
 
@@ -221,13 +221,14 @@ def test_blocked_counts_match_scalar_enumeration(case, rows):
     secrets = a_few_blocks(q, x, rows)
     want = [ref_counts(q, s, x) for x in secrets]
     routes = (
-        (lane_dtype(q), p, lambda xs: counts_closedform_all(p, xs)),
-        (INT64, g, lambda xs: counts_bruteforce_all(g, xs)),
+        (lane_dtype(q), (p, counts_closedform_all)),
+        (INT64, (g, counts_bruteforce_all)),
     )
-    for dtype, route, count in routes:
+    for dtype, route in routes:
         with tiles_of(tile), blocks_of(rows, q, dtype):
-            blocks = list(secret_blocks(secrets, route))
-            got = [count(xs) for xs in blocks]
+            scanned = [pair for pair, _ in scan(secrets, route, lambda xs, counts: (xs, counts))]
+        blocks = [xs for xs, _ in scanned]
+        got = [counts for _, counts in scanned]
         assert [len(xs) for xs in blocks[:-1]] == [rows] * (len(blocks) - 1)
         assert 1 <= len(blocks[-1]) <= rows
         assert [c.shape for c in got] == [(len(xs), q) for xs in blocks]
@@ -257,7 +258,7 @@ def test_blocked_shared_composition_matches_scalar_loop(case, rows, first, secon
         wire1.append(h1)
         wire2.append(h2)
     with tiles_of(tile), blocks_of(rows, q, INT64):
-        got = _composed_counts_shared(spec, np.array(secrets))
+        got = counts_bruteforce_all(_shared_wire(spec), np.array(secrets))
         rep = compose(spec, secrets=secrets)
     assert got.tolist() == wire2
     assert rep.secrets_checked == len(secrets)
@@ -414,7 +415,9 @@ def test_secret_blocks_are_sized_in_the_lane_of_the_route(q, route, rows):
     # The closed form counts in lane_dtype(q), int32 here; enumeration in int64.
     p = BarrettParams.create(q, 2 * ceil_log2(q))
     handed = p if route == "closed" else make_barrett_gadget(p)
-    lengths = [len(xs) for xs in secret_blocks(range(q), handed)]
+    # A stub count: only the type of the route's argument sizes the blocks.
+    stub = (handed, lambda _, xs: xs)
+    lengths = [n for n, _ in scan(range(q), stub, lambda xs, counts: len(xs))]
     assert lengths[:-1] == [rows] * (len(lengths) - 1)
     assert 1 <= lengths[-1] <= rows and sum(lengths) == q
 
@@ -432,3 +435,93 @@ def test_lone_secret_scan_memory_stays_within_a_few_tiles(q):
     assert np.array_equal(closed, oracle)
     assert closed_peak - closed.nbytes < 3 * threshold
     assert oracle_peak - oracle.nbytes < 6 * threshold
+
+
+# --- the scan driver --------------------------------------------------
+
+
+@pytest.mark.parametrize("oracle,itemsize", [(False, 1), (True, 8)])
+def test_trichotomy_holds_one_block_of_counts_at_a_time(oracle, itemsize):
+    # Three lone secrets are three one-row blocks.  Keeping a block's
+    # counts alive while the next is counted read 2.25 and 2.08 result rows.
+    q = 2**20 - 3
+    p = BarrettParams.create(q, 40)
+    rep, peak = traced_peak(trichotomy_check, p, [1, q // 3, q - 2], oracle)
+    assert rep.passed and rep.secrets_checked == 3
+    assert peak < 1.5 * itemsize * q
+
+
+def off_by_one_on(secrets, count):
+    """count, with value 0 of every secret in `secrets` hit once more."""
+
+    def counted(arg, xs):
+        counts = count(arg, xs).astype(np.int64)
+        counts[np.isin(xs, secrets), 0] += 1
+        return counts
+
+    return counted
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+@pytest.mark.parametrize("enumerate_first", [False, True])
+def test_scan_cross_check_flags_only_the_disagreeing_block(rows, enumerate_first):
+    q, s = 61, 6
+    p = BarrettParams.create(q, s)
+    closed = (p, counts_closedform_all)
+    enumerated = (make_barrett_gadget(p), counts_bruteforce_all)
+    route, (arg, count) = (enumerated, closed) if enumerate_first else (closed, enumerated)
+    middle = range(rows, 2 * rows)
+    check = (arg, off_by_one_on(middle, count))
+    with blocks_of(rows, q, INT64):
+        # int64 rows are half as many as int32 rows: the smaller one wins.
+        assert min(block_rows(q, INT32), block_rows(q, INT64)) == rows
+        out = list(scan(range(3 * rows), route, lambda xs, c: (xs.tolist(), c.tolist()), check))
+    assert [len(xs) for (xs, _), _ in out] == [rows] * 3
+    assert [agree for _, agree in out] == [True, False, True]
+    for (xs, counts), agree in out:
+        want = [ref_counts(q, s, x) for x in xs]
+        if not agree:
+            want = [[c[0] + 1, *c[1:]] for c in want]
+        assert counts == want
+
+
+def test_trichotomy_counts_no_block_after_the_counterexample():
+    q = 61
+    p = BarrettParams.create(q, 6)
+    calls = []
+
+    def three_hit_at_secret_5(_p, xs):
+        calls.append(xs.tolist())
+        counts = np.ones((len(xs), q), dtype=np.int8)
+        counts[xs == 5, :3] = (0, 3, 0)
+        return counts
+
+    with blocks_of(2, q, lane_dtype(q)), mock.patch.object(
+        preimage, "counts_closedform_all", three_hit_at_secret_5
+    ):
+        rep = trichotomy_check(p)
+    assert calls == [[0, 1], [2, 3], [4, 5]]
+    assert rep.counterexample == (5, 1, 3) and rep.secrets_checked == 6
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [("identity", "identity"), ("identity", "barrett"), ("barrett", "identity"),
+     ("barrett", "barrett")],
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_shared_wire_eval_vec_matches_its_scalar_eval(first, second, data):
+    q = data.draw(st.integers(1, 300))
+    p = BarrettParams.create(q, data.draw(st.integers(0, 70)))
+
+    def build(name):
+        return make_barrett_gadget(p) if name == "barrett" else make_identity_gadget(p.q)
+
+    spec = PipelineSpec(build(first), build(second), "shared")
+    wire = _shared_wire(spec)
+    xs = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=4))
+    got = wire.eval_vec(np.array(xs).reshape(-1, 1), np.arange(q))
+    want = [[wire.eval(ZqElem(x, p.q), ZqElem(m, p.q)).val for m in range(q)] for x in xs]
+    assert got.tolist() == want
+    assert wire.claimed_max_mult == spec.stage1.claimed_max_mult * spec.stage2.claimed_max_mult
