@@ -154,17 +154,10 @@ def barrett_nat_eval_vec(p: BarrettParams, x: IntOrArray, m: np.ndarray) -> np.n
     p.require_scope()
     q = p.q.q
     if p.s > 62:
-        # x + 2^s would overflow int64; fall back to exact Python ints.
+        # x + 2^s overflows int64: exact Python ints, one pair's s-bit word at a time.
         w = 2**p.s
-        shape = np.broadcast_shapes(np.shape(x), np.shape(m))
-        xs = np.broadcast_to(x, shape).ravel()
-        ms = np.broadcast_to(m, shape).ravel()
-        out = np.fromiter(
-            ((int(a) + w - int(b)) % w % q for a, b in zip(xs, ms)),
-            dtype=np.int64,
-            count=len(ms),
-        )
-        return out.reshape(shape)
+        pair = np.frompyfunc(lambda a, b: (a + w - b) % w % q, 2, 1)
+        return np.asarray(pair(x, m), dtype=np.int64)  # a 0-d result is a bare int
     lane = lane_dtype(q, p.s) if getattr(m, "dtype", None) == INT32 else INT64
     x = np.asarray(x, dtype=lane)
     m = np.asarray(m, dtype=lane)

@@ -33,17 +33,17 @@ took 10.8-10.9 ms as a 0-d array in 2^14-element tiles, 11.7-11.9 ms
 as a (1, 1) column in those tiles, and 9.6-9.9 ms as a column in
 32,704-element tiles (2-vCPU x86-64 host, numpy 2.4).
 
-scan(secrets, route, reduce, check) is the one driver of every
-per-secret scan.  A route is an (arg, count) pair run as count(arg, xs):
-BarrettParams with counts_closedform_all, which counts in
-gadgets.lane_dtype(q) (int32 for q <= 2^30, as the exhaustive
-equivalence scan does in lane_dtype(q, s)), or a WireGadget with
-counts_bruteforce_all, which stays int64: its cost is the np.add.at
-scatter, which int32 masks did not speed up.  Blocks hold the smaller
+Every scan walks its value or mask axis through _tiles in its route's
+_lane, or in lane_dtype(q, s) for the exhaustive equivalence scan.  The
+closed form wraps at no s-bit word, so q alone sets its lane;
+enumeration stays int64: its cost is the np.add.at scatter, which int32
+masks did not speed up.  scan(secrets, route, reduce, check) drives
+every per-secret scan.  A route is an (arg, count) pair run as
+count(arg, xs): BarrettParams with counts_closedform_all, or a
+WireGadget with counts_bruteforce_all.  Blocks hold the smaller
 block_rows of the routes run.  A check route counts each block a second
 way; on disagreement reduce gets its counts.  Only reduce's result
-outlives a block, so one block's counts are alive at a time.  Sampled
-equivalence draws int64 pairs.
+outlives a block, so one block's counts are alive at a time.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ DEFAULT_SAMPLE_SECRETS = 16
 DEFAULT_SEED = 0
 # Bytes per block or tile array, kept under glibc's 128 KiB mmap threshold.
 BLOCK_BYTES = 2**17 - 256
-# (pairs before the tile, secrets, masks) for equivalence_check.
-PairTile = Tuple[int, np.ndarray, np.ndarray]
+# (offset, secrets, values or masks) from _tiles and for equivalence_check.
+Tile = Tuple[int, np.ndarray, np.ndarray]
 # (arg, count) for scan, run as count(arg, xs).
 Route = Tuple[Any, Callable[[Any, np.ndarray], np.ndarray]]
 
@@ -173,6 +173,30 @@ def block_rows(q: int, dtype: np.dtype) -> int:
     return max(1, tile_len(dtype) // q)
 
 
+def _lane(arg: Any) -> np.dtype:
+    """A route's lane: lane_dtype(q) for BarrettParams, int64 for a WireGadget."""
+    return lane_dtype(arg.q.q) if isinstance(arg, BarrettParams) else INT64
+
+
+def _blocks(secrets: Iterable[int], rows: int) -> Iterator[np.ndarray]:
+    """The secrets in order as int64 arrays of `rows`, only the last shorter."""
+    it = iter(secrets)
+    while block := list(islice(it, rows)):
+        yield np.array(block, dtype=np.int64)
+
+
+def _tiles(xs: np.ndarray, q: int, dtype: np.dtype) -> Iterator[Tile]:
+    """(lo, col, row) tiles over [0, q), built one at a time.
+
+    col is xs as a (B, 1) column in dtype; row is lo, lo + 1, ..., the
+    values or masks of one tile of tile_len(dtype), in dtype.
+    """
+    col = xs.astype(dtype).reshape(-1, 1)
+    step = tile_len(dtype)
+    for lo in range(0, q, step):
+        yield lo, col, np.arange(lo, min(lo + step, q), dtype=dtype)
+
+
 def scan(
     secrets: Iterable[int],
     route: Route,
@@ -181,19 +205,14 @@ def scan(
 ) -> Iterator[Tuple[Any, bool]]:
     """(reduce(xs, counts), agree) for each block xs of the secrets, in order.
 
-    xs is an int64 array of the smaller block_rows of the routes run, in
-    each route's lane: lane_dtype(q) for BarrettParams, int64 for a
-    WireGadget; only the last block may be shorter.  check, if given,
-    counts each block a second way, agree says whether the two arrays
-    are equal, and on disagreement reduce gets check's counts.
+    xs is an int64 array of the smaller block_rows of the routes run,
+    each in its _lane; only the last block may be shorter.  check, if
+    given, counts each block a second way, agree says whether the two
+    arrays are equal, and on disagreement reduce gets check's counts.
     """
-    rows = min(
-        block_rows(arg.q.q, lane_dtype(arg.q.q) if isinstance(arg, BarrettParams) else INT64)
-        for arg, _ in filter(None, (route, check))
-    )
-    it = iter(secrets)
-    while block := list(islice(it, rows)):
-        yield _scan_block(np.array(block, dtype=np.int64), route, reduce, check)
+    rows = min(block_rows(arg.q.q, _lane(arg)) for arg, _ in filter(None, (route, check)))
+    for xs in _blocks(secrets, rows):
+        yield _scan_block(xs, route, reduce, check)
 
 
 def _scan_block(
@@ -208,11 +227,6 @@ def _scan_block(
     return reduce(xs, counts if agree else checked), agree
 
 
-def _column(xs: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """Secrets, one or many, as a (B, 1) column in dtype, broadcast against one row."""
-    return xs.astype(dtype).reshape(-1, 1)
-
-
 def _canonical(x: IntOrArray, q: int) -> np.ndarray:
     """x as an int64 array, or ValueError naming its first secret outside [0, q)."""
     xs = np.asarray(x)
@@ -225,27 +239,25 @@ def _canonical(x: IntOrArray, q: int) -> np.ndarray:
 def counts_bruteforce_all(g: WireGadget, x: IntOrArray) -> np.ndarray:
     """Per-value preimage counts for secret(s) x over every mask, shape(x) + (q,).
 
-    g.eval_vec gets x as a _column against one tile of int64 masks and
+    g.eval_vec gets one (col, masks) tile of _tiles at a time and
     returns a new (B, n) array, to which row i's offset i*q is added in
     place; one bincount then tallies every row.  A value outside [0, q)
     raises ValueError instead of landing in a neighbouring secret's row.
     """
     q = g.q.q
     xs = _canonical(x, q)
-    col = _column(xs, INT64)
-    offsets = np.arange(0, col.size * q, q).reshape(-1, 1)
-    step = tile_len(INT64)
+    offsets = np.arange(0, xs.size * q, q).reshape(-1, 1)
     counts = None
-    for lo in range(0, q, step):
-        values = g.eval_vec(col, np.arange(lo, min(lo + step, q), dtype=np.int64))
+    for _, col, masks in _tiles(xs, q, _lane(g)):
+        values = g.eval_vec(col, masks)
         # Read unsigned, a negative value is huge, so one max bounds both ends.
         if values.view(f"u{values.itemsize}").max(initial=0) >= q:
             raise ValueError(f"wire value outside [0, {q}) for modulus {q}")
-        if col.size > 1:
+        if xs.size > 1:
             values += offsets
         flat = values.ravel()
         if counts is None:
-            counts = np.bincount(flat, minlength=col.size * q)
+            counts = np.bincount(flat, minlength=xs.size * q)
         else:
             np.add.at(counts, flat, 1)
     return counts.reshape(xs.shape + (q,))
@@ -266,17 +278,15 @@ def count_closedform(p: BarrettParams, x: ZqElem, v: ZqElem) -> int:
     return (1 if a <= x.val else 0) + (1 if b > x.val else 0)
 
 
-def _closedform_tile(
-    x: IntOrArray, q: int, r: int, lo: int, hi: int, dtype: np.dtype, out: np.ndarray
-) -> None:
-    """Write the closed-form counts of values v in [lo, hi) into out, as int8.
+def _closedform_tile(x: IntOrArray, v: np.ndarray, q: int, r: int, out: np.ndarray) -> None:
+    """Write the closed-form counts of secrets x at values v into out, as int8.
 
-    x is a (B, 1) column of secrets and out is (B, hi - lo) to match.
-    a = (x - v) mod q and b = (a + r) mod q are computed in dtype; with
-    x, v, r in [0, q) each needs at most one correction, and every
-    intermediate lies in (-q, 2q).
+    x and v broadcast to out: a (B, 1) column against a row in a scan, or
+    equal-length 1-D (secret, value) pairs.  a = (x - v) mod q and
+    b = (a + r) mod q are computed in v's dtype; with x, v, r in [0, q)
+    each needs at most one correction, every intermediate in (-q, 2q).
     """
-    a = x - np.arange(lo, hi, dtype=dtype)
+    a = np.subtract(x, v, dtype=v.dtype)
     np.add(a, q, out=a, where=a < 0)
     direct = a <= x
     b = np.add(a, r, out=a)
@@ -288,19 +298,13 @@ def counts_closedform_all(p: BarrettParams, x: IntOrArray) -> np.ndarray:
     """Closed-form preimage counts for canonical secret(s) x, int8 of shape(x) + (q,).
 
     Each count sums two candidate tests, so it never exceeds 2.  With
-    r = 0 the tests read a <= x and a > x, so every count is 1.  The
-    tiles wrap at no s-bit word, so their lane depends on q alone.
+    r = 0 the tests read a <= x and a > x, so every count is 1.
     """
     q = p.q.q
-    r = p.r.val
     xs = _canonical(x, q)
-    lane = lane_dtype(q)
-    col = _column(xs, lane)
-    step = tile_len(lane)
-    counts = np.empty((col.size, q), dtype=np.int8)
-    for lo in range(0, q, step):
-        hi = min(lo + step, q)
-        _closedform_tile(col, q, r, lo, hi, lane, counts[:, lo:hi])
+    counts = np.empty((xs.size, q), dtype=np.int8)
+    for lo, col, values in _tiles(xs, q, _lane(p)):
+        _closedform_tile(col, values, q, p.r.val, counts[:, lo : lo + len(values)])
     return counts.reshape(xs.shape + (q,))
 
 
@@ -437,29 +441,18 @@ def tightness_witness_search(p: BarrettParams) -> WitnessReport:
     )
 
 
-def _exhaustive_pair_tiles(q: int, dtype: np.dtype) -> Iterator[PairTile]:
+def _exhaustive_pair_tiles(q: int, dtype: np.dtype) -> Iterator[Tile]:
     """(pairs before, secrets, masks) tiles over all q^2 pairs, secret-major.
 
-    Each tile is a _column of B consecutive secrets against one row of
-    masks, both built in dtype, which picks both evaluators' lane;
-    every block reuses the first tile's arange.  Blocks hold whole rows
-    (B > 1 only when a row fits in half a tile), so a tile's flat order
-    is secret-major pair order.
+    They are the _tiles, in dtype, of blocks of whole rows (B > 1 only
+    when a row fits in half a tile), so a tile's flat order is pair order.
     """
-    rows = block_rows(q, dtype)
-    step = tile_len(dtype)
-    first = np.arange(min(q, step), dtype=dtype)
-    for x in range(0, q, rows):
-        xs = _column(np.arange(x, min(x + rows, q)), dtype)
-        for lo in range(0, q, step):
-            if lo == 0:
-                masks = first
-            else:
-                masks = np.arange(lo, min(lo + step, q), dtype=dtype)
-            yield x * q + lo, xs, masks
+    for xs in _blocks(range(q), block_rows(q, dtype)):
+        for lo, col, masks in _tiles(xs, q, dtype):
+            yield int(xs[0]) * q + lo, col, masks
 
 
-def _sampled_pair_tiles(q: int, sample: int, seed: int) -> Iterator[PairTile]:
+def _sampled_pair_tiles(q: int, sample: int, seed: int) -> Iterator[Tile]:
     """(pairs before, secrets, masks) tiles of `sample` seeded random pairs.
 
     Each (2, n) int64 draw fits BLOCK_BYTES, as every scan array does.

@@ -1,10 +1,11 @@
 """Property tests: the in-place int64 kernels against independent forms.
 
 q ranges over [1, 2^16] and s from ceil_log2(q) to 80, with s = 61..64
-always tried, so both sides of the s > 62 Python-int fallback of the
-hardware-faithful evaluator are covered.  The evaluators are checked on
-arbitrary int64 inputs, negative and non-canonical ones included; the
-closed-form counter only promises exact counts for a canonical secret.
+and 200 always tried, so both sides of the s > 62 Python-int fallback of
+the hardware-faithful evaluator are covered, on a 0-d mask too.  The
+evaluators are checked on arbitrary int64 inputs, negative and
+non-canonical ones included; the closed-form counter only promises exact
+counts for a canonical secret.
 Scans pass a (B, 1) column of secrets against a row of masks, and each
 evaluator must then give the scalar-secret rows stacked, in both lanes.
 """
@@ -27,7 +28,7 @@ from maskwire.preimage import counts_closedform_all
 
 from reference import ceil_log2, ref_counts, ref_wire_hw
 
-WIDE_S = (61, 62, 63, 64)
+WIDE_S = (61, 62, 63, 64, 200)
 INT64 = st.integers(-(2**63), 2**63 - 1)
 
 
@@ -57,6 +58,9 @@ def remainder_form(q, r, x, m):
 @example((3329, 62), (2**63 - 1, np.array([-(2**63), -1, 7], dtype=np.int64)))
 @example((12289, 63), (0, np.array([12288, 1], dtype=np.int64)))
 @example((65536, 64), (np.array([-(2**63)], dtype=np.int64), np.array([2**63 - 1])))
+@example((61, 63), (7, np.array([60], dtype=np.int64)))
+@example((61, 64), (np.array([-(2**63)], dtype=np.int64), np.array([2**63 - 1])))
+@example((3329, 200), (-1, np.array([2**63 - 1, -(2**63), 0, 5], dtype=np.int64)))
 def test_evaluators_match_independent_forms(qs, xm):
     q, s = qs
     x, m = xm
@@ -77,6 +81,10 @@ def test_evaluators_match_independent_forms(qs, xm):
     xs = np.broadcast_to(x, shape)
     want_hw = [ref_wire_hw(q, s, int(a), int(b)) for a, b in zip(xs, m)]
     assert hw.tolist() == want_hw
+    if len(m):
+        # A 0-d mask, where the s > 62 fallback's arithmetic gives a bare int.
+        point = barrett_nat_eval_vec(p, xs[0], m[0, ...])
+        assert point.shape == () and point.dtype == np.int64 and point == want_hw[0]
 
 
 @st.composite

@@ -104,6 +104,7 @@ def test_closed_form_tiles_in_both_lanes_match_the_scalar_form(case):
     # Windows of values around the places where a test flips: v = x
     # (a crosses 0), v = x + r mod q (b crosses 0), v = r (b crosses x),
     # and the ends of the value range.
+    pairs = []
     for centre in (0, x, (x + r) % q, r, q - 1):
         lo = max(0, centre - WINDOW // 2)
         hi = min(q, lo + WINDOW)
@@ -112,5 +113,15 @@ def test_closed_form_tiles_in_both_lanes_match_the_scalar_form(case):
         ]
         for dtype in (lane_dtype(q), np.int64):
             out = np.empty(hi - lo, dtype=np.int8)
-            _closedform_tile(x, q, r, lo, hi, dtype, out)
+            _closedform_tile(x, np.arange(lo, hi, dtype=dtype), q, r, out)
             assert out.tolist() == want
+        # The same window as (secret, value) pairs, the secret moved to
+        # each flip point's other side, as a walk across secrets asks.
+        for xp in {x, max(0, x - 1), min(q - 1, x + 1), centre}:
+            pairs += [(xp, v) for v in range(lo, hi)]
+    want = [count_closedform(p, ZqElem(a, p.q), ZqElem(b, p.q)) for a, b in pairs]
+    for dtype in (lane_dtype(q), np.int64):
+        xs, vs = np.array(pairs, dtype=dtype).T
+        out = np.empty(len(pairs), dtype=np.int8)
+        _closedform_tile(xs, vs, q, r, out)
+        assert out.tolist() == want

@@ -406,6 +406,36 @@ def test_tile_len_is_the_block_budget_in_elements():
     assert tile_len(INT64) == 16352
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 9), st.integers(1, 300), st.integers(1, 9), st.sampled_from([INT32, INT64])
+)
+def test_tiles_walk_the_axis_in_order_one_tile_at_a_time(tile, q, rows, dtype):
+    xs = np.arange(rows, dtype=np.int64) % q
+    with tiles_of(tile):
+        step = tile_len(dtype)
+        walked = list(preimage._tiles(xs, q, dtype))
+    assert [lo for lo, _, _ in walked] == list(range(0, q, step))
+    for lo, col, row in walked:
+        assert col.shape == (rows, 1) and col.dtype == dtype
+        assert col.ravel().tolist() == xs.tolist()
+        assert row.dtype == dtype and 1 <= len(row) <= step and row[0] == lo
+    assert np.concatenate([row for _, _, row in walked]).tolist() == list(range(q))
+
+
+def test_tile_walk_holds_no_list_of_tiles():
+    # Walking q = 2^20 - 3 in int64 passes 65 tiles; held as a list they
+    # would take 8 MB.
+    q = 2**20 - 3
+
+    def walk():
+        return sum(len(row) for _, _, row in preimage._tiles(np.array([7]), q, INT64))
+
+    walked, peak = traced_peak(walk)
+    assert walked == q
+    assert peak < 3 * BLOCK_BYTES
+
+
 @pytest.mark.parametrize(
     "q,route,rows",
     [(3329, "closed", 9), (4591, "closed", 7), (7681, "closed", 4), (12289, "closed", 2),
