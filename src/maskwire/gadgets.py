@@ -18,22 +18,23 @@ for few, cheap passes, and each computes exactly its scalar form:
   values, negative and non-canonical ones included, with wrapping int64
   arithmetic; the hardware-faithful one takes this path for s <= 62 and
   exact Python ints above;
-* the two Barrett evaluators run in int32 lanes when the mask array is
-  int32 and lane_dtype(q, s) allows it, and then treat both operands as
-  canonical residues 0 <= x, m < q and return int32; an int32 mask array
-  at any other (q, s) is widened to int64 first;
+* on an int32 mask array each evaluator runs in lane_dtype(q, s), with
+  s = 0 for the two maps that wrap at no s-bit word, and when that is
+  int32 treats both operands as canonical residues 0 <= x, m < q and
+  returns int32; other int32 mask arrays are widened to int64 first;
 * counts_closedform_all (in preimage) needs a canonical secret
   0 <= x < q, because it corrects x - v and a + r only once.
 
-Each evaluator builds one output array in its lane and updates it in
-place.  The floor-mod v % q is written v -= (v // q) * q, exact for
-every int64 since the true result lies in [0, q) and wrapping cancels;
-% 2^s is written & (2^s - 1).  With numpy 2.4 on a 2-vCPU x86-64 host,
-int64 % q costs 4.1 ns per element, // q 1.1 ns and & 0.8 ns, and both
-Barrett evaluators plus their compare at q = 12289, s = 28 cost 8.4 ns
-per pair in int64 lanes and 4.9 ns in int32 lanes.  The two Barrett
-evaluators share no arithmetic, because the equivalence scan checks one
-against the other; they only read the one lane rule.
+Each evaluator updates x - m in place, an array of the broadcast shape
+in its lane, so no step falls into numpy scalar arithmetic on 0-d input.
+v % q is written v -= (v // q) * q, exact for every int64 since the true
+result lies in [0, q) and wrapping cancels; % 2^s is written & (2^s - 1).
+With numpy 2.4 on a 2-vCPU x86-64 host, int64 % q costs 4.1 ns per
+element, // q 1.1 ns and & 0.8 ns, and both Barrett evaluators plus their
+compare at q = 12289, s = 28 cost 8.4 ns per pair in int64 lanes and
+4.9 ns in int32 lanes.  The equivalence scan checks the two Barrett
+evaluators against each other, so they share only _in_lane and
+_floor_mod, never the branch offset r or the s-bit wrap.
 
 Every evaluator broadcasts x against m: a scan passes a (B, 1) column
 of B consecutive secrets against one row of masks and gets a (B, n)
@@ -137,20 +138,30 @@ def identity_mask_eval(q: Modulus, x: ZqElem, m: ZqElem) -> ZqElem:
     return x - m
 
 
-def barrett_algebraic_eval_vec(p: BarrettParams, x: IntOrArray, m: np.ndarray) -> np.ndarray:
-    """Vectorized two-branch wire map on raw residues, in the masks' lane."""
-    q = p.q.q
-    lane = lane_dtype(q, p.s) if getattr(m, "dtype", None) == INT32 else INT64
+def _in_lane(q: int, s: int, x: IntOrArray, m: np.ndarray) -> tuple:
+    """(x, m, x - m) as arrays in lane_dtype(q, s) for int32 masks, else in int64."""
+    lane = lane_dtype(q, s) if getattr(m, "dtype", None) == INT32 else INT64
     x = np.asarray(x, dtype=lane)
     m = np.asarray(m, dtype=lane)
-    out = x - m
-    np.add(out, p.r.val, out=out, where=m > x)
-    out -= (out // q) * q
+    return x, m, np.subtract(x, m, out=np.empty(np.broadcast(x, m).shape, lane))
+
+
+def _floor_mod(out: np.ndarray, q: int) -> np.ndarray:
+    """out -= (out // q) * q in place, with no step in numpy scalar arithmetic."""
+    t = np.floor_divide(out, q, out=np.empty_like(out))
+    out -= np.multiply(t, q, out=t)
     return out
 
 
+def barrett_algebraic_eval_vec(p: BarrettParams, x: IntOrArray, m: np.ndarray) -> np.ndarray:
+    """Vectorized two-branch wire map on raw residues, in the masks' lane_dtype(q)."""
+    x, m, out = _in_lane(p.q.q, 0, x, m)
+    np.add(out, p.r.val, out=out, where=m > x)
+    return _floor_mod(out, p.q.q)
+
+
 def barrett_nat_eval_vec(p: BarrettParams, x: IntOrArray, m: np.ndarray) -> np.ndarray:
-    """Vectorized hardware-faithful wire map on raw residues, in the masks' lane."""
+    """Vectorized hardware-faithful wire map on raw residues, in the masks' lane_dtype(q, s)."""
     p.require_scope()
     q = p.q.q
     if p.s > 62:
@@ -158,23 +169,15 @@ def barrett_nat_eval_vec(p: BarrettParams, x: IntOrArray, m: np.ndarray) -> np.n
         w = 2**p.s
         pair = np.frompyfunc(lambda a, b: (a + w - b) % w % q, 2, 1)
         return np.asarray(pair(x, m), dtype=np.int64)  # a 0-d result is a bare int
-    lane = lane_dtype(q, p.s) if getattr(m, "dtype", None) == INT32 else INT64
-    x = np.asarray(x, dtype=lane)
-    m = np.asarray(m, dtype=lane)
     # The + 2^s of the scalar form sets only bits above the s-bit mask.
-    out = x - m
+    _, _, out = _in_lane(q, p.s, x, m)
     out &= (1 << p.s) - 1
-    out -= (out // q) * q
-    return out
+    return _floor_mod(out, q)
 
 
 def identity_mask_eval_vec(q: Modulus, x: IntOrArray, m: np.ndarray) -> np.ndarray:
-    """Vectorized translation wire map on raw int64 residues."""
-    x = np.asarray(x, dtype=np.int64)
-    m = np.asarray(m, dtype=np.int64)
-    out = x - m
-    out -= (out // q.q) * q.q
-    return out
+    """Vectorized translation wire map on raw residues, in the masks' lane_dtype(q)."""
+    return _floor_mod(_in_lane(q.q, 0, x, m)[2], q.q)
 
 
 @dataclass(frozen=True)
@@ -183,8 +186,10 @@ class WireGadget:
     preimage multiplicity k.
 
     eval is total on Z_q x Z_q and pure.  eval_vec, required, is the same
-    map on raw int64 residues for bulk enumeration, which every mask scan
-    uses; tests pin it to eval pointwise.  It must broadcast: a scan
+    map for bulk enumeration, which every mask scan uses; tests pin it to
+    eval pointwise.  A scan hands it canonical secrets and masks in its
+    route's lane (preimage._lane: int32 wherever q <= 2^30) and reads
+    back any integer array of wire values.  It must broadcast: a scan
     passes a (B, 1) column of secrets, B = 1 for a lone secret, against
     a 1-D row of masks and reads row i of the (B, n) result as secret
     i's wire values, so a column call must equal the scalar-secret

@@ -21,28 +21,27 @@ Every scan keeps each array it builds within BLOCK_BYTES, under glibc's
 in blocks of B = block_rows(q, dtype), the most whole rows of q that
 fit, and a block is one (B, q) array: a (B, 1) secret column against a
 row of values or masks.  That is 9 / 7 / 4 / 2 secrets in int32 at
-q = 3329 / 4591 / 7681 / 12289, and 4 in int64 at 3329, so small rings
-pay numpy's per-call cost once per block: at q = 3329 the closed-form
-trichotomy scan went from 65-88 ms to 31-48 ms and the exhaustive
-equivalence scan from 0.105 s to 0.046 s.  A row that does not fit is
-a block of one, a lone secret included, cut into tiles of
-tile_len(dtype) = BLOCK_BYTES // itemsize elements (32,704 in int32,
-16,352 in int64) whose temporaries stay in L2 cache.  The full budget
-pays for having one path: at q = 8,380,417 one secret's closed form
-took 10.8-10.9 ms as a 0-d array in 2^14-element tiles, 11.7-11.9 ms
-as a (1, 1) column in those tiles, and 9.6-9.9 ms as a column in
-32,704-element tiles (2-vCPU x86-64 host, numpy 2.4).
+q = 3329 / 4591 / 7681 / 12289, so small rings pay numpy's per-call cost
+once per block: at q = 3329 the closed-form trichotomy scan went from
+65-88 ms to 31-48 ms and the exhaustive equivalence scan from 0.105 s to
+0.046 s.  A row that does not fit is a block of one, a lone secret
+included, cut into tiles of tile_len(dtype) = BLOCK_BYTES // itemsize
+elements (32,704 in int32, 16,352 in int64) whose temporaries stay in L2
+cache.  The full budget pays for having one path: at q = 8,380,417 one
+secret's closed form took 10.8-10.9 ms as a 0-d array in 2^14-element
+tiles, 11.7-11.9 ms as a (1, 1) column in those tiles, and 9.6-9.9 ms as
+a column in 32,704-element tiles (2-vCPU x86-64 host, numpy 2.4).
 
 Every scan walks its value or mask axis through _tiles in its route's
 _lane, or in lane_dtype(q, s) for the exhaustive equivalence scan.  The
-closed form wraps at no s-bit word, so q alone sets its lane;
-enumeration stays int64: its cost is the np.add.at scatter, which int32
-masks did not speed up.  scan(secrets, route, reduce, check) drives
-every per-secret scan.  A route is an (arg, count) pair run as
-count(arg, xs): BarrettParams with counts_closedform_all, or a
-WireGadget with counts_bruteforce_all.  Blocks hold the smaller
-block_rows of the routes run.  A check route counts each block a second
-way; on disagreement reduce gets its counts.  Only reduce's result
+closed form and the two-branch and translation wires wrap at no s-bit
+word, so q alone sets a route's lane, int32 wherever q <= 2^30;
+enumeration's int32 counts take 4q bytes a secret.  scan(secrets, route,
+reduce, check) drives every per-secret scan.  A route is an (arg, count)
+pair run as count(arg, xs): BarrettParams with counts_closedform_all, or
+a WireGadget with counts_bruteforce_all, both in one lane for one q.
+A check route counts each block a second way; on disagreement reduce
+gets its counts.  Only reduce's result
 outlives a block, so one block's counts are alive at a time.
 """
 
@@ -174,8 +173,8 @@ def block_rows(q: int, dtype: np.dtype) -> int:
 
 
 def _lane(arg: Any) -> np.dtype:
-    """A route's lane: lane_dtype(q) for BarrettParams, int64 for a WireGadget."""
-    return lane_dtype(arg.q.q) if isinstance(arg, BarrettParams) else INT64
+    """A route's lane, lane_dtype(q), for BarrettParams and WireGadget alike."""
+    return lane_dtype(arg.q.q)
 
 
 def _blocks(secrets: Iterable[int], rows: int) -> Iterator[np.ndarray]:
@@ -205,12 +204,12 @@ def scan(
 ) -> Iterator[Tuple[Any, bool]]:
     """(reduce(xs, counts), agree) for each block xs of the secrets, in order.
 
-    xs is an int64 array of the smaller block_rows of the routes run,
-    each in its _lane; only the last block may be shorter.  check, if
-    given, counts each block a second way, agree says whether the two
-    arrays are equal, and on disagreement reduce gets check's counts.
+    xs is an int64 array of block_rows(q, _lane(route)) secrets; only the
+    last block may be shorter.  check, if given, counts each block a second
+    way over the same q, agree says whether the two arrays are equal, and
+    on disagreement reduce gets check's counts.
     """
-    rows = min(block_rows(arg.q.q, _lane(arg)) for arg, _ in filter(None, (route, check)))
+    rows = block_rows(route[0].q.q, _lane(route[0]))
     for xs in _blocks(secrets, rows):
         yield _scan_block(xs, route, reduce, check)
 
@@ -237,29 +236,25 @@ def _canonical(x: IntOrArray, q: int) -> np.ndarray:
 
 
 def counts_bruteforce_all(g: WireGadget, x: IntOrArray) -> np.ndarray:
-    """Per-value preimage counts for secret(s) x over every mask, shape(x) + (q,).
+    """Per-value preimage counts for secret(s) x over every mask, int32 of shape(x) + (q,).
 
-    g.eval_vec gets one (col, masks) tile of _tiles at a time and
-    returns a new (B, n) array, to which row i's offset i*q is added in
-    place; one bincount then tallies every row.  A value outside [0, q)
-    raises ValueError instead of landing in a neighbouring secret's row.
+    g.eval_vec gets one (col, masks) tile of _tiles at a time and returns
+    a (B, n) array.  Row i's offset i*q is added out of place in
+    lane_dtype(B*q), so no index wraps, and one np.add.at tallies the
+    tile; no count passes q < 2^31.  A value outside [0, q) raises
+    ValueError instead of landing in a neighbouring secret's row.
     """
     q = g.q.q
     xs = _canonical(x, q)
-    offsets = np.arange(0, xs.size * q, q).reshape(-1, 1)
-    counts = None
+    offsets = np.arange(0, xs.size * q, q, dtype=lane_dtype(xs.size * q)).reshape(-1, 1)
+    counts = np.zeros(xs.size * q, dtype=np.int32)
     for _, col, masks in _tiles(xs, q, _lane(g)):
         values = g.eval_vec(col, masks)
         # Read unsigned, a negative value is huge, so one max bounds both ends.
         if values.view(f"u{values.itemsize}").max(initial=0) >= q:
             raise ValueError(f"wire value outside [0, {q}) for modulus {q}")
-        if xs.size > 1:
-            values += offsets
-        flat = values.ravel()
-        if counts is None:
-            counts = np.bincount(flat, minlength=xs.size * q)
-        else:
-            np.add.at(counts, flat, 1)
+        # A typed increment keeps ufunc.at on its fast path; a Python 1 does not.
+        np.add.at(counts, (values + offsets).ravel(), np.int32(1))
     return counts.reshape(xs.shape + (q,))
 
 

@@ -1,11 +1,12 @@
-"""Property tests: the in-place int64 kernels against independent forms.
+"""Property tests: the in-place kernels against independent forms.
 
 q ranges over [1, 2^16] and s from ceil_log2(q) to 80, with s = 61..64
 and 200 always tried, so both sides of the s > 62 Python-int fallback of
-the hardware-faithful evaluator are covered, on a 0-d mask too.  The
+the hardware-faithful evaluator are covered, on 0-d operands too.  The
 evaluators are checked on arbitrary int64 inputs, negative and
-non-canonical ones included; the closed-form counter only promises exact
-counts for a canonical secret.
+non-canonical ones included, and on the same reduced to canonical int32
+residues; the closed-form counter only promises exact counts for a
+canonical secret.
 Scans pass a (B, 1) column of secrets against a row of masks, and each
 evaluator must then give the scalar-secret rows stacked, in both lanes.
 """
@@ -20,6 +21,7 @@ from maskwire.gadgets import (
     barrett_algebraic_eval_vec,
     barrett_nat_eval_vec,
     identity_mask_eval_vec,
+    lane_dtype,
     make_barrett_gadget,
     make_identity_gadget,
 )
@@ -42,8 +44,9 @@ def params(draw):
 
 @st.composite
 def operands(draw):
-    """(x, m): m a 1-D int64 array, x a scalar or an array of m's shape."""
-    m = draw(hnp.arrays(np.int64, st.integers(0, 48), elements=INT64))
+    """(x, m): m a 0-d or 1-D int64 array, x a scalar or an array of m's shape."""
+    shapes = hnp.array_shapes(min_dims=0, max_dims=1, min_side=0, max_side=48)
+    m = draw(hnp.arrays(np.int64, shapes, elements=INT64))
     x = draw(st.one_of(INT64, hnp.arrays(np.int64, m.shape, elements=INT64)))
     return x, m
 
@@ -61,30 +64,41 @@ def remainder_form(q, r, x, m):
 @example((61, 63), (7, np.array([60], dtype=np.int64)))
 @example((61, 64), (np.array([-(2**63)], dtype=np.int64), np.array([2**63 - 1])))
 @example((3329, 200), (-1, np.array([2**63 - 1, -(2**63), 0, 5], dtype=np.int64)))
+@example((65498, 16), (-9223372036854715749, np.array(0)))
+@example((3329, 24), (np.array(-(2**63)), np.array(1)))
+@example((3329, 70), (np.array(5), np.array(7)))
 def test_evaluators_match_independent_forms(qs, xm):
     q, s = qs
-    x, m = xm
     p = BarrettParams.create(q, s)
-    xa = np.asarray(x, dtype=np.int64)
-    shape = np.broadcast(xa, m).shape
+    x, m = xm
+    # The arbitrary int64 operands, then the same reduced to canonical
+    # residues with int32 masks, which every evaluator's int32 lane takes.
+    for x, m in ((x, m), (x % q, np.asarray(m % q, dtype=np.int32))):
+        xa = np.asarray(x, dtype=np.int64)
+        shape = np.broadcast(xa, m).shape
+        # The forms below run on 1-D copies: 0-d int64 arithmetic would
+        # warn on the intended wrap.
+        xs = np.broadcast_to(xa, shape).ravel()
+        ms = np.broadcast_to(m, shape).ravel().astype(np.int64)
 
-    alg = barrett_algebraic_eval_vec(p, x, m)
-    assert alg.dtype == np.int64 and alg.shape == shape
-    np.testing.assert_array_equal(alg, remainder_form(q, p.r.val, xa, m))
+        alg = barrett_algebraic_eval_vec(p, x, m)
+        assert alg.dtype == m.dtype and alg.shape == shape
+        np.testing.assert_array_equal(alg.ravel(), remainder_form(q, p.r.val, xs, ms))
 
-    ident = identity_mask_eval_vec(Modulus(q), x, m)
-    assert ident.dtype == np.int64 and ident.shape == shape
-    np.testing.assert_array_equal(ident, (xa - m) % q)
+        ident = identity_mask_eval_vec(Modulus(q), x, m)
+        assert ident.dtype == m.dtype and ident.shape == shape
+        np.testing.assert_array_equal(ident.ravel(), (xs - ms) % q)
 
-    hw = barrett_nat_eval_vec(p, x, m)
-    assert hw.dtype == np.int64 and hw.shape == shape
-    xs = np.broadcast_to(x, shape)
-    want_hw = [ref_wire_hw(q, s, int(a), int(b)) for a, b in zip(xs, m)]
-    assert hw.tolist() == want_hw
-    if len(m):
-        # A 0-d mask, where the s > 62 fallback's arithmetic gives a bare int.
-        point = barrett_nat_eval_vec(p, xs[0], m[0, ...])
-        assert point.shape == () and point.dtype == np.int64 and point == want_hw[0]
+        hw = barrett_nat_eval_vec(p, x, m)
+        lane = lane_dtype(q, s) if m.dtype == np.int32 else np.int64
+        assert hw.dtype == lane and hw.shape == shape
+        want_hw = [ref_wire_hw(q, s, int(a), int(b)) for a, b in zip(xs, ms)]
+        assert hw.ravel().tolist() == want_hw
+        if m.size:
+            # A numpy-scalar secret against a 0-d mask, where the s > 62
+            # fallback's arithmetic gives a bare int.
+            point = barrett_nat_eval_vec(p, xs[0], m.ravel()[0, ...])
+            assert point.shape == () and point.dtype == lane and point == want_hw[0]
 
 
 @st.composite

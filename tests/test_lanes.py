@@ -1,6 +1,9 @@
-"""The int32 lanes of the Barrett evaluators and the closed form.
+"""The int32 lanes of the wire evaluators and the closed form.
 
-gadgets.lane_dtype(q, s) picks int32 for q <= 2^30 and s <= 31.  These
+gadgets.lane_dtype(q, s) picks int32 for q <= 2^30 and s <= 31.  The
+hardware-faithful evaluator takes lane_dtype(q, s); the two-branch and
+translation evaluators and the closed form wrap at no s-bit word and take
+lane_dtype(q).  These
 tests sit on both sides of that rule: q around 2^30 and at 2^31 - 1,
 s = 30, 31 and 32.  They check the rule against the int32 bounds of each
 form's largest intermediate, and the int32 results against the int64
@@ -17,6 +20,7 @@ from maskwire.gadgets import (
     BarrettParams,
     barrett_algebraic_eval_vec,
     barrett_nat_eval_vec,
+    identity_mask_eval_vec,
     lane_dtype,
 )
 from maskwire.modring import ZqElem
@@ -62,13 +66,15 @@ def test_lane_rule_picks_int32_exactly_where_safe(q, s):
 
 @pytest.mark.parametrize("q,s", [(40961, 32), (2**30 + 1, 31), (2**30 + 1, 32)])
 def test_int32_inputs_widen_where_the_rule_says_int64(q, s):
+    # Past s = 31 the hardware-faithful form widens; the two-branch form
+    # wraps at no s-bit word and stays int32 while q <= 2^30.
     p = BarrettParams.create(q, s)
     assert lane_dtype(q, s) == np.int64
     masks = np.concatenate([np.arange(10), np.arange(q - 10, q)]).astype(np.int32)
     for x in (0, 5, q - 1):
         alg = barrett_algebraic_eval_vec(p, x, masks)
         hw = barrett_nat_eval_vec(p, x, masks)
-        assert alg.dtype == hw.dtype == np.int64
+        assert alg.dtype == lane_dtype(q) and hw.dtype == np.int64
         assert alg.tolist() == [ref_wire(q, s, x, int(m)) for m in masks]
         assert hw.tolist() == [ref_wire_hw(q, s, x, int(m)) for m in masks]
 
@@ -76,6 +82,7 @@ def test_int32_inputs_widen_where_the_rule_says_int64(q, s):
 @settings(max_examples=120, deadline=None)
 @given(lane_case())
 @example((2**30, 31, 0, [1, 2**30 - 1]))
+@example((2**30 + 1, 31, 2**30, [0, 2**30]))
 def test_int32_lane_evaluators_match_int64_and_reference(case):
     q, s, x, ms = case
     p = BarrettParams.create(q, s)
@@ -83,9 +90,13 @@ def test_int32_lane_evaluators_match_int64_and_reference(case):
     m64 = np.array(ms, dtype=np.int64)
 
     alg = barrett_algebraic_eval_vec(p, x, m32)
-    assert alg.dtype == lane_dtype(q, s)
+    assert alg.dtype == lane_dtype(q)
     assert alg.tolist() == barrett_algebraic_eval_vec(p, x, m64).tolist()
     assert alg.tolist() == [ref_wire(q, s, x, m) for m in ms]
+    ident = identity_mask_eval_vec(p.q, x, m32)
+    assert ident.dtype == lane_dtype(q)
+    assert ident.tolist() == identity_mask_eval_vec(p.q, x, m64).tolist()
+    assert ident.tolist() == [(x - m) % q for m in ms]
     if p.scope_ok():
         hw = barrett_nat_eval_vec(p, x, m32)
         assert hw.dtype == lane_dtype(q, s)

@@ -93,7 +93,7 @@ def test_tiled_counts_match_scalar_enumeration(case):
         closed = counts_closedform_all(p, x)
         oracle = counts_bruteforce_all(make_barrett_gadget(p), x)
     assert closed.dtype == np.int8 and closed.tolist() == want
-    assert oracle.dtype == np.int64 and oracle.tolist() == want
+    assert oracle.dtype == np.int32 and oracle.tolist() == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,13 +190,16 @@ def traced_peak(fn, *args):
 
 def test_scan_memory_is_one_result_array():
     # An untiled scan holds several q-length int64 temporaries at once.
+    # The oracle's int32 row takes 4q bytes beside a few tiles (measured
+    # 4.0 blocks); an int64 row seeded by a bincount read 8q + 5.0 blocks.
     q, s = 2**20 - 3, 40
     p = BarrettParams.create(q, s)
     x = q // 3
     closed, closed_peak = traced_peak(counts_closedform_all, p, x)
     oracle, oracle_peak = traced_peak(counts_bruteforce_all, make_barrett_gadget(p), x)
     assert closed_peak < 2 * q
-    assert oracle_peak < 9 * q
+    assert oracle.dtype == np.int32 and oracle.nbytes == 4 * q
+    assert oracle_peak < 4 * q + 6 * BLOCK_BYTES
     assert np.array_equal(closed, oracle)
 
 
@@ -220,12 +223,8 @@ def test_blocked_counts_match_scalar_enumeration(case, rows):
     g = make_barrett_gadget(p)
     secrets = a_few_blocks(q, x, rows)
     want = [ref_counts(q, s, x) for x in secrets]
-    routes = (
-        (lane_dtype(q), (p, counts_closedform_all)),
-        (INT64, (g, counts_bruteforce_all)),
-    )
-    for dtype, route in routes:
-        with tiles_of(tile), blocks_of(rows, q, dtype):
+    for route in ((p, counts_closedform_all), (g, counts_bruteforce_all)):
+        with tiles_of(tile), blocks_of(rows, q, lane_dtype(q)):
             scanned = [pair for pair, _ in scan(secrets, route, lambda xs, counts: (xs, counts))]
         blocks = [xs for xs, _ in scanned]
         got = [counts for _, counts in scanned]
@@ -257,7 +256,7 @@ def test_blocked_shared_composition_matches_scalar_loop(case, rows, first, secon
             h2[spec.stage2.eval(v, me).val] += 1
         wire1.append(h1)
         wire2.append(h2)
-    with tiles_of(tile), blocks_of(rows, q, INT64):
+    with tiles_of(tile), blocks_of(rows, q, lane_dtype(q)):
         got = counts_bruteforce_all(_shared_wire(spec), np.array(secrets))
         rep = compose(spec, secrets=secrets)
     assert got.tolist() == wire2
@@ -313,13 +312,9 @@ def test_blocked_trichotomy_stops_at_a_middle_row(rows, q, data):
         counts[xs == c + 1, :4] = (0, 0, 0, 4)
         return counts
 
-    routes = (
-        ("counts_closedform_all", False, lane_dtype(q)),
-        ("counts_bruteforce_all", True, INT64),
-    )
-    for route, oracle, dtype in routes:
+    for route, oracle in (("counts_closedform_all", False), ("counts_bruteforce_all", True)):
         blocks.clear()
-        with blocks_of(rows, q, dtype), mock.patch.object(preimage, route, faulty):
+        with blocks_of(rows, q, lane_dtype(q)), mock.patch.object(preimage, route, faulty):
             rep = trichotomy_check(p, oracle=oracle)
         assert rep.counterexample == (c, 1, 3)
         assert rep.secrets_checked == c + 1
@@ -439,13 +434,13 @@ def test_tile_walk_holds_no_list_of_tiles():
 @pytest.mark.parametrize(
     "q,route,rows",
     [(3329, "closed", 9), (4591, "closed", 7), (7681, "closed", 4), (12289, "closed", 2),
-     (3329, "enumerate", 4)],
+     (3329, "enumerate", 9)],
 )
 def test_secret_blocks_are_sized_in_the_lane_of_the_route(q, route, rows):
-    # The closed form counts in lane_dtype(q), int32 here; enumeration in int64.
+    # Both routes count in lane_dtype(q), int32 here.
     p = BarrettParams.create(q, 2 * ceil_log2(q))
     handed = p if route == "closed" else make_barrett_gadget(p)
-    # A stub count: only the type of the route's argument sizes the blocks.
+    # A stub count: only the route's modulus sizes the blocks.
     stub = (handed, lambda _, xs: xs)
     lengths = [n for n, _ in scan(range(q), stub, lambda xs, counts: len(xs))]
     assert lengths[:-1] == [rows] * (len(lengths) - 1)
@@ -465,6 +460,22 @@ def test_lone_secret_scan_memory_stays_within_a_few_tiles(q):
     assert np.array_equal(closed, oracle)
     assert closed_peak - closed.nbytes < 3 * threshold
     assert oracle_peak - oracle.nbytes < 6 * threshold
+
+
+def test_constant_wire_counts_every_mask_at_one_value():
+    # Every mask hits value 0, so its count is q = 65537 in every row: past
+    # int16 and uint16, summed over the 5 tiles of each row.
+    q = 65537
+
+    def zeros(x, m):
+        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(m)), dtype=m.dtype)
+
+    g = WireGadget("constant", Modulus(q), lambda x, m: ZqElem(0, Modulus(q)), q, zeros)
+    with tiles_of(2**13):
+        assert -(-q // tile_len(INT32)) == 5
+        counts = counts_bruteforce_all(g, np.array([0, 1, q - 1]))
+    assert counts.dtype == np.int32
+    assert counts[:, 0].tolist() == [q] * 3 and not counts[:, 1:].any()
 
 
 # --- the scan driver --------------------------------------------------
@@ -502,9 +513,9 @@ def test_scan_cross_check_flags_only_the_disagreeing_block(rows, enumerate_first
     route, (arg, count) = (enumerated, closed) if enumerate_first else (closed, enumerated)
     middle = range(rows, 2 * rows)
     check = (arg, off_by_one_on(middle, count))
-    with blocks_of(rows, q, INT64):
-        # int64 rows are half as many as int32 rows: the smaller one wins.
-        assert min(block_rows(q, INT32), block_rows(q, INT64)) == rows
+    with blocks_of(rows, q, lane_dtype(q)):
+        # Both routes share one lane, so both ask for `rows`.
+        assert block_rows(q, lane_dtype(q)) == rows
         out = list(scan(range(3 * rows), route, lambda xs, c: (xs.tolist(), c.tolist()), check))
     assert [len(xs) for (xs, _), _ in out] == [rows] * 3
     assert [agree for _, agree in out] == [True, False, True]
