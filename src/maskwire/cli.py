@@ -32,6 +32,7 @@ from .preimage import (
     DEFAULT_SEED,
     EXHAUSTIVE_SECRET_LIMIT,
     MultiplicityProfile,
+    Route,
     counts_bruteforce_all,
     counts_closedform_all,
     default_secrets,
@@ -106,8 +107,8 @@ def _secret_scope(
 ) -> tuple[Sequence[int], str]:
     """(secrets, secret_mode) from the scope flags, else default_secrets."""
     if explicit is not None:
-        ring = Modulus(q)
-        return [ZqElem(x, ring).val for x in explicit], "explicit"
+        # The counting route rejects a secret outside [0, q).
+        return explicit, "explicit"
     if every:
         secrets: Sequence[int] = range(q)
     elif sample is not None:
@@ -223,12 +224,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _profiles(p: BarrettParams):
-    """scan's reduce for analyze and sweep: one MultiplicityProfile per secret."""
-    return lambda xs, counts: [
-        MultiplicityProfile.from_counts(ZqElem(x, p.q), row)
-        for x, row in zip(xs.tolist(), counts)
-    ]
+def _profile_pass(p: BarrettParams, secrets: Sequence[int], check: Optional[Route] = None):
+    """(profile, agree) per secret, in order, from one scan(secrets, closed form, ..., check)."""
+    def profiles(xs, counts):
+        return [
+            MultiplicityProfile.from_counts(ZqElem(x, p.q), row)
+            for x, row in zip(xs.tolist(), counts)
+        ]
+
+    for block, agree in scan(secrets, (p, counts_closedform_all), profiles, check):
+        for prof in block:
+            yield prof, agree
 
 
 def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
@@ -239,29 +245,28 @@ def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
     )
     rows = []
     passed = True
-    for profiles, _ in scan(secrets, (p, counts_closedform_all), _profiles(p)):
-        for prof in profiles:
-            xe = prof.secret
-            # Off mask mass leaves no distribution to measure; a value hit
-            # three times keeps its min-entropy, which then reads below the
-            # floor.  Either way the profile is not conserved and fails the run.
-            bound = None if prof.overflow == 0 and not prof.conserved else min_entropy(prof)
-            passed = passed and prof.conserved
-            rows.append(
-                {
-                    "secret": xe.val,
-                    "zeros": prof.zeros,
-                    "ones": prof.ones,
-                    "twos": prof.twos,
-                    "max_count": prof.max_count,
-                    "support": prof.support_size,
-                    "gap_observed": prof.zeros,
-                    "gap_paper": support_gap_predicted_paper(p, xe),
-                    "gap_extended": support_gap_predicted_extended(p, xe),
-                    "min_entropy_bits": bound.exact_min_entropy_bits if bound else None,
-                    "floor_bits": bound.barrier_floor_bits if bound else None,
-                }
-            )
+    for prof, _ in _profile_pass(p, secrets):
+        xe = prof.secret
+        # Off mask mass leaves no distribution to measure; a value hit
+        # three times keeps its min-entropy, which then reads below the
+        # floor.  Either way the profile is not conserved and fails the run.
+        bound = None if prof.overflow == 0 and not prof.conserved else min_entropy(prof)
+        passed = passed and prof.conserved
+        rows.append(
+            {
+                "secret": xe.val,
+                "zeros": prof.zeros,
+                "ones": prof.ones,
+                "twos": prof.twos,
+                "max_count": prof.max_count,
+                "support": prof.support_size,
+                "gap_observed": prof.zeros,
+                "gap_paper": support_gap_predicted_paper(p, xe),
+                "gap_extended": support_gap_predicted_extended(p, xe),
+                "min_entropy_bits": bound.exact_min_entropy_bits if bound else None,
+                "floor_bits": bound.barrier_floor_bits if bound else None,
+            }
+        )
     params = _scope_params(args, p, secrets, secret_mode)
     summary = {"passed": passed, "secrets_checked": len(rows), "route": "closedform"}
     return params, rows, summary, 0 if passed else 1
@@ -446,76 +451,65 @@ def _sweep_row(**values) -> dict:
     return {col: values.get(col) for col in _SWEEP_COLUMNS}
 
 
-def _sweep_case(case: dict, seed: int) -> tuple[dict, list[dict], bool]:
-    """One case: (case row, mismatch rows, hard pass)."""
+def _sweep_case(case: dict, seed: int) -> list[dict]:
+    """One case's rows: the case row, then its mismatch rows."""
     q, s = case["q"], case["s"]
     p = BarrettParams.create(q, s)
     secrets, secret_mode = _secret_scope(q, seed, SWEEP_EXHAUSTIVE_LIMIT)
     # Sampled secrets are also enumerated, to cross-check the closed form.
     check = (make_barrett_gadget(p), counts_bruteforce_all) if secret_mode == "sampled" else None
-    max_count = 0
-    conservation_ok = True
-    routes_agree = True
-    misses = {"paper": 0, "extended": 0}
-    mismatch_rows: list[dict] = []
-    for profiles, agree in scan(secrets, (p, counts_closedform_all), _profiles(p), check):
-        routes_agree = routes_agree and agree
-        for prof in profiles:
-            xe = prof.secret
-            max_count = max(max_count, prof.max_count)
-            if not prof.conserved:
-                conservation_ok = False
-            for formula, predicted in (
-                ("paper", support_gap_predicted_paper(p, xe)),
-                ("extended", support_gap_predicted_extended(p, xe)),
-            ):
-                if predicted == prof.zeros:
-                    continue
-                misses[formula] += 1
-                if misses[formula] <= MISMATCH_ROW_CAP:
-                    mismatch_rows.append(
-                        _sweep_row(
-                            row="mismatch", q=q, s=s, r=p.r.val, formula=formula,
-                            secret=xe.val, observed=prof.zeros, predicted=predicted,
-                        )
-                    )
-
-    trichotomy_ok = max_count <= 2
-    if q <= SWEEP_EQUIV_LIMIT and p.scope_ok():
-        equiv = "ok" if equivalence_check(p).passed else "fail"
-    else:
-        equiv = "skipped"
-
-    hard_ok = trichotomy_ok and conservation_ok and routes_agree and equiv != "fail"
+    # The case row is the tally: its flags and counts are updated as checks run.
     case_row = _sweep_row(
         row="case", q=q, s=s, r=p.r.val, secret_mode=secret_mode,
-        secrets_checked=len(secrets), trichotomy_ok=trichotomy_ok,
-        conservation_ok=conservation_ok, routes_agree=routes_agree, equiv=equiv,
-        max_count=max_count, paper_gap_mismatches=misses["paper"],
-        extended_gap_mismatches=misses["extended"],
+        secrets_checked=len(secrets), conservation_ok=True, routes_agree=True,
+        equiv="skipped", max_count=0, paper_gap_mismatches=0, extended_gap_mismatches=0,
     )
-    return case_row, mismatch_rows, hard_ok
+    rows = [case_row]
+    for prof, agree in _profile_pass(p, secrets, check):
+        case_row["max_count"] = max(case_row["max_count"], prof.max_count)
+        case_row["conservation_ok"] = case_row["conservation_ok"] and prof.conserved
+        case_row["routes_agree"] = case_row["routes_agree"] and agree
+        for formula, predicted in (
+            ("paper", support_gap_predicted_paper(p, prof.secret)),
+            ("extended", support_gap_predicted_extended(p, prof.secret)),
+        ):
+            if predicted == prof.zeros:
+                continue
+            case_row[f"{formula}_gap_mismatches"] += 1
+            if case_row[f"{formula}_gap_mismatches"] <= MISMATCH_ROW_CAP:
+                rows.append(
+                    _sweep_row(
+                        row="mismatch", q=q, s=s, r=p.r.val, formula=formula,
+                        secret=prof.secret.val, observed=prof.zeros, predicted=predicted,
+                    )
+                )
+
+    case_row["trichotomy_ok"] = case_row["max_count"] <= 2
+    if q <= SWEEP_EQUIV_LIMIT and p.scope_ok():
+        case_row["equiv"] = "ok" if equivalence_check(p).passed else "fail"
+    return rows
 
 
 def _cmd_sweep(args) -> tuple[dict, list[dict], dict, int]:
     cases = _load_sweep_config(args.config)
-    rows: list[dict] = []
-    hard_failures = 0
-    paper_total = 0
-    extended_total = 0
-    for case in cases:
-        case_row, mismatch_rows, hard_ok = _sweep_case(case, args.seed)
-        rows.append(case_row)
-        rows.extend(mismatch_rows)
-        if not hard_ok:
-            hard_failures += 1
-        paper_total += case_row["paper_gap_mismatches"]
-        extended_total += case_row["extended_gap_mismatches"]
-    passed = hard_failures == 0
-    code = 0 if passed else 1
+    rows = [row for case in cases for row in _sweep_case(case, args.seed)]
+    # The summary is read back from the case rows, so it cannot disagree with them.
+    case_rows = [row for row in rows if row["row"] == "case"]
+    hard_failures = sum(
+        not (row["trichotomy_ok"] and row["conservation_ok"] and row["routes_agree"])
+        or row["equiv"] == "fail"
+        for row in case_rows
+    )
+    summary = {
+        "passed": hard_failures == 0,
+        "hard_failures": hard_failures,
+        "paper_gap_mismatches": sum(row["paper_gap_mismatches"] for row in case_rows),
+        "extended_gap_mismatches": sum(row["extended_gap_mismatches"] for row in case_rows),
+    }
+    code = 0 if summary["passed"] else 1
     # Gap-formula disagreement with the oracle is reported data by default;
     # --strict-formula promotes any mismatch (either formula) to a failure.
-    if args.strict_formula and paper_total + extended_total > 0:
+    if args.strict_formula and any(row["row"] == "mismatch" for row in rows):
         code = 1
     params = {
         "config": args.config,
@@ -523,12 +517,6 @@ def _cmd_sweep(args) -> tuple[dict, list[dict], dict, int]:
         "sample": SWEEP_SAMPLE_SECRETS,
         "seed": args.seed,
         "strict_formula": args.strict_formula,
-    }
-    summary = {
-        "passed": passed,
-        "hard_failures": hard_failures,
-        "paper_gap_mismatches": paper_total,
-        "extended_gap_mismatches": extended_total,
     }
     return params, rows, summary, code
 
@@ -550,8 +538,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     start = time.perf_counter()
     try:
         params, rows, summary, code = _HANDLERS[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        # ScopeConditionError is a ValueError: usage errors, not findings.
+    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
+        # Usage errors: ScopeConditionError is a ValueError; a --secret past int64 overflows.
         print(f"maskwire: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

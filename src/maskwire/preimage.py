@@ -83,8 +83,9 @@ Route = Tuple[Any, Callable[[Any, np.ndarray], np.ndarray]]
 class MultiplicityProfile:
     """Per-secret histogram of preimage sizes over all q output values.
 
-    zeros/ones/twos/overflow count output values by preimage size
-    (overflow = size >= 3).  Construction checks nothing, so a report
+    Only measurements are stored: zeros/ones/twos count output values by
+    preimage size; overflow (size >= 3) and support_size (size >= 1)
+    follow from them and q.  Construction checks nothing, so a report
     keeps a broken histogram as data; `conserved` gives the verdict.
     """
 
@@ -92,9 +93,7 @@ class MultiplicityProfile:
     zeros: int
     ones: int
     twos: int
-    overflow: int
     max_count: int
-    support_size: int
 
     @classmethod
     def from_counts(cls, secret: ZqElem, counts: np.ndarray) -> "MultiplicityProfile":
@@ -102,35 +101,32 @@ class MultiplicityProfile:
         q = secret.modulus.q
         if counts.shape != (q,):
             raise ValueError(f"counts array must have length q={q}")
-        zeros = int(np.count_nonzero(counts == 0))
-        ones = int(np.count_nonzero(counts == 1))
-        twos = int(np.count_nonzero(counts == 2))
         return cls(
             secret=secret,
-            zeros=zeros,
-            ones=ones,
-            twos=twos,
-            overflow=q - zeros - ones - twos,
+            zeros=int(np.count_nonzero(counts == 0)),
+            ones=int(np.count_nonzero(counts == 1)),
+            twos=int(np.count_nonzero(counts == 2)),
             max_count=int(counts.max()),
-            support_size=q - zeros,
         )
 
     @property
-    def conserved(self) -> bool:
-        """The conservation law holds.
+    def overflow(self) -> int:
+        return self.secret.modulus.q - self.zeros - self.ones - self.twos
 
-        Because the wire map is total, the buckets partition the q
-        outputs; with no overflow the mask mass gives ones + 2*twos = q,
-        hence zeros = twos.
+    @property
+    def support_size(self) -> int:
+        return self.secret.modulus.q - self.zeros
+
+    @property
+    def conserved(self) -> bool:
+        """The conservation law holds: no overflow and zeros = twos.
+
+        The wire map is total, so with no value hit three times its q
+        masks must add up to ones + 2*twos = q.  With no overflow,
+        zeros + ones + twos = q, so ones + 2*twos = q holds exactly when
+        zeros = twos: the mass needs no clause of its own.
         """
-        q = self.secret.modulus.q
-        return (
-            self.zeros + self.ones + self.twos + self.overflow == q
-            and self.support_size == self.ones + self.twos + self.overflow
-            and self.overflow == 0
-            and self.ones + 2 * self.twos == q
-            and self.zeros == self.twos
-        )
+        return self.overflow == 0 and self.zeros == self.twos
 
 
 @dataclass(frozen=True)

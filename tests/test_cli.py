@@ -161,6 +161,10 @@ def test_analyze_secret_out_of_range(capsys):
     code, out, err = run(capsys, "analyze", "--q", "3329", "--s", "24", "--secret", "3329")
     assert code == 2
     assert "error" in err
+    # Past int64 numpy cannot hold the secret: still a usage error.
+    code, out, err = run(capsys, "analyze", "--q", "61", "--s", "6", "--secret", str(2**64))
+    assert (code, out) == (2, "")
+    assert err.startswith("maskwire: error:")
 
 
 def test_trichotomy_exit_zero(capsys):

@@ -89,6 +89,29 @@ def test_sweep_reports_broken_conservation(monkeypatch, capsys, tmp_path):
     assert doc["summary"]["hard_failures"] == 1
 
 
+def test_sweep_summary_adds_up_its_case_rows(monkeypatch, capsys, tmp_path):
+    # Only q = 61 is broken: the summary counts one hard failure, q = 7
+    # keeps every flag, and the mismatch totals are the case rows' sums.
+    def broken_at_61(p, xs):
+        return broken_counts(p, xs) if p.q.q == 61 else preimage.counts_closedform_all(p, xs)
+
+    monkeypatch.setattr(cli, "counts_closedform_all", broken_at_61)
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"cases": [{"q": 61, "s": 6}, {"q": 7, "s": 3}]}))
+    code, doc = run_json(capsys, "sweep", "--config", str(config))
+    assert code == 1
+    summary = doc["summary"]
+    assert (summary["passed"], summary["hard_failures"]) == (False, 1)
+    cases = {row["q"]: row for row in doc["rows"] if row["row"] == "case"}
+    assert cases[61]["conservation_ok"] is False
+    flags = ("trichotomy_ok", "conservation_ok", "routes_agree")
+    assert [cases[7][flag] for flag in flags] == [True, True, True]
+    assert cases[7]["equiv"] == "ok"
+    for key in ("paper_gap_mismatches", "extended_gap_mismatches"):
+        assert summary[key] == sum(row[key] for row in cases.values())
+    assert summary["extended_gap_mismatches"] == cases[61]["extended_gap_mismatches"] > 0
+
+
 def test_sweep_reports_route_disagreement(monkeypatch, capsys, tmp_path):
     # q > 2^14 samples secrets and enumerates each one; on disagreement the
     # enumerated counts, not the broken closed form, feed the histogram.

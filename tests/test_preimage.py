@@ -105,29 +105,34 @@ def test_known_profiles(x, zeros, ones, twos):
 def test_profile_invariant_enforcement():
     ring = Modulus(7)
     x = ZqElem(3, ring)
-    ok = MultiplicityProfile(
-        secret=x, zeros=1, ones=5, twos=1, overflow=0, max_count=2, support_size=6
-    )
+    ok = MultiplicityProfile(secret=x, zeros=1, ones=5, twos=1, max_count=2)
     assert ok.zeros == 1
+    assert (ok.overflow, ok.support_size) == (0, 6)
     assert ok.conserved
     # Construction accepts a broken histogram; conserved reports it.
     broken = [
         # mask mass off: ones + 2*twos = 6 != 7
-        MultiplicityProfile(
-            secret=x, zeros=2, ones=4, twos=1, overflow=0, max_count=2, support_size=5
-        ),
-        # support_size disagrees with the buckets
-        MultiplicityProfile(
-            secret=x, zeros=1, ones=5, twos=1, overflow=0, max_count=2, support_size=5
-        ),
-        # buckets do not partition q = 7
-        MultiplicityProfile(
-            secret=x, zeros=1, ones=5, twos=2, overflow=0, max_count=2, support_size=6
-        ),
+        MultiplicityProfile(secret=x, zeros=2, ones=4, twos=1, max_count=2),
+        # buckets do not partition q = 7: they sum to 8, so overflow is -1
+        MultiplicityProfile(secret=x, zeros=1, ones=5, twos=2, max_count=2),
     ]
-    assert [prof.conserved for prof in broken] == [False, False, False]
+    assert [prof.overflow for prof in broken] == [0, -1]
+    assert [prof.conserved for prof in broken] == [False, False]
     with pytest.raises(ValueError):
         MultiplicityProfile.from_counts(x, np.zeros(6, dtype=np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64).flatmap(lambda q: st.lists(st.integers(0, 3), min_size=q, max_size=q)))
+def test_conservation_is_the_mask_mass_with_no_value_hit_three_times(counts):
+    # An independent statement of the law: q masks spread over q values,
+    # none hit three times.  overflow and support_size count the array.
+    c = np.array(counts, dtype=np.int32)
+    q = len(c)
+    prof = MultiplicityProfile.from_counts(ZqElem(0, Modulus(q)), c)
+    assert prof.conserved == (c.max() <= 2 and c.sum() == q)
+    assert prof.overflow == np.count_nonzero(c >= 3)
+    assert prof.support_size == np.count_nonzero(c > 0)
 
 
 def test_gap_predictors_small_case():

@@ -377,22 +377,24 @@ def test_block_rows_at_the_documented_moduli(q, dtype, rows):
 
 def test_block_scan_memory_stays_near_the_mmap_threshold():
     # One block scan holds a few block-sized arrays at once, each under
-    # glibc's 128 KiB mmap threshold.  A budget twice as large pushes
-    # every peak here past its bound (measured 3.6 / 5.7 / 9.8 x 128 KiB).
+    # glibc's 128 KiB mmap threshold.  Both counting routes run on the
+    # 9-row int32 block a scan hands them.  Measured peaks, in 128 KiB
+    # (numpy 2.4.6): closed form 1.93, enumeration 3.40, equivalence 3.80;
+    # with a budget twice as large 3.70 / 6.45 / 7.85, past every bound.
     q, s = 3329, 24
     threshold = 2**17
     p = BarrettParams.create(q, s)
-    closed_rows, oracle_rows = block_rows(q, lane_dtype(q)), block_rows(q, INT64)
-    assert closed_rows > 1 and oracle_rows > 1
-    closed, closed_peak = traced_peak(counts_closedform_all, p, np.arange(closed_rows))
+    rows = block_rows(q, lane_dtype(q))
+    assert rows == 9
+    closed, closed_peak = traced_peak(counts_closedform_all, p, np.arange(rows))
     oracle, oracle_peak = traced_peak(
-        counts_bruteforce_all, make_barrett_gadget(p), np.arange(oracle_rows)
+        counts_bruteforce_all, make_barrett_gadget(p), np.arange(rows)
     )
     rep, equiv_peak = traced_peak(equivalence_check, p)
-    assert np.array_equal(closed[:oracle_rows], oracle)
+    assert np.array_equal(closed, oracle)
     assert rep.passed and rep.pairs_checked == q * q
     assert closed_peak < 2.5 * threshold
-    assert oracle_peak < 3.5 * threshold
+    assert oracle_peak < 5 * threshold
     assert equiv_peak < 6 * threshold
 
 
