@@ -12,9 +12,6 @@ from .gadgets import (
     BarrettParams,
     ScopeConditionError,
     WireGadget,
-    barrett_algebraic_eval,
-    barrett_nat_eval,
-    identity_mask_eval,
     make_barrett_gadget,
     make_identity_gadget,
 )
@@ -25,7 +22,7 @@ from .leakage import (
     max_output_probability,
     min_entropy,
 )
-from .modring import Modulus, ZqElem, branch_offset, reduce
+from .modring import Modulus, ZqElem, branch_offset
 from .pipeline import CompositionReport, PipelineSpec, compose
 from .preimage import (
     EquivalenceReport,
@@ -36,7 +33,6 @@ from .preimage import (
     counts_bruteforce_all,
     counts_closedform_all,
     equivalence_check,
-    multiplicity_profile,
     sample_secrets,
     support_gap_predicted_extended,
     support_gap_predicted_paper,
@@ -49,14 +45,10 @@ __all__ = [
     "__version__",
     "Modulus",
     "ZqElem",
-    "reduce",
     "branch_offset",
     "BarrettParams",
     "ScopeConditionError",
     "WireGadget",
-    "barrett_algebraic_eval",
-    "barrett_nat_eval",
-    "identity_mask_eval",
     "make_barrett_gadget",
     "make_identity_gadget",
     "MultiplicityProfile",
@@ -66,7 +58,6 @@ __all__ = [
     "count_closedform",
     "counts_bruteforce_all",
     "counts_closedform_all",
-    "multiplicity_profile",
     "sample_secrets",
     "trichotomy_check",
     "support_gap_predicted_paper",

@@ -107,7 +107,10 @@ def _secret_scope(
 ) -> tuple[Sequence[int], str]:
     """(secrets, secret_mode) from the scope flags, else default_secrets."""
     if explicit is not None:
-        # The counting route rejects a secret outside [0, q).
+        # Checked whole before any counting, in the counting route's words.
+        for x in explicit:
+            if not 0 <= x < q:
+                raise ValueError(f"secret {x} not canonical for modulus {q}")
         return explicit, "explicit"
     if every:
         secrets: Sequence[int] = range(q)
@@ -360,11 +363,11 @@ def _cmd_witness(args) -> tuple[dict, list[dict], dict, int]:
             "mask_b": rep.mask_b.val if rep.found else None,
         }
     ]
-    # Absence is valid data (r = 0 means the map is a bijection), so the
-    # search result never drives the exit code.
+    # Absence is valid data (r = 0 means the map is a bijection), so only
+    # masks that fail their re-evaluation drive the exit code.
     params = {"q": args.q, "s": args.s, "r": p.r.val}
-    summary = {"passed": True, "found": rep.found}
-    return params, rows, summary, 0
+    summary = {"passed": rep.verified, "found": rep.found}
+    return params, rows, summary, 0 if rep.verified else 1
 
 
 def _cmd_compose(args) -> tuple[dict, list[dict], dict, int]:
@@ -539,7 +542,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         params, rows, summary, code = _HANDLERS[args.command](args)
     except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
-        # Usage errors: ScopeConditionError is a ValueError; a --secret past int64 overflows.
+        # Usage errors: ScopeConditionError is a ValueError; numpy overflows past int64.
         print(f"maskwire: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

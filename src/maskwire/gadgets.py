@@ -11,8 +11,12 @@ Two wire maps are modeled:
 Both come wrapped in a uniform WireGadget record carrying the stage's
 claimed worst-case preimage size.
 
-The *_eval_vec kernels feed every exhaustive scan, so they are written
-for few, cheap passes, and each computes exactly its scalar form:
+Each form of a map has one implementation, its *_eval_vec kernel: the
+Barrett wire's two-branch and hardware-faithful s-bit forms, and the
+identity wire.  A 0-d secret and mask give a single wire value.  The
+tests pin every kernel to the pure-int oracle in tests/reference.py.
+The kernels feed every exhaustive scan, so they are written for few,
+cheap passes:
 
 * on int64 inputs every vec evaluator returns int64 and is exact for any
   values, negative and non-canonical ones included, with wrapping int64
@@ -53,7 +57,7 @@ into tiles within the same budget; preimage's module docstring says how.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -114,30 +118,6 @@ class BarrettParams:
             )
 
 
-def barrett_algebraic_eval(p: BarrettParams, x: ZqElem, m: ZqElem) -> ZqElem:
-    """Two-branch wire value: x - m if m.val <= x.val, else x - m + r."""
-    if m.val <= x.val:
-        return x - m
-    return x - m + p.r
-
-
-def barrett_nat_eval(p: BarrettParams, x: ZqElem, m: ZqElem) -> ZqElem:
-    """Hardware-faithful wire value: ((x.val + 2^s - m.val) mod 2^s) mod q.
-
-    The +2^s keeps the unsigned subtraction non-negative before the s-bit
-    wrap.  Requires q <= 2^s so that residues fit the datapath.
-    """
-    p.require_scope()
-    q = p.q.q
-    w = 2**p.s
-    return ZqElem((x.val + w - m.val) % w % q, p.q)
-
-
-def identity_mask_eval(q: Modulus, x: ZqElem, m: ZqElem) -> ZqElem:
-    """Output-register wire value x - m (a translation, hence bijective)."""
-    return x - m
-
-
 def _in_lane(q: int, s: int, x: IntOrArray, m: np.ndarray) -> tuple:
     """(x, m, x - m) as arrays in lane_dtype(q, s) for int32 masks, else in int64."""
     lane = lane_dtype(q, s) if getattr(m, "dtype", None) == INT32 else INT64
@@ -154,14 +134,14 @@ def _floor_mod(out: np.ndarray, q: int) -> np.ndarray:
 
 
 def barrett_algebraic_eval_vec(p: BarrettParams, x: IntOrArray, m: np.ndarray) -> np.ndarray:
-    """Vectorized two-branch wire map on raw residues, in the masks' lane_dtype(q)."""
+    """Two-branch wire map (x - m, plus r where m > x) mod q, in the masks' lane_dtype(q)."""
     x, m, out = _in_lane(p.q.q, 0, x, m)
     np.add(out, p.r.val, out=out, where=m > x)
     return _floor_mod(out, p.q.q)
 
 
 def barrett_nat_eval_vec(p: BarrettParams, x: IntOrArray, m: np.ndarray) -> np.ndarray:
-    """Vectorized hardware-faithful wire map on raw residues, in the masks' lane_dtype(q, s)."""
+    """Hardware-faithful wire map ((x + 2^s - m) mod 2^s) mod q, in the masks' lane."""
     p.require_scope()
     q = p.q.q
     if p.s > 62:
@@ -169,14 +149,14 @@ def barrett_nat_eval_vec(p: BarrettParams, x: IntOrArray, m: np.ndarray) -> np.n
         w = 2**p.s
         pair = np.frompyfunc(lambda a, b: (a + w - b) % w % q, 2, 1)
         return np.asarray(pair(x, m), dtype=np.int64)  # a 0-d result is a bare int
-    # The + 2^s of the scalar form sets only bits above the s-bit mask.
+    # The + 2^s that keeps x - m non-negative sets only bits above the s-bit mask.
     _, _, out = _in_lane(q, p.s, x, m)
     out &= (1 << p.s) - 1
     return _floor_mod(out, q)
 
 
 def identity_mask_eval_vec(q: Modulus, x: IntOrArray, m: np.ndarray) -> np.ndarray:
-    """Vectorized translation wire map on raw residues, in the masks' lane_dtype(q)."""
+    """Translation wire map (x - m) mod q, in the masks' lane_dtype(q)."""
     return _floor_mod(_in_lane(q.q, 0, x, m)[2], q.q)
 
 
@@ -185,25 +165,20 @@ class WireGadget:
     """A single masked stage: its wire map and the claimed worst-case
     preimage multiplicity k.
 
-    eval is total on Z_q x Z_q and pure.  eval_vec, required, is the same
-    map for bulk enumeration, which every mask scan uses; tests pin it to
-    eval pointwise.  A scan hands it canonical secrets and masks in its
-    route's lane (preimage._lane: int32 wherever q <= 2^30) and reads
-    back any integer array of wire values.  It must broadcast: a scan
-    passes a (B, 1) column of secrets, B = 1 for a lone secret, against
-    a 1-D row of masks and reads row i of the (B, n) result as secret
-    i's wire values, so a column call must equal the scalar-secret
-    calls stacked.
-    barrett_params is set only for reduction gadgets and lets the analysis
-    engine take the two-candidate counting shortcut.
+    eval_vec is the stage's only form of its map, used by every mask
+    scan; tests pin it to tests/reference.py.  A scan hands it canonical
+    secrets and masks in its route's lane (preimage._lane: int32 wherever
+    q <= 2^30) and reads back any integer array of wire values.  It must
+    broadcast: a scan passes a (B, 1) column of secrets, B = 1 for a
+    lone secret, against a 1-D row of masks and reads row i of the
+    (B, n) result as secret i's wire values, so a column call must equal
+    the 0-d-secret calls stacked.
     """
 
     name: str
     q: Modulus
-    eval: Callable[[ZqElem, ZqElem], ZqElem]
     claimed_max_mult: int
     eval_vec: Callable[[IntOrArray, np.ndarray], np.ndarray]
-    barrett_params: Optional[BarrettParams] = None
 
     def __post_init__(self) -> None:
         if self.claimed_max_mult < 1:
@@ -215,10 +190,8 @@ def make_barrett_gadget(p: BarrettParams) -> WireGadget:
     return WireGadget(
         name="barrett",
         q=p.q,
-        eval=lambda x, m: barrett_algebraic_eval(p, x, m),
         claimed_max_mult=2,
         eval_vec=lambda x, m: barrett_algebraic_eval_vec(p, x, m),
-        barrett_params=p,
     )
 
 
@@ -227,8 +200,6 @@ def make_identity_gadget(q: Modulus) -> WireGadget:
     return WireGadget(
         name="identity",
         q=q,
-        eval=lambda x, m: identity_mask_eval(q, x, m),
         claimed_max_mult=1,
         eval_vec=lambda x, m: identity_mask_eval_vec(q, x, m),
-        barrett_params=None,
     )

@@ -1,4 +1,8 @@
-"""Exact residue arithmetic over Z_q for arbitrary modulus q >= 1."""
+"""Residue rings Z_q: a validated modulus q >= 1 and residues tagged with it.
+
+Profiles and reports carry secrets and values as ZqElem; wire arithmetic
+runs on raw residues in the gadgets' kernels, so ZqElem has none.
+"""
 
 from __future__ import annotations
 
@@ -39,29 +43,6 @@ class ZqElem:
             raise ValueError(
                 f"value {self.val} not canonical for modulus {self.modulus.q}"
             )
-
-    def _check_same_ring(self, other: "ZqElem") -> None:
-        # Mixing rings is a bug in the caller, never recoverable data.
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"modulus mismatch: {self.modulus.q} vs {other.modulus.q}"
-            )
-
-    def __add__(self, other: "ZqElem") -> "ZqElem":
-        self._check_same_ring(other)
-        return ZqElem((self.val + other.val) % self.modulus.q, self.modulus)
-
-    def __sub__(self, other: "ZqElem") -> "ZqElem":
-        self._check_same_ring(other)
-        return ZqElem((self.val - other.val) % self.modulus.q, self.modulus)
-
-    def __int__(self) -> int:
-        return self.val
-
-
-def reduce(n: int, q: Modulus) -> ZqElem:
-    """Unique canonical representative of n mod q; negative n lands in [0, q)."""
-    return ZqElem(n % q.q, q)
 
 
 def branch_offset(q: Modulus, s: int) -> ZqElem:

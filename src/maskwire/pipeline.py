@@ -64,7 +64,6 @@ def _shared_wire(spec: PipelineSpec) -> WireGadget:
     return WireGadget(
         name=f"{s1.name}+{s2.name}",
         q=s1.q,
-        eval=lambda x, m: s2.eval(s1.eval(x, m), m),
         claimed_max_mult=s1.claimed_max_mult * s2.claimed_max_mult,
         eval_vec=lambda x, m: s2.eval_vec(s1.eval_vec(x, m), m),
     )

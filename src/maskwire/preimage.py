@@ -59,7 +59,6 @@ from .gadgets import (
     BarrettParams,
     IntOrArray,
     WireGadget,
-    barrett_algebraic_eval,
     barrett_algebraic_eval_vec,
     barrett_nat_eval_vec,
     lane_dtype,
@@ -131,7 +130,10 @@ class MultiplicityProfile:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """A (secret, value) pair hit by two distinct masks, if one exists."""
+    """A (secret, value) pair hit by two distinct masks, if one exists.
+
+    verified is False when the masks fail their re-evaluation.
+    """
 
     found: bool
     secret: Optional[ZqElem] = None
@@ -139,6 +141,7 @@ class WitnessReport:
     count: Optional[int] = None
     mask_a: Optional[ZqElem] = None
     mask_b: Optional[ZqElem] = None
+    verified: bool = True
 
 
 @dataclass(frozen=True)
@@ -299,19 +302,6 @@ def counts_closedform_all(p: BarrettParams, x: IntOrArray) -> np.ndarray:
     return counts.reshape(xs.shape + (q,))
 
 
-def multiplicity_profile(g: WireGadget, x: ZqElem) -> MultiplicityProfile:
-    """Profile of preimage sizes for one secret.
-
-    Barrett gadgets use the closed-form counts (O(q) per secret); other
-    gadgets are enumerated.
-    """
-    if g.barrett_params is not None:
-        counts = counts_closedform_all(g.barrett_params, x.val)
-    else:
-        counts = counts_bruteforce_all(g, x.val)
-    return MultiplicityProfile.from_counts(x, counts)
-
-
 def sample_secrets(q: int, n: int, seed: int = DEFAULT_SEED) -> list[int]:
     """n distinct secrets drawn by a seeded PRNG, returned ascending."""
     if n >= q:
@@ -415,20 +405,16 @@ def tightness_witness_search(p: BarrettParams) -> WitnessReport:
     the direct candidate mask x - v = 0 takes the direct branch (0 <= 0)
     and the wrap candidate x - v + r = r takes the wrapping branch
     (r > 0), so count_closedform is 2 there.  The two masks are still
-    re-evaluated through the wire map before reporting.
+    re-evaluated through the wire map; verified is False unless both
+    send secret 0 to value 0 and they differ.
     """
     if p.r.val == 0:
         return WitnessReport(found=False)
     zero = ZqElem(0, p.q)
-    mask_a, mask_b = zero, p.r
-    if (
-        barrett_algebraic_eval(p, zero, mask_a) != zero
-        or barrett_algebraic_eval(p, zero, mask_b) != zero
-        or mask_a == mask_b
-    ):
-        raise AssertionError("closed-form witness (0, 0) failed re-evaluation")
+    wire = barrett_algebraic_eval_vec(p, 0, np.array([0, p.r.val]))
     return WitnessReport(
-        found=True, secret=zero, value=zero, count=2, mask_a=mask_a, mask_b=mask_b
+        found=True, secret=zero, value=zero, count=2, mask_a=zero, mask_b=p.r,
+        verified=not wire.any() and zero != p.r,
     )
 
 

@@ -1,15 +1,8 @@
-"""Named parameter sets for the lattice schemes this tooling targets.
-
-mu and roller document the scheme's reciprocal constant and, where the
-reference design uses one, the folded reduction constant.  They pin the
-deployment the parameters come from; no analysis in this package reads
-them.
-"""
+"""Named (q, s) parameter sets for the lattice schemes this tooling targets."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .gadgets import BarrettParams
 
@@ -19,16 +12,14 @@ class Preset:
     name: str
     q: int
     s: int
-    mu: int
-    roller: Optional[int]
 
     def params(self) -> BarrettParams:
         return BarrettParams.create(self.q, self.s)
 
 
 PRESETS = {
-    "mlkem": Preset(name="mlkem", q=3329, s=24, mu=5039, roller=767),
-    "mldsa": Preset(name="mldsa", q=8380417, s=48, mu=33587228, roller=None),
+    "mlkem": Preset(name="mlkem", q=3329, s=24),
+    "mldsa": Preset(name="mldsa", q=8380417, s=48),
 }
 
 

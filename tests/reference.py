@@ -26,6 +26,11 @@ def ref_wire_hw(q: int, s: int, x: int, m: int) -> int:
     return ((x + w - m) % w) % q
 
 
+def ref_stage(name: str, q: int, s: int, x: int, m: int) -> int:
+    """One pipeline stage on plain ints: "barrett" or "identity" (x - m)."""
+    return ref_wire(q, s, x, m) if name == "barrett" else (x - m) % q
+
+
 def ref_counts(q: int, s: int, x: int) -> list[int]:
     """Preimage count per output value, by direct enumeration."""
     counts = [0] * q

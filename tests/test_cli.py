@@ -157,14 +157,29 @@ def test_every_secret_profiled_through_from_counts(monkeypatch, capsys, tmp_path
     assert calls == list(range(61))
 
 
-def test_analyze_secret_out_of_range(capsys):
+def test_analyze_secret_out_of_range(monkeypatch, capsys):
     code, out, err = run(capsys, "analyze", "--q", "3329", "--s", "24", "--secret", "3329")
     assert code == 2
     assert "error" in err
-    # Past int64 numpy cannot hold the secret: still a usage error.
-    code, out, err = run(capsys, "analyze", "--q", "61", "--s", "6", "--secret", str(2**64))
-    assert (code, out) == (2, "")
-    assert err.startswith("maskwire: error:")
+    # The whole list is checked before any counting: at q = 40961 each
+    # secret is a block of its own, so 0 and 5 would be profiled first.
+    # Past int64 numpy cannot hold the secret; the message still names it.
+    calls = []
+    original = MultiplicityProfile.from_counts.__func__
+
+    def counted(cls, secret, counts):
+        calls.append(secret.val)
+        return original(cls, secret, counts)
+
+    monkeypatch.setattr(MultiplicityProfile, "from_counts", classmethod(counted))
+    for q, s, secrets in (("40961", "34", [0, 5, 40961]), ("61", "6", [0, 2**64])):
+        argv = ["analyze", "--q", q, "--s", s]
+        for x in secrets:
+            argv += ["--secret", str(x)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"maskwire: error: secret {secrets[-1]} not canonical for modulus {q}\n"
+    assert calls == []
 
 
 def test_trichotomy_exit_zero(capsys):

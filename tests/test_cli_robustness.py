@@ -64,6 +64,18 @@ def test_analyze_reports_broken_conservation(
         assert row["min_entropy_bits"] < row["floor_bits"]
 
 
+def test_witness_whose_masks_fail_the_recheck_exits_1_with_its_report(monkeypatch, capsys):
+    original = preimage.barrett_algebraic_eval_vec
+    monkeypatch.setattr(
+        preimage, "barrett_algebraic_eval_vec", lambda p, x, m: original(p, x, m) + 1
+    )
+    code, doc = run_json(capsys, "witness", "--q", "3329", "--s", "24")
+    assert code == 1
+    assert doc["summary"] == {"passed": False, "found": True}
+    (row,) = doc["rows"]
+    assert (row["found"], row["mask_a"], row["mask_b"]) == (True, 0, 2385)
+
+
 def test_trichotomy_failure_renders_counterexample(monkeypatch, capsys):
     monkeypatch.setattr(preimage, "counts_closedform_all", three_hit_at_secret_5)
     code, doc = run_json(capsys, "trichotomy", "--q", "61", "--s", "6")

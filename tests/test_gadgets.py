@@ -1,4 +1,7 @@
-"""Wire map evaluators against a pure-int reference implementation."""
+"""Wire map evaluators against a pure-int reference implementation.
+
+Single wire values come from the kernels on 0-d operands.
+"""
 
 import random
 
@@ -10,17 +13,26 @@ from hypothesis import strategies as st
 from maskwire.gadgets import (
     BarrettParams,
     ScopeConditionError,
-    barrett_algebraic_eval,
+    WireGadget,
     barrett_algebraic_eval_vec,
-    barrett_nat_eval,
     barrett_nat_eval_vec,
-    identity_mask_eval,
+    identity_mask_eval_vec,
     make_barrett_gadget,
     make_identity_gadget,
 )
-from maskwire.modring import Modulus, ZqElem
+from maskwire.modring import Modulus
 
 from reference import ceil_log2, ref_wire, ref_wire_hw
+
+
+def alg(p, x, m, dtype=np.int64):
+    """The two-branch wire value of one (x, m) pair, from 0-d operands."""
+    return int(barrett_algebraic_eval_vec(p, dtype(x), dtype(m)))
+
+
+def hw(p, x, m):
+    """The hardware-faithful wire value of one (x, m) pair, from 0-d int64 operands."""
+    return int(barrett_nat_eval_vec(p, np.int64(x), np.int64(m)))
 
 
 def test_params_construction():
@@ -43,13 +55,12 @@ def test_scope_condition():
     assert not p.scope_ok()
     with pytest.raises(ScopeConditionError):
         p.require_scope()
-    x, m = ZqElem(3, p.q), ZqElem(1, p.q)
     with pytest.raises(ScopeConditionError):
-        barrett_nat_eval(p, x, m)
+        hw(p, 3, 1)
     with pytest.raises(ScopeConditionError):
         barrett_nat_eval_vec(p, 3, np.arange(5, dtype=np.int64))
     # The algebraic form has no width and stays defined.
-    assert barrett_algebraic_eval(p, x, m).val == ref_wire(5, 2, 3, 1)
+    assert alg(p, 3, 1) == ref_wire(5, 2, 3, 1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 12, 30])
@@ -67,27 +78,26 @@ def test_scope_check_at_huge_shift():
 
 def test_branch_examples():
     p = BarrettParams.create(7, 3)  # r = 1
-    q = p.q
-    assert barrett_algebraic_eval(p, ZqElem(3, q), ZqElem(2, q)).val == 1
-    assert barrett_algebraic_eval(p, ZqElem(3, q), ZqElem(3, q)).val == 0
-    assert barrett_algebraic_eval(p, ZqElem(3, q), ZqElem(5, q)).val == 6
-    assert barrett_algebraic_eval(p, ZqElem(0, q), ZqElem(0, q)).val == 0
+    for dtype in (np.int32, np.int64):
+        assert alg(p, 3, 2, dtype) == 1
+        assert alg(p, 3, 3, dtype) == 0
+        assert alg(p, 3, 5, dtype) == 6
+        assert alg(p, 0, 0, dtype) == 0
 
 
 @pytest.mark.parametrize("q", list(range(1, 65)))
 def test_two_branch_law_exhaustive(q):
     for s in (ceil_log2(q), 2 * ceil_log2(q) + 1):
         p = BarrettParams.create(q, s)
-        ring = p.q
+        masks = np.arange(q, dtype=np.int64)
         for x in range(q):
-            for m in range(q):
-                got = barrett_algebraic_eval(p, ZqElem(x, ring), ZqElem(m, ring)).val
-                assert got == ref_wire(q, s, x, m)
+            got = barrett_algebraic_eval_vec(p, x, masks).tolist()
+            assert got == [ref_wire(q, s, x, m) for m in range(q)]
 
 
 def test_two_branch_law_exhaustive_to_256():
-    # Scalar and vector paths are pinned to each other elsewhere; ride the
-    # array evaluator so covering every modulus up to 256 stays cheap.
+    # The reference pins the evaluator pair by pair elsewhere; a numpy
+    # formula keeps covering every modulus up to 256 cheap.
     for q in range(1, 257):
         p = BarrettParams.create(q, ceil_log2(q))
         r = p.r.val
@@ -107,54 +117,40 @@ def test_two_branch_law_million_samples():
         ms = rng.integers(0, q, size=n)
         want = np.where(ms <= xs, (xs - ms) % q, (xs - ms + r) % q)
         assert np.array_equal(barrett_algebraic_eval_vec(p, xs, ms), want)
-        ring = p.q
         for i in range(0, n, n // 8):
-            got = barrett_algebraic_eval(
-                p, ZqElem(int(xs[i]), ring), ZqElem(int(ms[i]), ring)
-            )
-            assert got.val == int(want[i])
+            x, m = int(xs[i]), int(ms[i])
+            assert alg(p, x, m) == int(want[i]) == ref_wire(q, s, x, m)
 
 
 @pytest.mark.parametrize("q,s", [(7, 3), (16, 4), (61, 6), (64, 6), (64, 12)])
 def test_hw_form_exhaustive(q, s):
     p = BarrettParams.create(q, s)
-    ring = p.q
     for x in range(q):
         for m in range(q):
-            got = barrett_nat_eval(p, ZqElem(x, ring), ZqElem(m, ring)).val
-            assert got == ref_wire_hw(q, s, x, m)
+            assert hw(p, x, m) == ref_wire_hw(q, s, x, m)
 
 
 @pytest.mark.parametrize("q,s", [(7, 3), (61, 6), (3329, 24), (1, 0)])
 def test_forms_agree_spot(q, s):
     p = BarrettParams.create(q, s)
-    ring = p.q
     for x in range(q) if q <= 64 else random.Random(1).sample(range(q), 64):
         for m in range(q) if q <= 64 else random.Random(2).sample(range(q), 64):
-            xe, me = ZqElem(x, ring), ZqElem(m, ring)
-            assert barrett_algebraic_eval(p, xe, me) == barrett_nat_eval(p, xe, me)
+            assert alg(p, x, m) == hw(p, x, m)
 
 
 def test_degenerate_offset_is_bijection():
     # q = 2^s makes r = 0; the wire collapses to plain m -> x - m.
     p = BarrettParams.create(16, 4)
     assert p.r.val == 0
-    ring = p.q
     for x in range(16):
-        vals = {
-            barrett_algebraic_eval(p, ZqElem(x, ring), ZqElem(m, ring)).val
-            for m in range(16)
-        }
-        assert vals == set(range(16))
+        assert {alg(p, x, m) for m in range(16)} == set(range(16))
 
 
 def test_identity_gadget():
     ring = Modulus(11)
     for x in range(11):
         for m in range(11):
-            assert identity_mask_eval(ring, ZqElem(x, ring), ZqElem(m, ring)).val == (
-                x - m
-            ) % 11
+            assert int(identity_mask_eval_vec(ring, x, np.int64(m))) == (x - m) % 11
     g = make_identity_gadget(ring)
     assert g.name == "identity"
     assert g.claimed_max_mult == 1
@@ -163,7 +159,6 @@ def test_identity_gadget():
 @pytest.mark.parametrize("q,s", [(7, 3), (64, 6), (3329, 24), (8380417, 48)])
 def test_vectorized_matches_scalar(q, s):
     p = BarrettParams.create(q, s)
-    ring = p.q
     rng = random.Random(7)
     if q <= 4096:
         xs = list(range(q))
@@ -176,9 +171,8 @@ def test_vectorized_matches_scalar(q, s):
         hw = barrett_nat_eval_vec(p, x, masks)
         assert alg.dtype == np.int64
         for m in sample:
-            xe, me = ZqElem(x, ring), ZqElem(m, ring)
-            assert int(alg[m]) == barrett_algebraic_eval(p, xe, me).val
-            assert int(hw[m]) == barrett_nat_eval(p, xe, me).val
+            assert int(alg[m]) == ref_wire(q, s, x, m)
+            assert int(hw[m]) == ref_wire_hw(q, s, x, m)
 
 
 def test_vectorized_array_secret_broadcast():
@@ -197,14 +191,10 @@ def test_wide_datapath_vector_path():
     # s beyond the int64-safe range falls back to exact Python ints.
     p = BarrettParams.create(3329, 80)
     masks = np.arange(3329, dtype=np.int64)
-    hw = barrett_nat_eval_vec(p, 100, masks)
-    ring = p.q
+    row = barrett_nat_eval_vec(p, 100, masks)
     for m in (0, 1, 99, 100, 101, 3328):
-        assert int(hw[m]) == ref_wire_hw(3329, 80, 100, m)
-        assert (
-            barrett_nat_eval(p, ZqElem(100, ring), ZqElem(m, ring)).val
-            == ref_wire_hw(3329, 80, 100, m)
-        )
+        assert int(row[m]) == ref_wire_hw(3329, 80, 100, m)
+        assert hw(p, 100, m) == ref_wire_hw(3329, 80, 100, m)
 
 
 def test_barrett_gadget_wrapper():
@@ -212,26 +202,15 @@ def test_barrett_gadget_wrapper():
     g = make_barrett_gadget(p)
     assert g.name == "barrett"
     assert g.claimed_max_mult == 2
-    assert g.barrett_params is p
-    ring = p.q
-    xe, me = ZqElem(100, ring), ZqElem(2485, ring)
-    assert g.eval(xe, me) == barrett_algebraic_eval(p, xe, me)
+    assert int(g.eval_vec(100, np.int64(2485))) == ref_wire(3329, 24, 100, 2485)
     got = g.eval_vec(100, np.arange(3329, dtype=np.int64))
-    assert int(got[2485]) == barrett_algebraic_eval(p, xe, me).val
+    assert int(got[2485]) == ref_wire(3329, 24, 100, 2485)
 
 
 def test_gadget_validation():
-    from maskwire.gadgets import WireGadget
-
     ring = Modulus(7)
     with pytest.raises(ValueError):
-        WireGadget(
-            name="bad",
-            q=ring,
-            eval=lambda x, m: x,
-            claimed_max_mult=0,
-            eval_vec=lambda x, m: m,
-        )
+        WireGadget(name="bad", q=ring, claimed_max_mult=0, eval_vec=lambda x, m: m)
 
 
 @given(
@@ -241,8 +220,6 @@ def test_gadget_validation():
 )
 def test_two_branch_law_random(q, s, data):
     p = BarrettParams.create(q, s)
-    ring = p.q
     x = data.draw(st.integers(min_value=0, max_value=q - 1))
     m = data.draw(st.integers(min_value=0, max_value=q - 1))
-    got = barrett_algebraic_eval(p, ZqElem(x, ring), ZqElem(m, ring)).val
-    assert got == ref_wire(q, s, x, m)
+    assert alg(p, x, m, np.int32) == alg(p, x, m) == ref_wire(q, s, x, m)

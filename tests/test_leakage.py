@@ -3,7 +3,7 @@
 import math
 from fractions import Fraction
 
-from maskwire.gadgets import BarrettParams, make_barrett_gadget
+from maskwire.gadgets import BarrettParams
 from maskwire.leakage import (
     MAX_LEAKAGE_BITS,
     barrier_table,
@@ -11,13 +11,13 @@ from maskwire.leakage import (
     min_entropy,
 )
 from maskwire.modring import ZqElem
-from maskwire.preimage import multiplicity_profile
+from maskwire.preimage import MultiplicityProfile, counts_closedform_all
 
 MLKEM = BarrettParams.create(3329, 24)
 
 
 def _profile(p, x):
-    return multiplicity_profile(make_barrett_gadget(p), ZqElem(x, p.q))
+    return MultiplicityProfile.from_counts(ZqElem(x, p.q), counts_closedform_all(p, x))
 
 
 def test_max_probability_exact():

@@ -1,25 +1,10 @@
-"""Ring primitive behavior: canonical representatives and the offset."""
+"""Ring primitive behavior: validated moduli and residues, and the offset."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maskwire.modring import MAX_MODULUS, Modulus, ZqElem, branch_offset, reduce
-
-
-def test_reduce_examples():
-    q = Modulus(7)
-    assert reduce(0, q).val == 0
-    assert reduce(13, q).val == 6
-    assert reduce(-1, q).val == 6
-    assert reduce(-7, q).val == 0
-    assert reduce(3329, Modulus(3329)).val == 0
-
-
-def test_trivial_ring():
-    q = Modulus(1)
-    assert reduce(12345, q).val == 0
-    assert reduce(-5, q).val == 0
+from maskwire.modring import MAX_MODULUS, Modulus, ZqElem, branch_offset
 
 
 def test_modulus_validation():
@@ -37,45 +22,16 @@ def test_modulus_validation():
 
 def test_elem_validation():
     q = Modulus(7)
+    assert ZqElem(-1 % 7, q).val == 6
+    assert ZqElem(12345 % 1, Modulus(1)).val == 0
+    with pytest.raises(ValueError):
+        ZqElem(1, Modulus(1))
     with pytest.raises(ValueError):
         ZqElem(7, q)
     with pytest.raises(ValueError):
         ZqElem(-1, q)
     with pytest.raises(ValueError):
         ZqElem(1.5, q)
-
-
-def test_mixed_ring_rejected():
-    a = reduce(3, Modulus(7))
-    b = reduce(3, Modulus(11))
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
-        a - b
-
-
-def test_arithmetic_examples():
-    q = Modulus(7)
-    assert (reduce(5, q) + reduce(4, q)).val == 2
-    assert (reduce(2, q) - reduce(5, q)).val == 4
-    assert int(reduce(6, q)) == 6
-    assert reduce(-2, q).val == 5
-
-
-@given(st.integers(min_value=1, max_value=10**6), st.integers(), st.integers())
-def test_arithmetic_matches_int_mod(q, a, b):
-    ring = Modulus(q)
-    ea, eb = reduce(a, ring), reduce(b, ring)
-    assert (ea + eb).val == (a + b) % q
-    assert (ea - eb).val == (a - b) % q
-
-
-@given(st.integers(min_value=1, max_value=10**6), st.integers())
-def test_reduce_canonical_and_idempotent(q, n):
-    ring = Modulus(q)
-    e = reduce(n, ring)
-    assert 0 <= e.val < q
-    assert reduce(e.val, ring) == e
 
 
 @given(

@@ -1,6 +1,6 @@
 """The package's public names."""
 
-import inspect
+from dataclasses import fields
 
 import maskwire
 
@@ -19,11 +19,26 @@ def test_compose_is_the_only_composition_entry_point():
 
 
 def test_scalar_pass_throughs_are_gone():
+    import maskwire.gadgets as gadgets
+    import maskwire.modring as modring
     import maskwire.preimage as preimage
 
-    for name in ("count_bruteforce", "support_gap_observed"):
+    for name in (
+        "count_bruteforce",
+        "support_gap_observed",
+        "multiplicity_profile",
+        "barrett_algebraic_eval",
+        "barrett_nat_eval",
+        "identity_mask_eval",
+        "reduce",
+    ):
         assert name not in maskwire.__all__
         assert not hasattr(maskwire, name)
-        assert not hasattr(preimage, name)
-    params = inspect.signature(maskwire.multiplicity_profile).parameters
-    assert list(params) == ["g", "x"]
+        for module in (preimage, gadgets, modring):
+            assert not hasattr(module, name)
+    for attr in ("__add__", "__sub__", "__int__", "_check_same_ring"):
+        assert attr not in vars(maskwire.ZqElem)
+    assert [f.name for f in fields(maskwire.WireGadget)] == [
+        "name", "q", "claimed_max_mult", "eval_vec"
+    ]
+    assert [f.name for f in fields(maskwire.Preset)] == ["name", "q", "s"]

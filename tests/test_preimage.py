@@ -14,8 +14,8 @@ from maskwire.preimage import (
     counts_closedform_all,
     default_secrets,
     equivalence_check,
-    multiplicity_profile,
     sample_secrets,
+    scan,
     support_gap_predicted_extended,
     support_gap_predicted_paper,
     tightness_witness_search,
@@ -92,7 +92,7 @@ KNOWN_PROFILES = [
 @pytest.mark.parametrize("x,zeros,ones,twos", KNOWN_PROFILES)
 def test_known_profiles(x, zeros, ones, twos):
     g = make_barrett_gadget(MLKEM)
-    prof = multiplicity_profile(g, _elem(MLKEM, x))
+    prof = MultiplicityProfile.from_counts(_elem(MLKEM, x), counts_closedform_all(MLKEM, x))
     assert (prof.zeros, prof.ones, prof.twos) == (zeros, ones, twos)
     assert prof.overflow == 0
     assert prof.support_size == 3329 - zeros
@@ -139,7 +139,7 @@ def test_gap_predictors_small_case():
     # q=7, s=3 has r=1, the regime where the three-term predictor overshoots.
     p = BarrettParams.create(7, 3)
     g = make_barrett_gadget(p)
-    observed = [multiplicity_profile(g, _elem(p, x)).zeros for x in range(7)]
+    observed = np.count_nonzero(counts_bruteforce_all(g, np.arange(7)) == 0, axis=1).tolist()
     assert observed == [1, 1, 1, 1, 1, 1, 0]
     paper = [support_gap_predicted_paper(p, _elem(p, x)) for x in range(7)]
     assert paper == [1, 2, 3, 3, 2, 1, 0]
@@ -148,10 +148,13 @@ def test_gap_predictors_small_case():
 
 
 def test_gap_predictors_mlkem():
-    g = make_barrett_gadget(MLKEM)
-    for x in range(3329):
+    # Every secret's zeros by mask enumeration, one scan block at a time.
+    route = (make_barrett_gadget(MLKEM), counts_bruteforce_all)
+    blocks = scan(range(3329), route, lambda xs, c: np.count_nonzero(c == 0, axis=1).tolist())
+    observed = [zeros for block, _ in blocks for zeros in block]
+    assert len(observed) == 3329
+    for x, obs in enumerate(observed):
         xe = _elem(MLKEM, x)
-        obs = multiplicity_profile(g, xe).zeros
         assert support_gap_predicted_extended(MLKEM, xe) == obs
         # 2r >= q here, so the published predictor agrees everywhere too.
         assert support_gap_predicted_paper(MLKEM, xe) == obs
@@ -171,11 +174,10 @@ def test_gap_extended_large_case():
 
 def test_gap_zero_offset():
     p = BarrettParams.create(16, 4)
+    counts = counts_bruteforce_all(make_barrett_gadget(p), np.arange(16))
+    assert not np.count_nonzero(counts == 0)
     for x in range(16):
-        xe = _elem(p, x)
-        assert support_gap_predicted_extended(p, xe) == 0
-        g = make_barrett_gadget(p)
-        assert multiplicity_profile(g, xe).zeros == 0
+        assert support_gap_predicted_extended(p, _elem(p, x)) == 0
 
 
 @given(
@@ -301,7 +303,7 @@ def test_trichotomy_check_trivial_ring():
 
 def test_witness_search_collision_params():
     rep = tightness_witness_search(MLKEM)
-    assert rep.found and rep.count == 2
+    assert rep.found and rep.count == 2 and rep.verified
     assert rep.mask_a != rep.mask_b
     q, s = 3329, 24
     assert ref_wire(q, s, rep.secret.val, rep.mask_a.val) == rep.value.val
@@ -312,7 +314,7 @@ def test_witness_search_collision_params():
 
 def test_witness_search_bijection_params():
     rep = tightness_witness_search(BarrettParams.create(16, 4))
-    assert not rep.found
+    assert not rep.found and rep.verified
     assert rep.secret is None
 
 

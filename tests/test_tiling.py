@@ -32,7 +32,7 @@ from maskwire.gadgets import (
     make_barrett_gadget,
     make_identity_gadget,
 )
-from maskwire.modring import Modulus, ZqElem
+from maskwire.modring import Modulus
 from maskwire.pipeline import PipelineSpec, _shared_wire, compose
 from maskwire.preimage import (
     BLOCK_BYTES,
@@ -45,7 +45,7 @@ from maskwire.preimage import (
     trichotomy_check,
 )
 
-from reference import ceil_log2, ref_counts, ref_wire_hw
+from reference import ceil_log2, ref_counts, ref_stage, ref_wire_hw
 
 
 @st.composite
@@ -166,10 +166,8 @@ def test_tiled_shared_composition_matches_scalar_loop(case, first, second):
 
     spec = PipelineSpec(build(first), build(second), "shared")
     want = [0] * q
-    xe = ZqElem(x, p.q)
     for m in range(q):
-        me = ZqElem(m, p.q)
-        want[spec.stage2.eval(spec.stage1.eval(xe, me), me).val] += 1
+        want[ref_stage(second, q, s, ref_stage(first, q, s, x, m), m)] += 1
     with tiles_of(tile):
         got = counts_bruteforce_all(_shared_wire(spec), x)
     assert got.tolist() == want
@@ -247,13 +245,11 @@ def test_blocked_shared_composition_matches_scalar_loop(case, rows, first, secon
     secrets = a_few_blocks(q, x, rows)
     wire1, wire2 = [], []
     for x in secrets:
-        xe = ZqElem(x, p.q)
         h1, h2 = [0] * q, [0] * q
         for m in range(q):
-            me = ZqElem(m, p.q)
-            v = spec.stage1.eval(xe, me)
-            h1[v.val] += 1
-            h2[spec.stage2.eval(v, me).val] += 1
+            v = ref_stage(first, q, s, x, m)
+            h1[v] += 1
+            h2[ref_stage(second, q, s, v, m)] += 1
         wire1.append(h1)
         wire2.append(h2)
     with tiles_of(tile), blocks_of(rows, q, lane_dtype(q)):
@@ -350,7 +346,7 @@ def test_wire_value_outside_the_ring_is_rejected(tile, wrong):
     def eval_vec(x, m):
         return np.where((x == 2) & (m == 3), wrong, (x - m) % q)
 
-    g = WireGadget("out-of-range", Modulus(q), lambda x, m: x - m, 1, eval_vec)
+    g = WireGadget("out-of-range", Modulus(q), 1, eval_vec)
     with tiles_of(tile):
         for secrets in (np.arange(q), 2):
             with pytest.raises(ValueError, match=r"outside \[0, 7\)"):
@@ -472,7 +468,7 @@ def test_constant_wire_counts_every_mask_at_one_value():
     def zeros(x, m):
         return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(m)), dtype=m.dtype)
 
-    g = WireGadget("constant", Modulus(q), lambda x, m: ZqElem(0, Modulus(q)), q, zeros)
+    g = WireGadget("constant", Modulus(q), q, zeros)
     with tiles_of(2**13):
         assert -(-q // tile_len(INT32)) == 5
         counts = counts_bruteforce_all(g, np.array([0, 1, q - 1]))
@@ -555,8 +551,8 @@ def test_trichotomy_counts_no_block_after_the_counterexample():
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_shared_wire_eval_vec_matches_its_scalar_eval(first, second, data):
-    q = data.draw(st.integers(1, 300))
-    p = BarrettParams.create(q, data.draw(st.integers(0, 70)))
+    q, s = data.draw(st.integers(1, 300)), data.draw(st.integers(0, 70))
+    p = BarrettParams.create(q, s)
 
     def build(name):
         return make_barrett_gadget(p) if name == "barrett" else make_identity_gadget(p.q)
@@ -565,6 +561,9 @@ def test_shared_wire_eval_vec_matches_its_scalar_eval(first, second, data):
     wire = _shared_wire(spec)
     xs = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=4))
     got = wire.eval_vec(np.array(xs).reshape(-1, 1), np.arange(q))
-    want = [[wire.eval(ZqElem(x, p.q), ZqElem(m, p.q)).val for m in range(q)] for x in xs]
+    want = [[ref_stage(second, q, s, ref_stage(first, q, s, x, m), m) for m in range(q)]
+            for x in xs]
     assert got.tolist() == want
+    # A column call equals the 0-d-secret calls stacked.
+    assert got.tolist() == [wire.eval_vec(x, np.arange(q)).tolist() for x in xs]
     assert wire.claimed_max_mult == spec.stage1.claimed_max_mult * spec.stage2.claimed_max_mult
