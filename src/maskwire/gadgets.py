@@ -27,7 +27,8 @@ cheap passes:
   int32 treats both operands as canonical residues 0 <= x, m < q and
   returns int32; other int32 mask arrays are widened to int64 first;
 * counts_closedform_all (in preimage) needs a canonical secret
-  0 <= x < q, because it corrects x - v and a + r only once.
+  0 <= x < q, because it slices each row at x + 1 and at the wrap set's
+  bounds, which are the interval lemma's sets only for such x.
 
 Each evaluator updates x - m in place, an array of the broadcast shape
 in its lane, so no step falls into numpy scalar arithmetic on 0-d input.
@@ -73,10 +74,10 @@ def lane_dtype(q: int, s: int = 0) -> np.dtype:
 
     The dtype in which a scan over canonical residues of Z_q keeps every
     intermediate exact.  Residue arithmetic alone (the two-branch form's
-    x - m + r, the closed form's a + r) stays in (-q, 2q), inside int32
-    for q <= 2^30; s is the width of the word the hardware-faithful form
-    wraps at, whose (x - m) & (2^s - 1) fits int32 for s <= 31.  Arithmetic
-    that wraps at no s-bit word leaves s at 0.
+    x - m + r) stays in (-q, 2q), inside int32 for q <= 2^30; s is the
+    width of the word the hardware-faithful form wraps at, whose
+    (x - m) & (2^s - 1) fits int32 for s <= 31.  Arithmetic that wraps at
+    no s-bit word leaves s at 0.
     """
     return INT32 if q <= 2**30 and s <= 31 else INT64
 

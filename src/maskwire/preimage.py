@@ -3,8 +3,9 @@
 Two counting routes are kept deliberately separate:
 
 * counts_bruteforce_all tallies hits over every mask — the oracle;
-* counts_closedform_all tests only the two algebraic candidates x - v
-  and x - v + r against their branch conditions — the production path.
+* counts_closedform_all fills each row as the interval lemma's two
+  sets, the direct set [0, x] and the wrap set D^c + r — the production
+  path.
 
 Cross-checking the two routes is the core property this package exists
 to exercise, so neither is ever expressed in terms of the other.  Both
@@ -20,26 +21,27 @@ Every scan keeps each array it builds within BLOCK_BYTES, under glibc's
 128 KiB mmap threshold (gadgets says what crossing it cost).  Secrets go
 in blocks of B = block_rows(q, dtype), the most whole rows of q that
 fit, and a block is one (B, q) array: a (B, 1) secret column against a
-row of values or masks.  That is 9 / 7 / 4 / 2 secrets in int32 at
+row of masks.  That is 9 / 7 / 4 / 2 secrets in int32 at
 q = 3329 / 4591 / 7681 / 12289, so small rings pay numpy's per-call cost
-once per block: at q = 3329 the closed-form trichotomy scan went from
-65-88 ms to 31-48 ms and the exhaustive equivalence scan from 0.105 s to
-0.046 s.  A row that does not fit is a block of one, a lone secret
-included, cut into tiles of tile_len(dtype) = BLOCK_BYTES // itemsize
-elements (32,704 in int32, 16,352 in int64) whose temporaries stay in L2
-cache.  The full budget pays for having one path: at q = 8,380,417 one
-secret's closed form took 10.8-10.9 ms as a 0-d array in 2^14-element
-tiles, 11.7-11.9 ms as a (1, 1) column in those tiles, and 9.6-9.9 ms as
-a column in 32,704-element tiles (2-vCPU x86-64 host, numpy 2.4).
+once per block: at q = 3329 the exhaustive equivalence scan went from
+0.105 s to 0.046 s.  A row that does not fit is a block of one, a lone
+secret included, cut into tiles of tile_len(dtype) = BLOCK_BYTES //
+itemsize elements (32,704 in int32, 16,352 in int64) whose temporaries
+stay in L2 cache.  The closed form builds no temporary: it fills its
+int8 result in place, three slices a row with Python-int bounds.  At
+q = 8,380,417 that takes 1.5 ms a secret, against 16.6 ms for the
+nine elementwise passes per value of the two-candidate test it replaced
+(2-vCPU x86-64 host, numpy 2.4).
 
-Every scan walks its value or mask axis through _tiles in its route's
-_lane, or in lane_dtype(q, s) for the exhaustive equivalence scan.  The
-closed form and the two-branch and translation wires wrap at no s-bit
-word, so q alone sets a route's lane, int32 wherever q <= 2^30;
-enumeration's int32 counts take 4q bytes a secret.  scan(secrets, route,
-reduce, check) drives every per-secret scan.  A route is an (arg, count)
-pair run as count(arg, xs): BarrettParams with counts_closedform_all, or
-a WireGadget with counts_bruteforce_all, both in one lane for one q.
+Enumeration walks its mask axis through _tiles in its route's _lane,
+and the exhaustive equivalence scan in lane_dtype(q, s).  The
+two-branch and translation wires wrap at no s-bit word, so q alone sets
+a route's lane, int32 wherever q <= 2^30; enumeration's int32 counts
+take 4q bytes a secret.  scan(secrets, route, reduce, check) drives
+every per-secret scan.  A route is an (arg, count) pair run as
+count(arg, xs): BarrettParams with counts_closedform_all, or a
+WireGadget with counts_bruteforce_all; scan sizes both routes' blocks
+in _lane, so they take the same blocks at one q.
 A check route counts each block a second way; on disagreement reduce
 gets its counts.  Only reduce's result
 outlives a block, so one block's counts are alive at a time.
@@ -72,7 +74,7 @@ DEFAULT_SAMPLE_SECRETS = 16
 DEFAULT_SEED = 0
 # Bytes per block or tile array, kept under glibc's 128 KiB mmap threshold.
 BLOCK_BYTES = 2**17 - 256
-# (offset, secrets, values or masks) from _tiles and for equivalence_check.
+# (offset, secrets, masks) from _tiles and for equivalence_check.
 Tile = Tuple[int, np.ndarray, np.ndarray]
 # (arg, count) for scan, run as count(arg, xs).
 Route = Tuple[Any, Callable[[Any, np.ndarray], np.ndarray]]
@@ -184,10 +186,10 @@ def _blocks(secrets: Iterable[int], rows: int) -> Iterator[np.ndarray]:
 
 
 def _tiles(xs: np.ndarray, q: int, dtype: np.dtype) -> Iterator[Tile]:
-    """(lo, col, row) tiles over [0, q), built one at a time.
+    """(lo, col, row) tiles over the masks [0, q), built one at a time.
 
     col is xs as a (B, 1) column in dtype; row is lo, lo + 1, ..., the
-    values or masks of one tile of tile_len(dtype), in dtype.
+    masks of one tile of tile_len(dtype), in dtype.
     """
     col = xs.astype(dtype).reshape(-1, 1)
     step = tile_len(dtype)
@@ -272,33 +274,24 @@ def count_closedform(p: BarrettParams, x: ZqElem, v: ZqElem) -> int:
     return (1 if a <= x.val else 0) + (1 if b > x.val else 0)
 
 
-def _closedform_tile(x: IntOrArray, v: np.ndarray, q: int, r: int, out: np.ndarray) -> None:
-    """Write the closed-form counts of secrets x at values v into out, as int8.
-
-    x and v broadcast to out: a (B, 1) column against a row in a scan, or
-    equal-length 1-D (secret, value) pairs.  a = (x - v) mod q and
-    b = (a + r) mod q are computed in v's dtype; with x, v, r in [0, q)
-    each needs at most one correction, every intermediate in (-q, 2q).
-    """
-    a = np.subtract(x, v, dtype=v.dtype)
-    np.add(a, q, out=a, where=a < 0)
-    direct = a <= x
-    b = np.add(a, r, out=a)
-    np.subtract(b, q, out=b, where=b >= q)
-    np.add(direct, b > x, out=out, dtype=np.int8)
-
-
 def counts_closedform_all(p: BarrettParams, x: IntOrArray) -> np.ndarray:
     """Closed-form preimage counts for canonical secret(s) x, int8 of shape(x) + (q,).
 
-    Each count sums two candidate tests, so it never exceeds 2.  With
-    r = 0 the tests read a <= x and a > x, so every count is 1.
+    Row x is [v <= x] + [v in D^c + r]: 1 on [0, x], plus 1 on the wrap
+    set, the q - 1 - x values from (x + 1 + r) mod q on, cut in two where
+    it passes q.  Each row is three slices with Python-int bounds, so a
+    count never exceeds 2, and with r = 0 the wrap set is (x, q) and
+    every count is 1.
     """
-    q = p.q.q
+    q, r = p.q.q, p.r.val
     xs = _canonical(x, q)
-    counts = np.empty((xs.size, q), dtype=np.int8)
-    for lo, col, values in _tiles(xs, q, _lane(p)):
-        _closedform_tile(col, values, q, p.r.val, counts[:, lo : lo + len(values)])
+    counts = np.zeros((xs.size, q), dtype=np.int8)
+    for row, x in zip(counts, xs.ravel().tolist()):
+        row[: x + 1] = 1
+        lo = (x + 1 + r) % q
+        hi = lo + q - 1 - x
+        row[lo:hi] += 1
+        row[: max(0, hi - q)] += 1
     return counts.reshape(xs.shape + (q,))
 
 

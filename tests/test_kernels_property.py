@@ -26,7 +26,7 @@ from maskwire.gadgets import (
     make_identity_gadget,
 )
 from maskwire.modring import Modulus
-from maskwire.preimage import counts_closedform_all
+from maskwire.preimage import counts_bruteforce_all, counts_closedform_all
 
 from reference import ceil_log2, ref_counts, ref_wire_hw
 
@@ -117,6 +117,22 @@ def test_closedform_counts_match_enumeration(qsx):
     counts = counts_closedform_all(BarrettParams.create(q, s), x)
     assert counts.dtype == np.int8
     assert counts.tolist() == ref_counts(q, s, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 199), st.integers(0, 11))
+@example(1, 0)
+@example(128, 7)
+@example(199, 11)
+def test_closedform_rows_match_enumeration_over_the_whole_ring(q, s):
+    # One call per route over every secret, so each runs its block path;
+    # the two routes share no code.
+    p = BarrettParams.create(q, s)
+    xs = np.arange(q)
+    closed = counts_closedform_all(p, xs)
+    oracle = counts_bruteforce_all(make_barrett_gadget(p), xs)
+    assert closed.shape == oracle.shape == (q, q)
+    assert np.array_equal(closed, oracle)
 
 
 @st.composite

@@ -1,10 +1,9 @@
-"""The int32 lanes of the wire evaluators and the closed form.
+"""The int32 lanes of the wire evaluators.
 
 gadgets.lane_dtype(q, s) picks int32 for q <= 2^30 and s <= 31.  The
 hardware-faithful evaluator takes lane_dtype(q, s); the two-branch and
-translation evaluators and the closed form wrap at no s-bit word and take
-lane_dtype(q).  These
-tests sit on both sides of that rule: q around 2^30 and at 2^31 - 1,
+translation evaluators wrap at no s-bit word and take lane_dtype(q).
+These tests sit on both sides of that rule: q around 2^30 and at 2^31 - 1,
 s = 30, 31 and 32.  They check the rule against the int32 bounds of each
 form's largest intermediate, and the int32 results against the int64
 path and the pure-int reference, on short windows of canonical values
@@ -23,15 +22,13 @@ from maskwire.gadgets import (
     identity_mask_eval_vec,
     lane_dtype,
 )
-from maskwire.modring import ZqElem
-from maskwire.preimage import _closedform_tile, count_closedform
 
 from reference import ref_wire, ref_wire_hw
 
 INT32_MAX = int(np.iinfo(np.int32).max)
 BOUNDARY_Q = (2**30 - 1, 2**30, 2**30 + 1, 2**31 - 1)
 BOUNDARY_S = (30, 31, 32)
-# 2^45 mod q = q - 1 here, so the closed form's a + r reaches 2q - 2,
+# 2^45 mod q = q - 1 here, so the two-branch form's x - m + r reaches 2q - 2,
 # within 2^16 of the int32 limit.
 NEAR_LIMIT = (1073709057, 45)
 WINDOW = 16
@@ -57,8 +54,8 @@ def lane_case(draw):
 @pytest.mark.parametrize("q", BOUNDARY_Q + (NEAR_LIMIT[0],))
 @pytest.mark.parametrize("s", (0,) + BOUNDARY_S + (NEAR_LIMIT[1],))
 def test_lane_rule_picks_int32_exactly_where_safe(q, s):
-    # Largest intermediates on canonical inputs: a + r <= 2q - 2 for the
-    # two-branch and closed forms, (x - m) & (2^s - 1) <= 2^s - 1 for the
+    # Largest intermediates on canonical inputs: x - m + r <= 2q - 2 for the
+    # two-branch form, (x - m) & (2^s - 1) <= 2^s - 1 for the
     # hardware-faithful form.
     safe = 2 * q - 2 <= INT32_MAX and 2**s - 1 <= INT32_MAX
     assert lane_dtype(q, s) == (np.int32 if safe else np.int64)
@@ -102,37 +99,3 @@ def test_int32_lane_evaluators_match_int64_and_reference(case):
         assert hw.dtype == lane_dtype(q, s)
         assert hw.tolist() == barrett_nat_eval_vec(p, x, m64).tolist()
         assert hw.tolist() == [ref_wire_hw(q, s, x, m) for m in ms]
-
-
-@settings(max_examples=80, deadline=None)
-@given(lane_case())
-@example((*NEAR_LIMIT, NEAR_LIMIT[0] - 1, []))
-@example((*NEAR_LIMIT, 0, []))
-def test_closed_form_tiles_in_both_lanes_match_the_scalar_form(case):
-    q, s, x, _ = case
-    p = BarrettParams.create(q, s)
-    r = p.r.val
-    # Windows of values around the places where a test flips: v = x
-    # (a crosses 0), v = x + r mod q (b crosses 0), v = r (b crosses x),
-    # and the ends of the value range.
-    pairs = []
-    for centre in (0, x, (x + r) % q, r, q - 1):
-        lo = max(0, centre - WINDOW // 2)
-        hi = min(q, lo + WINDOW)
-        want = [
-            count_closedform(p, ZqElem(x, p.q), ZqElem(v, p.q)) for v in range(lo, hi)
-        ]
-        for dtype in (lane_dtype(q), np.int64):
-            out = np.empty(hi - lo, dtype=np.int8)
-            _closedform_tile(x, np.arange(lo, hi, dtype=dtype), q, r, out)
-            assert out.tolist() == want
-        # The same window as (secret, value) pairs, the secret moved to
-        # each flip point's other side, as a walk across secrets asks.
-        for xp in {x, max(0, x - 1), min(q - 1, x + 1), centre}:
-            pairs += [(xp, v) for v in range(lo, hi)]
-    want = [count_closedform(p, ZqElem(a, p.q), ZqElem(b, p.q)) for a, b in pairs]
-    for dtype in (lane_dtype(q), np.int64):
-        xs, vs = np.array(pairs, dtype=dtype).T
-        out = np.empty(len(pairs), dtype=np.int8)
-        _closedform_tile(xs, vs, q, r, out)
-        assert out.tolist() == want

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maskwire.gadgets import BarrettParams, ScopeConditionError, make_barrett_gadget
@@ -75,6 +75,60 @@ def test_counts_match_scalar_api():
     assert np.array_equal(bf, cf)
     for v in (0, 1, 720, 944, 945, 3328):
         assert int(cf[v]) == count_closedform(MLKEM, _elem(MLKEM, x), _elem(MLKEM, v))
+
+
+# Rings whose rows fit a test, one per kind of offset r = 2^s mod q:
+# r = 1 at q = 2^20 - 1, r = q - 1 at 2^20 + 1 and r = 0 at 2^20.
+FILL_RINGS = [
+    (3329, 24), (12289, 28), (2**20 - 3, 40), (2**20 - 1, 20), (2**20 + 1, 20), (2**20, 20),
+]
+WINDOW = 16
+
+
+@st.composite
+def fill_case(draw):
+    """(q, s, x) on FILL_RINGS, x within 2 of 0, r, q - 1 - r, q / 2 or q - 1."""
+    q, s = draw(st.sampled_from(FILL_RINGS))
+    r = pow(2, s, q)
+    centre = draw(st.sampled_from((0, r, q - 1 - r, q // 2, q - 1)))
+    return q, s, min(q - 1, max(0, centre + draw(st.integers(-2, 2))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fill_case())
+@example((2**20 - 1, 20, 0))
+@example((2**20 - 1, 20, 2**20 - 3))
+@example((2**20 + 1, 20, 0))
+@example((2**20 + 1, 20, 2**20))
+@example((2**20, 20, 2**19))
+def test_closed_form_rows_match_the_scalar_form_around_every_flip_point(case):
+    q, s, x = case
+    p = BarrettParams.create(q, s)
+    r = p.r.val
+    row = counts_closedform_all(p, x)
+    assert row.shape == (q,) and int(row.sum(dtype=np.int64)) == q
+    # A count changes where the direct set [0, x] ends, where the wrap set
+    # starts ((x + 1 + r) mod q) and ends (r - 1 mod q), and at 0 and q - 1.
+    for centre in (0, x, x + 1, (x + 1 + r) % q, (r - 1) % q, r, q - 1):
+        lo = max(0, centre - WINDOW // 2)
+        hi = min(q, lo + WINDOW)
+        want = [count_closedform(p, _elem(p, x), _elem(p, v)) for v in range(lo, hi)]
+        assert row[lo:hi].tolist() == want
+
+
+def test_closed_form_fill_at_its_edges():
+    # r = 0: the wrap set is (x, q), so every count is 1.
+    p64 = BarrettParams.create(64, 6)
+    assert p64.r.val == 0
+    assert (counts_closedform_all(p64, np.arange(64)) == 1).all()
+    p7 = BarrettParams.create(7, 3)  # r = 1
+    # x = q - 1: the direct set is the whole ring, the wrap set is empty.
+    assert counts_closedform_all(p7, 6).tolist() == [1] * 7
+    # x = 2: the wrap set {4, 5, 6, 0} passes q, so the row is three slices.
+    assert counts_closedform_all(p7, 2).tolist() == [2, 1, 1, 0, 1, 1, 1] == ref_counts(7, 3, 2)
+    assert counts_closedform_all(BarrettParams.create(1, 0), np.arange(1)).tolist() == [[1]]
+    assert counts_closedform_all(p7, np.array(3)).shape == (7,)
+    assert counts_closedform_all(p7, np.array([], dtype=np.int64)).shape == (0, 7)
 
 
 # Reference profile rows for q=3329, s=24: (secret, zeros, ones, twos).

@@ -1,14 +1,16 @@
 """The blocked, tiled scans: block and tile boundaries and the memory bound.
 
 The scans in preimage take secrets in blocks of preimage.block_rows
-rows and walk the mask (or value) axis in tiles of preimage.tile_len
-elements, both derived from preimage.BLOCK_BYTES.  Patching BLOCK_BYTES
-to 8 * tile gives int64 tiles of 2..9 elements (int32 tiles of twice
-that), which puts many tile boundaries inside rings of q <= 300; patching
-it to rows * q * itemsize gives those rings blocks of 2..9 secrets with
-a short last block, where the scalar reference in tests/reference.py can
-check every count.  The memory tests run at the real BLOCK_BYTES and
-read numpy's allocations from tracemalloc.
+rows, and enumeration and the equivalence scan walk the mask axis in
+tiles of preimage.tile_len elements, both derived from
+preimage.BLOCK_BYTES; the closed form fills whole rows and has no tiles.
+Patching BLOCK_BYTES to 8 * tile gives int64 tiles of 2..9 elements
+(int32 tiles of twice that), which puts many tile boundaries inside
+rings of q <= 300; patching it to rows * q * itemsize gives those rings
+blocks of 2..9 secrets with a short last block, where the scalar
+reference in tests/reference.py can check every count.  The memory
+tests run at the real BLOCK_BYTES and read numpy's allocations from
+tracemalloc.
 """
 
 import tracemalloc
@@ -188,14 +190,17 @@ def traced_peak(fn, *args):
 
 def test_scan_memory_is_one_result_array():
     # An untiled scan holds several q-length int64 temporaries at once.
-    # The oracle's int32 row takes 4q bytes beside a few tiles (measured
-    # 4.0 blocks); an int64 row seeded by a bincount read 8q + 5.0 blocks.
+    # The closed form fills its int8 row in place (measured q + 1,010
+    # bytes).  The oracle's int32 row takes 4q bytes beside a few tiles
+    # (measured 4.0 blocks); an int64 row seeded by a bincount read
+    # 8q + 5.0 blocks.
     q, s = 2**20 - 3, 40
     p = BarrettParams.create(q, s)
     x = q // 3
     closed, closed_peak = traced_peak(counts_closedform_all, p, x)
     oracle, oracle_peak = traced_peak(counts_bruteforce_all, make_barrett_gadget(p), x)
-    assert closed_peak < 2 * q
+    assert closed.dtype == np.int8 and closed.nbytes == q
+    assert closed_peak < closed.nbytes + BLOCK_BYTES
     assert oracle.dtype == np.int32 and oracle.nbytes == 4 * q
     assert oracle_peak < 4 * q + 6 * BLOCK_BYTES
     assert np.array_equal(closed, oracle)
@@ -374,9 +379,11 @@ def test_block_rows_at_the_documented_moduli(q, dtype, rows):
 def test_block_scan_memory_stays_near_the_mmap_threshold():
     # One block scan holds a few block-sized arrays at once, each under
     # glibc's 128 KiB mmap threshold.  Both counting routes run on the
-    # 9-row int32 block a scan hands them.  Measured peaks, in 128 KiB
-    # (numpy 2.4.6): closed form 1.93, enumeration 3.40, equivalence 3.80;
-    # with a budget twice as large 3.70 / 6.45 / 7.85, past every bound.
+    # 9-row block a scan hands them; the closed form fills its int8 rows
+    # in place and holds no tile.  Measured peaks, in 128 KiB (numpy
+    # 2.4.6): closed form 0.24 (its 29,961-byte rows and 1,065 bytes),
+    # enumeration 3.40, equivalence 3.80; with a budget twice as large
+    # enumeration and equivalence read 6.45 / 7.85, past their bounds.
     q, s = 3329, 24
     threshold = 2**17
     p = BarrettParams.create(q, s)
@@ -389,7 +396,7 @@ def test_block_scan_memory_stays_near_the_mmap_threshold():
     rep, equiv_peak = traced_peak(equivalence_check, p)
     assert np.array_equal(closed, oracle)
     assert rep.passed and rep.pairs_checked == q * q
-    assert closed_peak < 2.5 * threshold
+    assert closed_peak < closed.nbytes + BLOCK_BYTES
     assert oracle_peak < 5 * threshold
     assert equiv_peak < 6 * threshold
 
@@ -447,9 +454,10 @@ def test_secret_blocks_are_sized_in_the_lane_of_the_route(q, route, rows):
 
 @pytest.mark.parametrize("q", [40961, 65537])
 def test_lone_secret_scan_memory_stays_within_a_few_tiles(q):
-    # A lone secret runs as a (1, 1) column in tiles of BLOCK_BYTES: a few
-    # tile-sized temporaries beside its result array (measured 2.0 and
-    # 5.0 x 128 KiB).  Doubling the budget reads 4.0 and 10.0 at q = 65537.
+    # Enumeration runs a lone secret as a (1, 1) column in tiles of
+    # BLOCK_BYTES: a few tile-sized temporaries beside its result array
+    # (measured 5.0 x 128 KiB; doubling the budget reads 10.0 at
+    # q = 65537).  The closed form fills its row in place (0.02).
     threshold = 2**17
     p = BarrettParams.create(q, 40)
     assert block_rows(q, lane_dtype(q)) == block_rows(q, INT64) == 1
