@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .gadgets import BarrettParams, make_barrett_gadget, make_identity_gadget
@@ -282,19 +283,7 @@ def _cmd_trichotomy(args) -> tuple[dict, list[dict], dict, int]:
         every=args.exhaustive, sample=args.sample,
     )
     rep = trichotomy_check(p, secrets=secrets, oracle=args.oracle)
-    cx = rep.counterexample
-    rows = [
-        {
-            "passed": rep.passed,
-            "secrets_checked": rep.secrets_checked,
-            "pairs_checked": rep.pairs_checked,
-            "max_count_seen": rep.max_count_seen,
-            "route": "bruteforce" if rep.oracle else "closedform",
-            "cx_secret": cx[0] if cx else None,
-            "cx_value": cx[1] if cx else None,
-            "cx_count": cx[2] if cx else None,
-        }
-    ]
+    rows = [asdict(rep)]
     params = _scope_params(args, p, secrets, secret_mode)
     summary = {"passed": rep.passed, "secrets_checked": rep.secrets_checked}
     return params, rows, summary, 0 if rep.passed else 1
@@ -311,18 +300,7 @@ def _cmd_equiv(args) -> tuple[dict, list[dict], dict, int]:
     else:
         sample = EQUIV_SAMPLE_PAIRS
     rep = equivalence_check(p, sample=sample, seed=args.seed)
-    mm = rep.first_mismatch
-    rows = [
-        {
-            "passed": rep.passed,
-            "pairs_checked": rep.pairs_checked,
-            "pair_mode": "exhaustive" if sample is None else "sampled",
-            "mm_secret": mm[0] if mm else None,
-            "mm_mask": mm[1] if mm else None,
-            "mm_algebraic": mm[2] if mm else None,
-            "mm_hw": mm[3] if mm else None,
-        }
-    ]
+    rows = [asdict(rep)]
     params = {
         "q": args.q,
         "s": args.s,
@@ -353,18 +331,11 @@ def _cmd_entropy(args) -> tuple[dict, list[dict], dict, int]:
 def _cmd_witness(args) -> tuple[dict, list[dict], dict, int]:
     p = BarrettParams.create(args.q, args.s)
     rep = tightness_witness_search(p)
-    rows = [
-        {
-            "found": rep.found,
-            "secret": rep.secret.val if rep.found else None,
-            "value": rep.value.val if rep.found else None,
-            "count": rep.count if rep.found else None,
-            "mask_a": rep.mask_a.val if rep.found else None,
-            "mask_b": rep.mask_b.val if rep.found else None,
-        }
-    ]
-    # Absence is valid data (r = 0 means the map is a bijection), so only
-    # masks that fail their re-evaluation drive the exit code.
+    rows = [asdict(rep)]
+    # verified is the exit code, not a column.  Absence is valid data
+    # (r = 0 means the map is a bijection), so only masks that fail their
+    # re-evaluation fail the run.
+    del rows[0]["verified"]
     params = {"q": args.q, "s": args.s, "r": p.r.val}
     summary = {"passed": rep.verified, "found": rep.found}
     return params, rows, summary, 0 if rep.verified else 1
@@ -389,21 +360,7 @@ def _cmd_compose(args) -> tuple[dict, list[dict], dict, int]:
 
     spec = PipelineSpec(build(names[0]), build(names[1]), args.mode)
     rep = compose(spec, seed=args.seed)
-    rows = [
-        {
-            "mode": rep.mode,
-            "q": rep.q,
-            "stages": f"{names[0]}+{names[1]}",
-            "wire1_max_mult": rep.wire1_max_mult,
-            "wire2_max_mult": rep.wire2_max_mult,
-            "pipeline_max_mult": rep.pipeline_max_mult,
-            "bound_fresh": rep.bound_fresh,
-            "bound_product": rep.bound_product,
-            "fresh_bound_holds": rep.fresh_bound_holds,
-            "product_bound_holds": rep.product_bound_holds,
-            "secrets_checked": rep.secrets_checked,
-        }
-    ]
+    rows = [asdict(rep)]
     # Only the fresh-composition bound is a claim; shared results are data.
     passed = rep.fresh_bound_holds if args.mode == "fresh" else True
     params = {

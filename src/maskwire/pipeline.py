@@ -46,9 +46,11 @@ class PipelineSpec:
 
 @dataclass(frozen=True)
 class CompositionReport:
+    """compose's row in column order; a new field is a new column and changes the digests."""
+
     mode: str
     q: int
-    secrets_checked: int
+    stages: str
     wire1_max_mult: int
     wire2_max_mult: int
     pipeline_max_mult: int
@@ -56,6 +58,7 @@ class CompositionReport:
     bound_product: int
     fresh_bound_holds: bool
     product_bound_holds: bool
+    secrets_checked: int
 
 
 def _shared_wire(spec: PipelineSpec) -> WireGadget:
@@ -81,7 +84,6 @@ def compose(
     """
     if secrets is None:
         secrets = default_secrets(spec.stage1.q.q, seed, PIPELINE_EXHAUSTIVE_LIMIT)
-    checked = len(secrets)
 
     def peak(wire: WireGadget) -> int:
         blocks = scan(secrets, (wire, counts_bruteforce_all), lambda xs, c: int(c.max()))
@@ -97,7 +99,7 @@ def compose(
     return CompositionReport(
         mode=spec.mode,
         q=spec.stage1.q.q,
-        secrets_checked=checked,
+        stages=f"{spec.stage1.name}+{spec.stage2.name}",
         wire1_max_mult=k1,
         wire2_max_mult=k2,
         pipeline_max_mult=pipeline,
@@ -105,4 +107,5 @@ def compose(
         bound_product=bound_product,
         fresh_bound_holds=pipeline <= bound_fresh,
         product_bound_holds=pipeline <= bound_product,
+        secrets_checked=len(secrets),
     )

@@ -132,35 +132,42 @@ class MultiplicityProfile:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """A (secret, value) pair hit by two distinct masks, if one exists.
-
-    verified is False when the masks fail their re-evaluation.
-    """
+    """witness's row in column order, less verified, the exit code; a new field changes digests."""
 
     found: bool
-    secret: Optional[ZqElem] = None
-    value: Optional[ZqElem] = None
+    secret: Optional[int] = None
+    value: Optional[int] = None
     count: Optional[int] = None
-    mask_a: Optional[ZqElem] = None
-    mask_b: Optional[ZqElem] = None
+    mask_a: Optional[int] = None
+    mask_b: Optional[int] = None
     verified: bool = True
 
 
 @dataclass(frozen=True)
 class TrichotomyReport:
+    """trichotomy's row in column order; a new field is a new column and changes the digests."""
+
     passed: bool
     secrets_checked: int
     pairs_checked: int
     max_count_seen: int
-    oracle: bool
-    counterexample: Optional[Tuple[int, int, int]] = None  # (secret, value, count)
+    route: str
+    cx_secret: Optional[int] = None
+    cx_value: Optional[int] = None
+    cx_count: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
+    """equiv's row in column order; a new field is a new column and changes the digests."""
+
     passed: bool
     pairs_checked: int
-    first_mismatch: Optional[Tuple[int, int, int, int]] = None  # (x, m, algebraic, hw)
+    pair_mode: str
+    mm_secret: Optional[int] = None
+    mm_mask: Optional[int] = None
+    mm_algebraic: Optional[int] = None
+    mm_hw: Optional[int] = None
 
 
 def tile_len(dtype: np.dtype) -> int:
@@ -342,9 +349,9 @@ def trichotomy_check(
     """
     q = p.q.q
     if oracle:
-        route = (make_barrett_gadget(p), counts_bruteforce_all)
+        name, route = "bruteforce", (make_barrett_gadget(p), counts_bruteforce_all)
     else:
-        route = (p, counts_closedform_all)
+        name, route = "closedform", (p, counts_closedform_all)
     checked = max_seen = 0
     counterexample = None
     for (seen, peak, counterexample), _ in scan(
@@ -354,13 +361,9 @@ def trichotomy_check(
         max_seen = max(max_seen, peak)
         if counterexample:
             break
+    # The cx_* fields take the (secret, value, count) triple, or stay None.
     return TrichotomyReport(
-        passed=counterexample is None,
-        secrets_checked=checked,
-        pairs_checked=checked * q,
-        max_count_seen=max_seen,
-        oracle=oracle,
-        counterexample=counterexample,
+        counterexample is None, checked, checked * q, max_seen, name, *(counterexample or ())
     )
 
 
@@ -401,13 +404,13 @@ def tightness_witness_search(p: BarrettParams) -> WitnessReport:
     re-evaluated through the wire map; verified is False unless both
     send secret 0 to value 0 and they differ.
     """
-    if p.r.val == 0:
+    r = p.r.val
+    if r == 0:
         return WitnessReport(found=False)
-    zero = ZqElem(0, p.q)
-    wire = barrett_algebraic_eval_vec(p, 0, np.array([0, p.r.val]))
+    wire = barrett_algebraic_eval_vec(p, 0, np.array([0, r]))
     return WitnessReport(
-        found=True, secret=zero, value=zero, count=2, mask_a=zero, mask_b=p.r,
-        verified=not wire.any() and zero != p.r,
+        found=True, secret=0, value=0, count=2, mask_a=0, mask_b=r,
+        verified=not wire.any() and r != 0,
     )
 
 
@@ -451,9 +454,9 @@ def equivalence_check(
     p.require_scope()
     q = p.q.q
     if sample is None:
-        total, tiles = q * q, _exhaustive_pair_tiles(q, lane_dtype(q, p.s))
+        mode, total, tiles = "exhaustive", q * q, _exhaustive_pair_tiles(q, lane_dtype(q, p.s))
     else:
-        total, tiles = sample, _sampled_pair_tiles(q, sample, seed)
+        mode, total, tiles = "sampled", sample, _sampled_pair_tiles(q, sample, seed)
     for before, xs, masks in tiles:
         alg = barrett_algebraic_eval_vec(p, xs, masks)
         hw = barrett_nat_eval_vec(p, xs, masks)
@@ -464,8 +467,6 @@ def equivalence_check(
             x = int(np.broadcast_to(xs, alg.shape)[at])
             m = int(np.broadcast_to(masks, alg.shape)[at])
             return EquivalenceReport(
-                passed=False,
-                pairs_checked=before + i + 1,
-                first_mismatch=(x, m, int(alg[at]), int(hw[at])),
+                False, before + i + 1, mode, x, m, int(alg[at]), int(hw[at])
             )
-    return EquivalenceReport(passed=True, pairs_checked=total)
+    return EquivalenceReport(True, total, mode)

@@ -121,7 +121,7 @@ def test_c04_equivalence(capsys):
         for q in range(1, 65):
             for s in range(ceil_log2(q), 13):
                 rep = equivalence_check(BarrettParams.create(q, s))
-                assert rep.passed, f"mismatch at q={q}, s={s}: {rep.first_mismatch}"
+                assert rep.passed, f"mismatch at q={q}, s={s}: {rep}"
                 assert rep.pairs_checked == q * q
         ok = True
     finally:

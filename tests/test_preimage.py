@@ -289,15 +289,15 @@ def test_trichotomy_check_closedform():
     assert rep.secrets_checked == 3329
     assert rep.pairs_checked == 3329 * 3329
     assert rep.max_count_seen == 2
-    assert not rep.oracle
-    assert rep.counterexample is None
+    assert rep.route == "closedform"
+    assert (rep.cx_secret, rep.cx_value, rep.cx_count) == (None, None, None)
 
 
 @pytest.mark.parametrize("q,s", [(7, 3), (61, 6), (64, 6)])
 def test_trichotomy_check_oracle(q, s):
     rep = trichotomy_check(BarrettParams.create(q, s), oracle=True)
     assert rep.passed
-    assert rep.oracle
+    assert rep.route == "bruteforce"
     assert rep.secrets_checked == q
 
 
@@ -325,8 +325,8 @@ def test_trichotomy_check_stops_at_first_counterexample(monkeypatch, route, orac
     monkeypatch.setattr(preimage, route, _three_hit_at_secret_5)
     rep = trichotomy_check(BarrettParams.create(61, 6), oracle=oracle)
     assert not rep.passed
-    assert rep.oracle is oracle
-    assert rep.counterexample == (5, 1, 3)
+    assert rep.route == ("bruteforce" if oracle else "closedform")
+    assert (rep.cx_secret, rep.cx_value, rep.cx_count) == (5, 1, 3)
     assert rep.secrets_checked == 6
     assert rep.pairs_checked == 366
     assert rep.max_count_seen == 3
@@ -360,10 +360,10 @@ def test_witness_search_collision_params():
     assert rep.found and rep.count == 2 and rep.verified
     assert rep.mask_a != rep.mask_b
     q, s = 3329, 24
-    assert ref_wire(q, s, rep.secret.val, rep.mask_a.val) == rep.value.val
-    assert ref_wire(q, s, rep.secret.val, rep.mask_b.val) == rep.value.val
+    assert ref_wire(q, s, rep.secret, rep.mask_a) == rep.value
+    assert ref_wire(q, s, rep.secret, rep.mask_b) == rep.value
     # Ascending scan lands on the earliest collision, which sits at x = 0.
-    assert rep.secret.val == 0 and rep.value.val == 0
+    assert rep.secret == 0 and rep.value == 0
 
 
 def test_witness_search_bijection_params():
@@ -389,11 +389,11 @@ def test_witness_is_first_two_preimage_pair(q, s):
         assert not rep.found
         return
     assert rep.found and rep.count == 2
-    assert (rep.secret.val, rep.value.val) == first
+    assert (rep.secret, rep.value) == first
     assert rep.mask_a != rep.mask_b
     x, v = first
-    assert ref_wire(q, s, x, rep.mask_a.val) == v
-    assert ref_wire(q, s, x, rep.mask_b.val) == v
+    assert ref_wire(q, s, x, rep.mask_a) == v
+    assert ref_wire(q, s, x, rep.mask_b) == v
 
 
 @pytest.mark.parametrize("limit", [1, 2**12, 2**14, 2**16])
@@ -408,7 +408,8 @@ def test_equivalence_exhaustive():
     rep = equivalence_check(BarrettParams.create(61, 6))
     assert rep.passed
     assert rep.pairs_checked == 61 * 61
-    assert rep.first_mismatch is None
+    assert rep.pair_mode == "exhaustive"
+    assert (rep.mm_secret, rep.mm_mask, rep.mm_algebraic, rep.mm_hw) == (None,) * 4
 
 
 def test_equivalence_sampled_deterministic():

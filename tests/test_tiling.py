@@ -104,7 +104,8 @@ def test_tiled_exhaustive_equivalence_passes(case):
     tile, q, s, _ = case
     with tiles_of(tile):
         rep = equivalence_check(BarrettParams.create(q, s))
-    assert rep.passed and rep.pairs_checked == q * q and rep.first_mismatch is None
+    assert rep.passed and rep.pairs_checked == q * q
+    assert (rep.mm_secret, rep.mm_mask, rep.mm_algebraic, rep.mm_hw) == (None,) * 4
 
 
 def faulty_hw(q, bad):
@@ -136,8 +137,8 @@ def test_tiled_equivalence_reports_first_mismatch(case, data):
     hw = barrett_nat_eval_vec(p, x, np.array([m]))[0]
     assert not exhaustive.passed
     assert exhaustive.pairs_checked == first + 1
-    assert exhaustive.first_mismatch[:2] == (x, m)
-    assert exhaustive.first_mismatch[3] == hw + 1
+    assert (exhaustive.mm_secret, exhaustive.mm_mask) == (x, m)
+    assert exhaustive.mm_hw == hw + 1
 
     # The sampled path draws each tile's secrets, then its masks, from
     # one seeded numpy generator, n pairs a draw.
@@ -152,7 +153,7 @@ def test_tiled_equivalence_reports_first_mismatch(case, data):
         i = hits[0]
         assert not sampled.passed
         assert sampled.pairs_checked == i + 1
-        assert sampled.first_mismatch[:2] == (xs[i], ms[i])
+        assert (sampled.mm_secret, sampled.mm_mask) == (xs[i], ms[i])
     else:
         assert sampled.passed and sampled.pairs_checked == 3 * q
 
@@ -291,8 +292,8 @@ def test_blocked_equivalence_reports_first_mismatch_in_a_later_row(case, rows, d
         rep = equivalence_check(p)
     assert not rep.passed
     assert rep.pairs_checked == x * q + m + 1
-    assert rep.first_mismatch[:2] == (x, m)
-    assert rep.first_mismatch[3] == ref_wire_hw(q, s, x, m) + 1
+    assert (rep.mm_secret, rep.mm_mask) == (x, m)
+    assert rep.mm_hw == ref_wire_hw(q, s, x, m) + 1
     assert sizes[:-1] == [rows] * (len(sizes) - 1)
     assert sizes[-1] == min(rows, q - x // rows * rows)
 
@@ -317,7 +318,7 @@ def test_blocked_trichotomy_stops_at_a_middle_row(rows, q, data):
         blocks.clear()
         with blocks_of(rows, q, lane_dtype(q)), mock.patch.object(preimage, route, faulty):
             rep = trichotomy_check(p, oracle=oracle)
-        assert rep.counterexample == (c, 1, 3)
+        assert (rep.cx_secret, rep.cx_value, rep.cx_count) == (c, 1, 3)
         assert rep.secrets_checked == c + 1
         assert rep.pairs_checked == (c + 1) * q
         assert rep.max_count_seen == 3
@@ -548,7 +549,8 @@ def test_trichotomy_counts_no_block_after_the_counterexample():
     ):
         rep = trichotomy_check(p)
     assert calls == [[0, 1], [2, 3], [4, 5]]
-    assert rep.counterexample == (5, 1, 3) and rep.secrets_checked == 6
+    assert (rep.cx_secret, rep.cx_value, rep.cx_count) == (5, 1, 3)
+    assert rep.secrets_checked == 6
 
 
 @pytest.mark.parametrize(
