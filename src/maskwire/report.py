@@ -55,12 +55,13 @@ def render_json(env: ReportEnvelope) -> Tuple[str, str]:
     doc = {
         "tool_version": env.tool_version,
         "command": env.command,
-        "parameters": {k: _plain(v) for k, v in env.parameters.items()},
-        "rows": [{k: _plain(v) for k, v in row.items()} for row in env.rows],
-        "summary": {k: _plain(v) for k, v in env.summary.items()},
+        "parameters": env.parameters,
+        "rows": env.rows,
+        "summary": env.summary,
         "elapsed_ms": round(env.elapsed_ms, 3),
     }
-    return json.dumps(doc, indent=2) + "\n", ""
+    # json calls _plain only on what it cannot encode, so no row is copied.
+    return json.dumps(doc, indent=2, default=_plain) + "\n", ""
 
 
 def render_csv(env: ReportEnvelope) -> Tuple[str, str]:

@@ -177,16 +177,28 @@ def test_profile_invariant_enforcement():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 64).flatmap(lambda q: st.lists(st.integers(0, 3), min_size=q, max_size=q)))
-def test_conservation_is_the_mask_mass_with_no_value_hit_three_times(counts):
+@given(
+    st.integers(1, 64).flatmap(lambda q: st.lists(st.integers(-1, 3), min_size=q, max_size=q)),
+    st.sampled_from([np.int8, np.int32]),
+)
+@example([1, 2, 0], np.int8)
+@example([-1, 2, 2], np.int32)
+@example([2, -1, 1, 1], np.int8)
+@example([3, 0, 1, 0], np.int32)
+def test_conservation_is_the_mask_mass_with_no_value_hit_three_times(counts, dtype):
     # An independent statement of the law: q masks spread over q values,
-    # none hit three times.  overflow and support_size count the array.
-    c = np.array(counts, dtype=np.int32)
+    # none hit three times and none a negative number of times.  Every
+    # bucket is counted directly, so a broken row (an entry of -1 or 3)
+    # stays data.
+    c = np.array(counts, dtype=dtype)
     q = len(c)
     prof = MultiplicityProfile.from_counts(ZqElem(0, Modulus(q)), c)
-    assert prof.conserved == (c.max() <= 2 and c.sum() == q)
-    assert prof.overflow == np.count_nonzero(c >= 3)
-    assert prof.support_size == np.count_nonzero(c > 0)
+    assert prof.conserved == (c.min() >= 0 and c.max() <= 2 and c.sum() == q)
+    direct = [np.count_nonzero(c == k) for k in (0, 1, 2)]
+    assert [prof.zeros, prof.ones, prof.twos] == direct
+    assert prof.overflow == np.count_nonzero((c < 0) | (c >= 3))
+    assert prof.max_count == c.max()
+    assert prof.support_size == np.count_nonzero(c != 0)
 
 
 def test_gap_predictors_small_case():

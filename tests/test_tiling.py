@@ -14,12 +14,13 @@ tracemalloc.
 """
 
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import maskwire.preimage as preimage
 import pytest
@@ -483,6 +484,111 @@ def test_constant_wire_counts_every_mask_at_one_value():
         counts = counts_bruteforce_all(g, np.array([0, 1, q - 1]))
     assert counts.dtype == np.int32
     assert counts[:, 0].tolist() == [q] * 3 and not counts[:, 1:].any()
+
+
+# --- tallying run by run ----------------------------------------------
+
+
+@st.composite
+def tallied_wire(draw):
+    """(q, table, kind): a wire as its (q, q) table of values, row x for secret x.
+
+    A lookup table draws every value; a constant wire sends every mask
+    to one value (runs of length 1); a stepped wire is (x + shift -
+    step * m) mod q, which falls by one per mask at step 1 and wraps
+    past 0, rises at step -1 and falls by two at step 2, as the shared
+    barrett-barrett wire does.
+    """
+    kind = draw(st.sampled_from(["table", "constant", "step"]))
+    q = draw(st.integers(1, 24 if kind == "table" else 120))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    if kind == "table":
+        return q, draw(hnp.arrays(dtype, (q, q), elements=st.integers(0, q - 1))), kind
+    if kind == "constant":
+        return q, np.full((q, q), draw(st.integers(0, q - 1)), dtype=dtype), kind
+    step = draw(st.integers(-2, 2))
+    x, m = np.arange(q).reshape(-1, 1), np.arange(q)
+    return q, ((x + draw(st.integers(0, q - 1)) - step * m) % q).astype(dtype), kind
+
+
+def per_mask_tally(q, table, secrets):
+    """Pure-int counts: one increment per (secret, mask) pair."""
+    rows = []
+    for x in secrets:
+        counts = [0] * q
+        for m in range(q):
+            counts[int(table[x][m])] += 1
+        rows.append(counts)
+    return rows
+
+
+class _NumpyWithoutAddAt:
+    """numpy for preimage, except that np.add.at raises."""
+
+    class add:
+        @staticmethod
+        def at(*args):
+            raise AssertionError("np.add.at called on the run path")
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@contextmanager
+def runs_only():
+    """Make every tile's tally take the run path: np.add.at raises."""
+    with mock.patch.object(preimage, "np", _NumpyWithoutAddAt()):
+        yield
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tallied_wire(),
+    st.integers(2, 9),
+    st.sampled_from([1, 2, 5, preimage.RUN_BREAK_EVEN]),
+    st.data(),
+)
+def test_tally_matches_a_per_mask_count(wire, tile, break_even, data):
+    # Break-even 1 sends every tile down the run path, with np.add.at
+    # barred; tiles of 4..18 int32 masks put run ends on tile edges; the
+    # secrets are one block, several rows or none, or a lone 0-d secret.
+    q, table, kind = wire
+    secrets = data.draw(st.lists(st.integers(0, q - 1), max_size=5))
+    g = WireGadget(kind, Modulus(q), q, lambda x, m: table[x, m])
+    want = per_mask_tally(q, table, secrets)
+    calls = [np.array(secrets, dtype=np.int64)]
+    if len(secrets) == 1:
+        calls.append(secrets[0])
+    # An empty block's tiles are empty, and go to np.add.at at any break-even.
+    barred = break_even == 1 and secrets
+    for xs in calls:
+        with tiles_of(tile), mock.patch.object(preimage, "RUN_BREAK_EVEN", break_even):
+            with runs_only() if barred else nullcontext():
+                got = counts_bruteforce_all(g, xs)
+        assert got.dtype == np.int32 and got.shape == np.shape(xs) + (q,)
+        assert got.reshape(-1, q).tolist() == want
+
+
+MILLION = 2**20 - 3  # 32 tiles of 32,704 int32 masks and one of 2,045
+
+
+@pytest.mark.parametrize("x", [0, 1, MILLION // 3, MILLION - 2, MILLION - 1])
+def test_enumerated_barrett_rows_at_a_million_match_the_closed_form(x):
+    # x = q - 2 switches branch in the last tile, whose two runs then
+    # average under RUN_BREAK_EVEN and keep np.add.at; x = q - 1 is one run.
+    p = BarrettParams.create(MILLION, 40)
+    oracle = counts_bruteforce_all(make_barrett_gadget(p), x)
+    assert np.array_equal(oracle, counts_closedform_all(p, x))
+
+
+def test_barrett_row_at_a_million_takes_the_run_path():
+    # At x = q // 3 (r = 9) one tile holds both breaks and three runs, every
+    # other tile one run, so all are tallied by slices at the real
+    # break-even; np.add.at raises if any tile falls back to it.
+    p = BarrettParams.create(MILLION, 40)
+    with runs_only():
+        oracle = counts_bruteforce_all(make_barrett_gadget(p), MILLION // 3)
+    assert np.array_equal(oracle, counts_closedform_all(p, MILLION // 3))
 
 
 # --- the scan driver --------------------------------------------------
