@@ -10,9 +10,10 @@ Subcommands map one-to-one onto the library's analysis entry points:
 * compose     two-stage pipeline under fresh or shared masking
 * sweep       batch run over a JSON config of (q, s) cases
 
-Exit codes: 0 clean, 1 an asserted invariant failed (the report still
-renders), 2 usage or config error, or out of memory.  Result rows are
-deterministic for identical inputs; only elapsed_ms varies.
+Every command fixes its scope, the secrets it scans, in _secret_scope
+before it counts.  Exit codes: 0 clean, 1 an asserted invariant failed
+(the report still renders), 2 usage or config error, or out of memory.
+Result rows are deterministic for identical inputs; only elapsed_ms varies.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 from .gadgets import BarrettParams, make_barrett_gadget, make_identity_gadget
 from .leakage import barrier_table, min_entropy
 from .modring import Modulus, ZqElem
-from .pipeline import PipelineSpec, compose
+from .pipeline import PIPELINE_EXHAUSTIVE_LIMIT, PipelineSpec, compose
 from .preimage import (
     DEFAULT_SAMPLE_SECRETS,
     DEFAULT_SEED,
@@ -36,7 +37,6 @@ from .preimage import (
     Route,
     counts_bruteforce_all,
     counts_closedform_all,
-    default_secrets,
     equivalence_check,
     sample_secrets,
     scan,
@@ -53,9 +53,9 @@ EQUIV_EXHAUSTIVE_LIMIT = 2**12
 EQUIV_SAMPLE_PAIRS = 10**6
 
 # Sweep cases: exhaustive secrets (closed form) up to the first limit,
-# default_secrets' enumerated-and-cross-checked sample beyond; pointwise
+# _secret_scope's enumerated-and-cross-checked sample beyond; pointwise
 # equivalence runs while the full q^2 sweep stays affordable.  The
-# sample size is default_secrets' own, echoed as parameters.sample.
+# sample size is _secret_scope's own, echoed as parameters.sample.
 SWEEP_EXHAUSTIVE_LIMIT = 2**14
 SWEEP_EQUIV_LIMIT = 2**16
 SWEEP_SAMPLE_SECRETS = DEFAULT_SAMPLE_SECRETS
@@ -99,26 +99,24 @@ def _nonneg_int(text: str) -> int:
 
 
 def _secret_scope(
-    q: int,
-    seed: int,
-    limit: int,
-    explicit: Optional[Sequence[int]] = None,
-    every: bool = False,
-    sample: Optional[int] = None,
+    q: int, seed: int, limit: int, explicit: Optional[Sequence[int]] = None,
+    every: bool = False, sample: Optional[int] = None,
 ) -> tuple[Sequence[int], str]:
-    """(secrets, secret_mode) from the scope flags, else default_secrets."""
+    """(secrets, secret_mode) from the scope flags, fixed before any counting.
+
+    With no flag: every secret while q <= limit, DEFAULT_SAMPLE_SECRETS
+    seeded ones beyond.  A scope that covers all q secrets is exhaustive.
+    """
     if explicit is not None:
         # Checked whole before any counting, in the counting route's words.
         for x in explicit:
             if not 0 <= x < q:
                 raise ValueError(f"secret {x} not canonical for modulus {q}")
         return explicit, "explicit"
-    if every:
+    if every or sample is None and q <= limit:
         secrets: Sequence[int] = range(q)
-    elif sample is not None:
-        secrets = sample_secrets(q, sample, seed)
     else:
-        secrets = default_secrets(q, seed, limit)
+        secrets = sample_secrets(q, DEFAULT_SAMPLE_SECRETS if sample is None else sample, seed)
     return secrets, "exhaustive" if len(secrets) == q else "sampled"
 
 
@@ -291,13 +289,8 @@ def _cmd_trichotomy(args) -> tuple[dict, list[dict], dict, int]:
 
 def _cmd_equiv(args) -> tuple[dict, list[dict], dict, int]:
     p = BarrettParams.create(args.q, args.s)
-    if args.exhaustive:
-        sample: Optional[int] = None
-    elif args.sample is not None:
-        sample = args.sample
-    elif args.q <= EQUIV_EXHAUSTIVE_LIMIT:
-        sample = None
-    else:
+    sample = args.sample
+    if sample is None and not args.exhaustive and args.q > EQUIV_EXHAUSTIVE_LIMIT:
         sample = EQUIV_SAMPLE_PAIRS
     rep = equivalence_check(p, sample=sample, seed=args.seed)
     rows = [asdict(rep)]
@@ -359,7 +352,8 @@ def _cmd_compose(args) -> tuple[dict, list[dict], dict, int]:
         return make_identity_gadget(ring)
 
     spec = PipelineSpec(build(names[0]), build(names[1]), args.mode)
-    rep = compose(spec, seed=args.seed)
+    secrets, secret_mode = _secret_scope(args.q, args.seed, PIPELINE_EXHAUSTIVE_LIMIT)
+    rep = compose(spec, secrets)
     rows = [asdict(rep)]
     # Only the fresh-composition bound is a claim; shared results are data.
     passed = rep.fresh_bound_holds if args.mode == "fresh" else True
@@ -368,7 +362,7 @@ def _cmd_compose(args) -> tuple[dict, list[dict], dict, int]:
         "s": args.s if args.s is not None else "-",
         "stages": args.stages,
         "mode": args.mode,
-        "sample": rep.secrets_checked if rep.secrets_checked < args.q else "-",
+        "sample": len(secrets) if secret_mode == "sampled" else "-",
         "seed": args.seed,
     }
     summary = {"passed": passed, "pipeline_max_mult": rep.pipeline_max_mult}
@@ -379,7 +373,7 @@ def _ceil_log2(q: int) -> int:
     return (q - 1).bit_length()
 
 
-def _load_sweep_config(path: str) -> list[dict]:
+def _load_sweep_config(path: str) -> list[BarrettParams]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -403,19 +397,17 @@ def _load_sweep_config(path: str) -> list[dict]:
         s = case.get("s", 2 * _ceil_log2(q))
         if not isinstance(s, int) or isinstance(s, bool) or s < 0:
             raise ValueError(f"case {i}: s must be a non-negative integer")
-        out.append({"q": q, "s": s})
-    return out
+        out.append((q, s))
+    return [BarrettParams.create(q, s) for q, s in out]
 
 
 def _sweep_row(**values) -> dict:
     return {col: values.get(col) for col in _SWEEP_COLUMNS}
 
 
-def _sweep_case(case: dict, seed: int) -> list[dict]:
+def _sweep_case(p: BarrettParams, secrets: Sequence[int], secret_mode: str) -> list[dict]:
     """One case's rows: the case row, then its mismatch rows."""
-    q, s = case["q"], case["s"]
-    p = BarrettParams.create(q, s)
-    secrets, secret_mode = _secret_scope(q, seed, SWEEP_EXHAUSTIVE_LIMIT)
+    q, s = p.q.q, p.s
     # Sampled secrets are also enumerated, to cross-check the closed form.
     check = (make_barrett_gadget(p), counts_bruteforce_all) if secret_mode == "sampled" else None
     # The case row is the tally: its flags and counts are updated as checks run.
@@ -452,7 +444,9 @@ def _sweep_case(case: dict, seed: int) -> list[dict]:
 
 def _cmd_sweep(args) -> tuple[dict, list[dict], dict, int]:
     cases = _load_sweep_config(args.config)
-    rows = [row for case in cases for row in _sweep_case(case, args.seed)]
+    # Every case's ring and scope are fixed before the first case is counted.
+    scoped = [(p, *_secret_scope(p.q.q, args.seed, SWEEP_EXHAUSTIVE_LIMIT)) for p in cases]
+    rows = [row for case in scoped for row in _sweep_case(*case)]
     # The summary is read back from the case rows, so it cannot disagree with them.
     case_rows = [row for row in rows if row["row"] == "case"]
     hard_failures = sum(

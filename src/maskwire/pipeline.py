@@ -1,7 +1,7 @@
 """Two-stage gadget composition under fresh or shared masking.
 
-compose(spec) measures both observable wires by brute force, one
-preimage.scan each over the secrets; the mode only decides what the
+compose(spec, secrets) measures both observable wires by brute force,
+one preimage.scan each over the secrets; the mode only decides what the
 second wire is.  Fresh mode draws an independent mask per stage, so the
 second wire is stage 2's own masked map and the pipeline inherits the
 worst single-stage multiplicity.  Shared mode reuses one mask across
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .gadgets import WireGadget
-from .preimage import DEFAULT_SEED, counts_bruteforce_all, default_secrets, scan
+from .preimage import counts_bruteforce_all, scan
 
-# Per-secret mask enumeration is O(q), so exhaustive secret sweeps stop here.
+# Per-secret mask enumeration is O(q), so the CLI samples secrets past this q.
 PIPELINE_EXHAUSTIVE_LIMIT = 2**12
 
 MODES = ("fresh", "shared")
@@ -72,18 +72,14 @@ def _shared_wire(spec: PipelineSpec) -> WireGadget:
     )
 
 
-def compose(
-    spec: PipelineSpec,
-    secrets: Optional[Sequence[int]] = None,
-    seed: int = DEFAULT_SEED,
-) -> CompositionReport:
+def compose(spec: PipelineSpec, secrets: Optional[Sequence[int]] = None) -> CompositionReport:
     """Measure both wires over the secrets, under the spec's masking mode.
 
-    secrets = None applies default_secrets with PIPELINE_EXHAUSTIVE_LIMIT.
+    secrets = None scans every secret, as trichotomy_check does.
     secrets is scanned twice, so it must be a sequence, not an iterator.
     """
     if secrets is None:
-        secrets = default_secrets(spec.stage1.q.q, seed, PIPELINE_EXHAUSTIVE_LIMIT)
+        secrets = range(spec.stage1.q.q)
 
     def peak(wire: WireGadget) -> int:
         blocks = scan(secrets, (wire, counts_bruteforce_all), lambda xs, c: int(c.max()))

@@ -56,7 +56,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -72,7 +72,8 @@ from .gadgets import (
 )
 from .modring import ZqElem
 
-# Full-modulus secret sweeps above this size switch to PRNG sampling.
+# analyze's and trichotomy's full-modulus secret sweeps stop at this
+# size; beyond, cli._secret_scope draws DEFAULT_SAMPLE_SECRETS by PRNG.
 EXHAUSTIVE_SECRET_LIMIT = 2**16
 DEFAULT_SAMPLE_SECRETS = 16
 DEFAULT_SEED = 0
@@ -327,20 +328,6 @@ def sample_secrets(q: int, n: int, seed: int = DEFAULT_SEED) -> list[int]:
         return list(range(q))
     rng = random.Random(seed)
     return sorted(rng.sample(range(q), n))
-
-
-def default_secrets(
-    q: int, seed: int = DEFAULT_SEED, limit: int = EXHAUSTIVE_SECRET_LIMIT
-) -> Sequence[int]:
-    """Every secret while q <= limit, a seeded 16-secret sample beyond.
-
-    The one rule every analysis uses to pick secrets; callers pass their
-    own limit.  A scan is exhaustive when it covers all q secrets,
-    whatever container holds them.
-    """
-    if q <= limit:
-        return range(q)
-    return sample_secrets(q, DEFAULT_SAMPLE_SECRETS, seed)
 
 
 def _trichotomy_block(xs: np.ndarray, counts: np.ndarray) -> Tuple[int, int, Optional[tuple]]:

@@ -94,10 +94,11 @@ def test_sample_and_seed_echoed_in_envelope(capsys):
 
 
 # Expected values recorded from the CLI before the scope rule was merged
-# into preimage.default_secrets, except that a --sample covering all q
-# secrets now reports exhaustive: the mode follows coverage.  Sweep
-# entries read the case row, whose secrets_checked stands in for the
-# sample size.
+# into one function, now cli._secret_scope, except that a --sample
+# covering all q secrets now reports exhaustive: the mode follows
+# coverage.  The rows at q = 4096 and 4097 sit on either side of the
+# compose and equiv limits, which are inclusive.  Sweep entries read the
+# case row, whose secrets_checked stands in for the sample size.
 @pytest.mark.parametrize(
     "argv,secret_mode,sample",
     [
@@ -118,6 +119,12 @@ def test_sample_and_seed_echoed_in_envelope(capsys):
           "--mode", "shared"), None, 16),
         (("sweep", {"q": 61, "s": 6}), "exhaustive", 61),
         (("sweep", {"q": 16411, "s": 10}), "sampled", 16),
+        (("compose", "--q", "4096", "--stages", "identity,identity", "--mode", "fresh"),
+         None, "-"),
+        (("compose", "--q", "4097", "--stages", "identity,identity", "--mode", "fresh"),
+         None, 16),
+        (("equiv", "--q", "4096", "--s", "13"), None, "-"),
+        (("equiv", "--q", "4097", "--s", "13"), None, 10**6),
     ],
 )
 def test_secret_scope_echoed(capsys, tmp_path, argv, secret_mode, sample):

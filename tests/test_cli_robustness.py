@@ -159,6 +159,26 @@ def test_sweep_reports_route_disagreement(monkeypatch, capsys, tmp_path):
     assert doc["summary"]["hard_failures"] == 1
 
 
+def test_sweep_rejects_a_bad_case_before_counting(monkeypatch, capsys, tmp_path):
+    # Every case's ring is built before the first case is counted, so the
+    # bad second case stops the run before q = 12289 is counted at all.
+    calls = []
+
+    def counted(p, xs):
+        calls.append(p.q.q)
+        return preimage.counts_closedform_all(p, xs)
+
+    monkeypatch.setattr(cli, "counts_closedform_all", counted)
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"cases": [{"q": 12289, "s": 28}, {"q": 2147483648, "s": 40}]}))
+    code = main(["sweep", "--config", str(config), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "modulus 2147483648 exceeds supported bound 2147483647" in captured.err
+    assert calls == []
+
+
 def test_threads_flag_starts_no_thread(monkeypatch, capsys):
     started = []
 

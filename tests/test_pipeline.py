@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from maskwire.gadgets import BarrettParams, make_barrett_gadget, make_identity_gadget
 from maskwire.modring import Modulus
-from maskwire.pipeline import PIPELINE_EXHAUSTIVE_LIMIT, PipelineSpec, compose
+from maskwire.pipeline import PipelineSpec, compose
 
 from reference import ref_wire
 
@@ -103,13 +103,10 @@ def test_shared_barrett_barrett_measured():
 
 
 def test_default_secret_scope():
-    small = compose(_identity_pair(64, "shared"))
-    assert small.secrets_checked == 64
-    q = PIPELINE_EXHAUSTIVE_LIMIT + 1
-    big = compose(_identity_pair(q, "shared"))
-    assert big.secrets_checked == 16
-    again = compose(_identity_pair(q, "shared"))
-    assert big == again
+    # With no secrets compose scans every one; sampling past a limit is the CLI's rule.
+    rep = compose(_identity_pair(64, "shared"))
+    assert rep.secrets_checked == 64
+    assert rep == compose(_identity_pair(64, "shared"), secrets=range(64))
 
 
 def test_explicit_secrets():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from maskwire.cli import _secret_scope
 from maskwire.gadgets import BarrettParams, ScopeConditionError, make_barrett_gadget
 from maskwire.modring import Modulus, ZqElem
 from maskwire.preimage import (
@@ -12,7 +13,6 @@ from maskwire.preimage import (
     count_closedform,
     counts_bruteforce_all,
     counts_closedform_all,
-    default_secrets,
     equivalence_check,
     sample_secrets,
     scan,
@@ -410,8 +410,8 @@ def test_witness_is_first_two_preimage_pair(q, s):
 
 @pytest.mark.parametrize("limit", [1, 2**12, 2**14, 2**16])
 def test_default_secrets_limit_is_inclusive(limit):
-    assert default_secrets(limit, limit=limit) == range(limit)
-    over = default_secrets(limit + 1, seed=3, limit=limit)
+    assert _secret_scope(limit, 3, limit) == (range(limit), "exhaustive")
+    over, _ = _secret_scope(limit + 1, 3, limit)
     assert not isinstance(over, range)
     assert over == sample_secrets(limit + 1, 16, seed=3)
 
@@ -443,6 +443,3 @@ def test_sampling_helpers():
     assert len(set(picked)) == 16
     assert picked == sample_secrets(3329, 16, seed=0)
     assert picked != sample_secrets(3329, 16, seed=1)
-    assert list(default_secrets(100)) == list(range(100))
-    big = list(default_secrets(2**16 + 1))
-    assert len(big) == 16
