@@ -22,7 +22,6 @@ from .leakage import (
     max_output_probability,
     min_entropy,
 )
-from .modring import Modulus, ZqElem, branch_offset
 from .pipeline import CompositionReport, PipelineSpec, compose
 from .preimage import (
     EquivalenceReport,
@@ -43,9 +42,6 @@ from .presets import PRESETS, Preset, get_preset
 
 __all__ = [
     "__version__",
-    "Modulus",
-    "ZqElem",
-    "branch_offset",
     "BarrettParams",
     "ScopeConditionError",
     "WireGadget",

@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 
 from .gadgets import BarrettParams, make_barrett_gadget, make_identity_gadget
 from .leakage import barrier_table, min_entropy
-from .modring import Modulus, ZqElem
 from .pipeline import PIPELINE_EXHAUSTIVE_LIMIT, PipelineSpec, compose
 from .preimage import (
     DEFAULT_SAMPLE_SECRETS,
@@ -35,6 +34,7 @@ from .preimage import (
     EXHAUSTIVE_SECRET_LIMIT,
     MultiplicityProfile,
     Route,
+    _require_canonical,
     counts_bruteforce_all,
     counts_closedform_all,
     equivalence_check,
@@ -110,8 +110,7 @@ def _secret_scope(
     if explicit is not None:
         # Checked whole before any counting, in the counting route's words.
         for x in explicit:
-            if not 0 <= x < q:
-                raise ValueError(f"secret {x} not canonical for modulus {q}")
+            _require_canonical("secret", x, q)
         return explicit, "explicit"
     if every or sample is None and q <= limit:
         secrets: Sequence[int] = range(q)
@@ -126,7 +125,7 @@ def _scope_params(
     return {
         "q": args.q,
         "s": args.s,
-        "r": p.r.val,
+        "r": p.r,
         "secret_mode": secret_mode,
         "sample": len(secrets) if secret_mode == "sampled" else "-",
         "seed": args.seed,
@@ -230,7 +229,7 @@ def _profile_pass(p: BarrettParams, secrets: Sequence[int], check: Optional[Rout
     """(profile, agree) per secret, in order, from one scan(secrets, closed form, ..., check)."""
     def profiles(xs, counts):
         return [
-            MultiplicityProfile.from_counts(ZqElem(x, p.q), row)
+            MultiplicityProfile.from_counts(x, p.q, row)
             for x, row in zip(xs.tolist(), counts)
         ]
 
@@ -248,7 +247,6 @@ def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
     rows = []
     passed = True
     for prof, _ in _profile_pass(p, secrets):
-        xe = prof.secret
         # Off mask mass leaves no distribution to measure; a value hit
         # three times keeps its min-entropy, which then reads below the
         # floor.  Either way the profile is not conserved and fails the run.
@@ -256,15 +254,15 @@ def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
         passed = passed and prof.conserved
         rows.append(
             {
-                "secret": xe.val,
+                "secret": prof.secret,
                 "zeros": prof.zeros,
                 "ones": prof.ones,
                 "twos": prof.twos,
                 "max_count": prof.max_count,
                 "support": prof.support_size,
                 "gap_observed": prof.zeros,
-                "gap_paper": support_gap_predicted_paper(p, xe),
-                "gap_extended": support_gap_predicted_extended(p, xe),
+                "gap_paper": support_gap_predicted_paper(p, prof.secret),
+                "gap_extended": support_gap_predicted_extended(p, prof.secret),
                 "min_entropy_bits": bound.exact_min_entropy_bits if bound else None,
                 "floor_bits": bound.barrier_floor_bits if bound else None,
             }
@@ -297,7 +295,7 @@ def _cmd_equiv(args) -> tuple[dict, list[dict], dict, int]:
     params = {
         "q": args.q,
         "s": args.s,
-        "r": p.r.val,
+        "r": p.r,
         "sample": sample if sample is not None else "-",
         "seed": args.seed,
     }
@@ -316,7 +314,7 @@ def _cmd_entropy(args) -> tuple[dict, list[dict], dict, int]:
             raise ValueError("entropy needs either --preset or both --q and --s")
         name, p = "custom", BarrettParams.create(args.q, args.s)
     rows = [{"name": name, **row} for row in barrier_table([p])]
-    params = {"q": p.q.q, "s": p.s, "preset": args.preset or "-"}
+    params = {"q": p.q, "s": p.s, "preset": args.preset or "-"}
     summary = {"passed": True}
     return params, rows, summary, 0
 
@@ -329,7 +327,7 @@ def _cmd_witness(args) -> tuple[dict, list[dict], dict, int]:
     # (r = 0 means the map is a bijection), so only masks that fail their
     # re-evaluation fail the run.
     del rows[0]["verified"]
-    params = {"q": args.q, "s": args.s, "r": p.r.val}
+    params = {"q": args.q, "s": args.s, "r": p.r}
     summary = {"passed": rep.verified, "found": rep.found}
     return params, rows, summary, 0 if rep.verified else 1
 
@@ -343,13 +341,12 @@ def _cmd_compose(args) -> tuple[dict, list[dict], dict, int]:
         )
     if "barrett" in names and args.s is None:
         raise ValueError("--s is required when a barrett stage is present")
-    ring = Modulus(args.q)
     barrett_p = BarrettParams.create(args.q, args.s) if "barrett" in names else None
 
     def build(name: str):
         if name == "barrett":
             return make_barrett_gadget(barrett_p)
-        return make_identity_gadget(ring)
+        return make_identity_gadget(args.q)
 
     spec = PipelineSpec(build(names[0]), build(names[1]), args.mode)
     secrets, secret_mode = _secret_scope(args.q, args.seed, PIPELINE_EXHAUSTIVE_LIMIT)
@@ -407,12 +404,12 @@ def _sweep_row(**values) -> dict:
 
 def _sweep_case(p: BarrettParams, secrets: Sequence[int], secret_mode: str) -> list[dict]:
     """One case's rows: the case row, then its mismatch rows."""
-    q, s = p.q.q, p.s
+    q, s = p.q, p.s
     # Sampled secrets are also enumerated, to cross-check the closed form.
     check = (make_barrett_gadget(p), counts_bruteforce_all) if secret_mode == "sampled" else None
     # The case row is the tally: its flags and counts are updated as checks run.
     case_row = _sweep_row(
-        row="case", q=q, s=s, r=p.r.val, secret_mode=secret_mode,
+        row="case", q=q, s=s, r=p.r, secret_mode=secret_mode,
         secrets_checked=len(secrets), conservation_ok=True, routes_agree=True,
         equiv="skipped", max_count=0, paper_gap_mismatches=0, extended_gap_mismatches=0,
     )
@@ -431,8 +428,8 @@ def _sweep_case(p: BarrettParams, secrets: Sequence[int], secret_mode: str) -> l
             if case_row[f"{formula}_gap_mismatches"] <= MISMATCH_ROW_CAP:
                 rows.append(
                     _sweep_row(
-                        row="mismatch", q=q, s=s, r=p.r.val, formula=formula,
-                        secret=prof.secret.val, observed=prof.zeros, predicted=predicted,
+                        row="mismatch", q=q, s=s, r=p.r, formula=formula,
+                        secret=prof.secret, observed=prof.zeros, predicted=predicted,
                     )
                 )
 
@@ -445,7 +442,7 @@ def _sweep_case(p: BarrettParams, secrets: Sequence[int], secret_mode: str) -> l
 def _cmd_sweep(args) -> tuple[dict, list[dict], dict, int]:
     cases = _load_sweep_config(args.config)
     # Every case's ring and scope are fixed before the first case is counted.
-    scoped = [(p, *_secret_scope(p.q.q, args.seed, SWEEP_EXHAUSTIVE_LIMIT)) for p in cases]
+    scoped = [(p, *_secret_scope(p.q, args.seed, SWEEP_EXHAUSTIVE_LIMIT)) for p in cases]
     rows = [row for case in scoped for row in _sweep_case(*case)]
     # The summary is read back from the case rows, so it cannot disagree with them.
     case_rows = [row for row in rows if row["row"] == "case"]

@@ -9,7 +9,9 @@ Two wire maps are modeled:
   a plain translation and therefore a bijection.
 
 Both come wrapped in a uniform WireGadget record carrying the stage's
-claimed worst-case preimage size.
+claimed worst-case preimage size.  q, r, secrets and wire values are
+plain ints: BarrettParams and WireGadget run modring's checks on q once,
+when they are built, and keep nothing of modring's types.
 
 Each form of a map has one implementation, its *_eval_vec kernel: the
 Barrett wire's two-branch and hardware-faithful s-bit forms, and the
@@ -62,7 +64,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .modring import Modulus, ZqElem, branch_offset
+from .modring import Modulus, branch_offset
 
 IntOrArray = Union[int, np.ndarray]
 INT32 = np.dtype(np.int32)
@@ -90,32 +92,34 @@ class ScopeConditionError(ValueError):
 class BarrettParams:
     """Modulus q and shift s of a reduction stage, with the cached offset r.
 
-    The algebraic evaluator accepts any q >= 1 and s >= 0.  Only the
+    All three are plain ints; modring checks q and s once, here.  The
+    algebraic evaluator accepts any q >= 1 and s >= 0.  Only the
     hardware-faithful (unsigned s-bit datapath) evaluator needs q <= 2^s.
     """
 
-    q: Modulus
+    q: int
     s: int
-    r: ZqElem = field(init=False)
+    r: int = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "r", branch_offset(self.q, self.s))
+        object.__setattr__(self, "r", branch_offset(Modulus(self.q), self.s).val)
 
     @classmethod
     def create(cls, q: int, s: int) -> "BarrettParams":
-        return cls(Modulus(q), s)
+        """BarrettParams(q, s); the bench tracer times each build as this span."""
+        return cls(q, s)
 
     def scope_ok(self) -> bool:
         """True when q <= 2^s, i.e. one s-bit word holds a full residue.
 
         Compared by bit length, so no s-bit integer is built.
         """
-        return (self.q.q - 1).bit_length() <= self.s
+        return (self.q - 1).bit_length() <= self.s
 
     def require_scope(self) -> None:
         if not self.scope_ok():
             raise ScopeConditionError(
-                f"hardware-faithful form needs q <= 2^s, got q={self.q.q}, s={self.s}"
+                f"hardware-faithful form needs q <= 2^s, got q={self.q}, s={self.s}"
             )
 
 
@@ -136,15 +140,15 @@ def _floor_mod(out: np.ndarray, q: int) -> np.ndarray:
 
 def barrett_algebraic_eval_vec(p: BarrettParams, x: IntOrArray, m: np.ndarray) -> np.ndarray:
     """Two-branch wire map (x - m, plus r where m > x) mod q, in the masks' lane_dtype(q)."""
-    x, m, out = _in_lane(p.q.q, 0, x, m)
-    np.add(out, p.r.val, out=out, where=m > x)
-    return _floor_mod(out, p.q.q)
+    x, m, out = _in_lane(p.q, 0, x, m)
+    np.add(out, p.r, out=out, where=m > x)
+    return _floor_mod(out, p.q)
 
 
 def barrett_nat_eval_vec(p: BarrettParams, x: IntOrArray, m: np.ndarray) -> np.ndarray:
     """Hardware-faithful wire map ((x + 2^s - m) mod 2^s) mod q, in the masks' lane."""
     p.require_scope()
-    q = p.q.q
+    q = p.q
     if p.s > 62:
         # x + 2^s overflows int64: exact Python ints, one pair's s-bit word at a time.
         w = 2**p.s
@@ -156,9 +160,9 @@ def barrett_nat_eval_vec(p: BarrettParams, x: IntOrArray, m: np.ndarray) -> np.n
     return _floor_mod(out, q)
 
 
-def identity_mask_eval_vec(q: Modulus, x: IntOrArray, m: np.ndarray) -> np.ndarray:
+def identity_mask_eval_vec(q: int, x: IntOrArray, m: np.ndarray) -> np.ndarray:
     """Translation wire map (x - m) mod q, in the masks' lane_dtype(q)."""
-    return _floor_mod(_in_lane(q.q, 0, x, m)[2], q.q)
+    return _floor_mod(_in_lane(q, 0, x, m)[2], q)
 
 
 @dataclass(frozen=True)
@@ -177,11 +181,12 @@ class WireGadget:
     """
 
     name: str
-    q: Modulus
+    q: int
     claimed_max_mult: int
     eval_vec: Callable[[IntOrArray, np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
+        Modulus(self.q)  # the ring's checks: an int, not a bool, in [1, MAX_MODULUS]
         if self.claimed_max_mult < 1:
             raise ValueError("claimed_max_mult must be >= 1")
 
@@ -196,7 +201,7 @@ def make_barrett_gadget(p: BarrettParams) -> WireGadget:
     )
 
 
-def make_identity_gadget(q: Modulus) -> WireGadget:
+def make_identity_gadget(q: int) -> WireGadget:
     """Masking-only gadget x - m: every output has exactly one preimage."""
     return WireGadget(
         name="identity",

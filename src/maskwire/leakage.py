@@ -34,7 +34,7 @@ class EntropyBound:
 
 def max_output_probability(profile: MultiplicityProfile) -> Fraction:
     """Largest point mass of the wire distribution, exact."""
-    return Fraction(profile.max_count, profile.secret.modulus.q)
+    return Fraction(profile.max_count, profile.q)
 
 
 def min_entropy(profile: MultiplicityProfile) -> EntropyBound:
@@ -44,7 +44,7 @@ def min_entropy(profile: MultiplicityProfile) -> EntropyBound:
     when some value is hit twice; fractional values are impossible while
     preimage sizes stay in {0, 1, 2}.
     """
-    q = profile.secret.modulus.q
+    q = profile.q
     exact = math.log2(q) - math.log2(profile.max_count)
     floor = math.log2(q) - MAX_LEAKAGE_BITS
     return EntropyBound(
@@ -60,13 +60,12 @@ def barrier_table(params_list: Sequence[BarrettParams]) -> list[dict]:
     """Per-parameter-set floor summary rows for reporting."""
     rows = []
     for p in params_list:
-        q = p.q.q
         rows.append(
             {
-                "q": q,
+                "q": p.q,
                 "s": p.s,
-                "log2_q": math.log2(q),
-                "floor_bits": math.log2(q) - MAX_LEAKAGE_BITS,
+                "log2_q": math.log2(p.q),
+                "floor_bits": math.log2(p.q) - MAX_LEAKAGE_BITS,
                 "max_leakage_bits": MAX_LEAKAGE_BITS,
             }
         )

@@ -1,7 +1,6 @@
-"""Residue rings Z_q: a validated modulus q >= 1 and residues tagged with it.
+"""The ring's input checks: a modulus q in [1, MAX_MODULUS], a canonical residue.
 
-Profiles and reports carry secrets and values as ZqElem; wire arithmetic
-runs on raw residues in the gadgets' kernels, so ZqElem has none.
+BarrettParams and WireGadget run them once, when built, and keep plain ints.
 """
 
 from __future__ import annotations

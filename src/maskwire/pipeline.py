@@ -39,8 +39,8 @@ class PipelineSpec:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.stage1.q != self.stage2.q:
             raise ValueError(
-                f"stages must share a modulus, got q={self.stage1.q.q} "
-                f"and q={self.stage2.q.q}"
+                f"stages must share a modulus, got q={self.stage1.q} "
+                f"and q={self.stage2.q}"
             )
 
 
@@ -79,7 +79,7 @@ def compose(spec: PipelineSpec, secrets: Optional[Sequence[int]] = None) -> Comp
     secrets is scanned twice, so it must be a sequence, not an iterator.
     """
     if secrets is None:
-        secrets = range(spec.stage1.q.q)
+        secrets = range(spec.stage1.q)
 
     def peak(wire: WireGadget) -> int:
         blocks = scan(secrets, (wire, counts_bruteforce_all), lambda xs, c: int(c.max()))
@@ -94,7 +94,7 @@ def compose(spec: PipelineSpec, secrets: Optional[Sequence[int]] = None) -> Comp
     bound_product = spec.stage1.claimed_max_mult * spec.stage2.claimed_max_mult
     return CompositionReport(
         mode=spec.mode,
-        q=spec.stage1.q.q,
+        q=spec.stage1.q,
         stages=f"{spec.stage1.name}+{spec.stage2.name}",
         wire1_max_mult=k1,
         wire2_max_mult=k2,

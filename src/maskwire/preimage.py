@@ -11,7 +11,7 @@ Cross-checking the two routes is the core property this package exists
 to exercise, so neither is ever expressed in terms of the other.  Both
 take a canonical secret 0 <= x < q, or a 1-D array of them, return
 counts of shape shape(x) + (q,), and raise ValueError if any secret is
-not canonical.
+not canonical; so do the scalar forms and profiles, on plain ints.
 count_closedform stays a scalar O(1) form next to the vectorised
 counts_closedform_all: the test suite checks the vectorised counts
 against it, and building it from counts_closedform_all would make that
@@ -70,7 +70,6 @@ from .gadgets import (
     lane_dtype,
     make_barrett_gadget,
 )
-from .modring import ZqElem
 
 # analyze's and trichotomy's full-modulus secret sweeps stop at this
 # size; beyond, cli._secret_scope draws DEFAULT_SAMPLE_SECRETS by PRNG.
@@ -92,22 +91,23 @@ Route = Tuple[Any, Callable[[Any, np.ndarray], np.ndarray]]
 class MultiplicityProfile:
     """Per-secret histogram of preimage sizes over all q output values.
 
-    Only measurements are stored: zeros/ones/twos count output values by
-    preimage size; overflow (size >= 3) and support_size (size >= 1)
-    follow from them and q.  Construction checks nothing, so a report
-    keeps a broken histogram as data; `conserved` gives the verdict.
+    The secret and q, then measurements: zeros/ones/twos count output
+    values by preimage size; overflow (size >= 3) and support_size
+    (size >= 1) follow from them and q.  Construction checks nothing, so
+    a report keeps a broken histogram as data; `conserved` gives the verdict.
     """
 
-    secret: ZqElem
+    secret: int
+    q: int
     zeros: int
     ones: int
     twos: int
     max_count: int
 
     @classmethod
-    def from_counts(cls, secret: ZqElem, counts: np.ndarray) -> "MultiplicityProfile":
+    def from_counts(cls, secret: int, q: int, counts: np.ndarray) -> "MultiplicityProfile":
         """Profile a per-value counts array in four passes: nonzero, twos, max and min."""
-        q = secret.modulus.q
+        _require_canonical("secret", secret, q)
         if counts.shape != (q,):
             raise ValueError(f"counts array must have length q={q}")
         nonzero, twos = int(np.count_nonzero(counts)), int(np.count_nonzero(counts == 2))
@@ -115,15 +115,15 @@ class MultiplicityProfile:
         # Past 0..2, nonzero - twos is not the ones: count them, so a broken row stays data.
         in_range = top <= 2 and counts.min() >= 0
         ones = nonzero - twos if in_range else int(np.count_nonzero(counts == 1))
-        return cls(secret=secret, zeros=q - nonzero, ones=ones, twos=twos, max_count=top)
+        return cls(secret, q, zeros=q - nonzero, ones=ones, twos=twos, max_count=top)
 
     @property
     def overflow(self) -> int:
-        return self.secret.modulus.q - self.zeros - self.ones - self.twos
+        return self.q - self.zeros - self.ones - self.twos
 
     @property
     def support_size(self) -> int:
-        return self.secret.modulus.q - self.zeros
+        return self.q - self.zeros
 
     @property
     def conserved(self) -> bool:
@@ -189,7 +189,7 @@ def block_rows(q: int, dtype: np.dtype) -> int:
 
 def _lane(arg: Any) -> np.dtype:
     """A route's lane, lane_dtype(q), for BarrettParams and WireGadget alike."""
-    return lane_dtype(arg.q.q)
+    return lane_dtype(arg.q)
 
 
 def _blocks(secrets: Iterable[int], rows: int) -> Iterator[np.ndarray]:
@@ -224,7 +224,7 @@ def scan(
     way over the same q, agree says whether the two arrays are equal, and
     on disagreement reduce gets check's counts.
     """
-    rows = block_rows(route[0].q.q, _lane(route[0]))
+    rows = block_rows(route[0].q, _lane(route[0]))
     for xs in _blocks(secrets, rows):
         yield _scan_block(xs, route, reduce, check)
 
@@ -239,6 +239,11 @@ def _scan_block(
     checked = check[1](check[0], xs)
     agree = np.array_equal(checked, counts)
     return reduce(xs, counts if agree else checked), agree
+
+
+def _require_canonical(name: str, n: int, q: int) -> None:
+    if not 0 <= n < q:
+        raise ValueError(f"{name} {n} not canonical for modulus {q}")
 
 
 def _canonical(x: IntOrArray, q: int) -> np.ndarray:
@@ -263,7 +268,7 @@ def counts_bruteforce_all(g: WireGadget, x: IntOrArray) -> np.ndarray:
     tile whose mean run is under RUN_BREAK_EVEN takes one np.add.at.  No
     count passes q < 2^31.
     """
-    q = g.q.q
+    q = g.q
     xs = _canonical(x, q)
     offsets = np.arange(0, xs.size * q, q, dtype=lane_dtype(xs.size * q)).reshape(-1, 1)
     counts = np.zeros(xs.size * q, dtype=np.int32)
@@ -286,7 +291,7 @@ def counts_bruteforce_all(g: WireGadget, x: IntOrArray) -> np.ndarray:
     return counts.reshape(xs.shape + (q,))
 
 
-def count_closedform(p: BarrettParams, x: ZqElem, v: ZqElem) -> int:
+def count_closedform(p: BarrettParams, x: int, v: int) -> int:
     """Preimage size from the two-candidate characterization, in {0, 1, 2}.
 
     Candidate x - v counts iff it takes the direct branch, and candidate
@@ -294,11 +299,11 @@ def count_closedform(p: BarrettParams, x: ZqElem, v: ZqElem) -> int:
     candidates coincide and exactly one test holds: the map is the
     bijection m -> x - m.
     """
-    q = p.q.q
-    r = p.r.val
-    a = (x.val - v.val) % q
-    b = (a + r) % q
-    return (1 if a <= x.val else 0) + (1 if b > x.val else 0)
+    _require_canonical("secret", x, p.q)
+    _require_canonical("value", v, p.q)
+    a = (x - v) % p.q
+    b = (a + p.r) % p.q
+    return (1 if a <= x else 0) + (1 if b > x else 0)
 
 
 def counts_closedform_all(p: BarrettParams, x: IntOrArray) -> np.ndarray:
@@ -310,7 +315,7 @@ def counts_closedform_all(p: BarrettParams, x: IntOrArray) -> np.ndarray:
     count never exceeds 2, and with r = 0 the wrap set is (x, q) and
     every count is 1.
     """
-    q, r = p.q.q, p.r.val
+    q, r = p.q, p.r
     xs = _canonical(x, q)
     counts = np.zeros((xs.size, q), dtype=np.int8)
     for row, x in zip(counts, xs.ravel().tolist()):
@@ -353,7 +358,6 @@ def trichotomy_check(
     error: the first offending (secret, value, count) is reported, and
     no block after it is counted.
     """
-    q = p.q.q
     if oracle:
         name, route = "bruteforce", (make_barrett_gadget(p), counts_bruteforce_all)
     else:
@@ -361,7 +365,7 @@ def trichotomy_check(
     checked = max_seen = 0
     counterexample = None
     for (seen, peak, counterexample), _ in scan(
-        range(q) if secrets is None else secrets, route, _trichotomy_block
+        range(p.q) if secrets is None else secrets, route, _trichotomy_block
     ):
         checked += seen
         max_seen = max(max_seen, peak)
@@ -369,23 +373,23 @@ def trichotomy_check(
             break
     # The cx_* fields take the (secret, value, count) triple, or stay None.
     return TrichotomyReport(
-        counterexample is None, checked, checked * q, max_seen, name, *(counterexample or ())
+        counterexample is None, checked, checked * p.q, max_seen, name, *(counterexample or ())
     )
 
 
-def support_gap_predicted_paper(p: BarrettParams, x: ZqElem) -> int:
+def support_gap_predicted_paper(p: BarrettParams, x: int) -> int:
     """Published three-term gap predictor min(x+1, q-r, q-1-x).
 
     It lacks the r term of the derived four-term form (see the extended
     predictor), so it overshoots exactly when r < min(x+1, q-1-x, q-r);
     both are reported side by side so the data can speak.
     """
-    q = p.q.q
-    r = p.r.val
-    return max(0, min(x.val + 1, q - r, q - 1 - x.val))
+    q, r = p.q, p.r
+    _require_canonical("secret", x, q)
+    return max(0, min(x + 1, q - r, q - 1 - x))
 
 
-def support_gap_predicted_extended(p: BarrettParams, x: ZqElem) -> int:
+def support_gap_predicted_extended(p: BarrettParams, x: int) -> int:
     """Four-term gap predictor min(x+1, q-1-x, r, q-r), derived exactly.
 
     With D = [0, x], the direct masks m <= x hit each v in D once and the
@@ -394,9 +398,9 @@ def support_gap_predicted_extended(p: BarrettParams, x: ZqElem) -> int:
     to q, and zeros = twos = |D| - |D & (D + r)| = max(0, min(x+1, q-1-x,
     r, q-r)).  The test suite and the sweep still check it by enumeration.
     """
-    q = p.q.q
-    r = p.r.val
-    return max(0, min(x.val + 1, q - 1 - x.val, r, q - r))
+    q, r = p.q, p.r
+    _require_canonical("secret", x, q)
+    return max(0, min(x + 1, q - 1 - x, r, q - r))
 
 
 def tightness_witness_search(p: BarrettParams) -> WitnessReport:
@@ -410,13 +414,12 @@ def tightness_witness_search(p: BarrettParams) -> WitnessReport:
     re-evaluated through the wire map; verified is False unless both
     send secret 0 to value 0 and they differ.
     """
-    r = p.r.val
-    if r == 0:
+    if p.r == 0:
         return WitnessReport(found=False)
-    wire = barrett_algebraic_eval_vec(p, 0, np.array([0, r]))
+    wire = barrett_algebraic_eval_vec(p, 0, np.array([0, p.r]))
     return WitnessReport(
-        found=True, secret=0, value=0, count=2, mask_a=0, mask_b=r,
-        verified=not wire.any() and r != 0,
+        found=True, secret=0, value=0, count=2, mask_a=0, mask_b=p.r,
+        verified=not wire.any() and p.r != 0,
     )
 
 
@@ -458,7 +461,7 @@ def equivalence_check(
     from a mismatch.
     """
     p.require_scope()
-    q = p.q.q
+    q = p.q
     if sample is None:
         mode, total, tiles = "exhaustive", q * q, _exhaustive_pair_tiles(q, lane_dtype(q, p.s))
     else:

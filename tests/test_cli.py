@@ -148,9 +148,9 @@ def test_every_secret_profiled_through_from_counts(monkeypatch, capsys, tmp_path
     calls = []
     original = MultiplicityProfile.from_counts.__func__
 
-    def counted(cls, secret, counts):
-        calls.append(secret.val)
-        return original(cls, secret, counts)
+    def counted(cls, secret, q, counts):
+        calls.append(secret)
+        return original(cls, secret, q, counts)
 
     monkeypatch.setattr(MultiplicityProfile, "from_counts", classmethod(counted))
     code, _, _ = run_json(capsys, "analyze", "--q", "97", "--s", "7")
@@ -174,9 +174,9 @@ def test_analyze_secret_out_of_range(monkeypatch, capsys):
     calls = []
     original = MultiplicityProfile.from_counts.__func__
 
-    def counted(cls, secret, counts):
-        calls.append(secret.val)
-        return original(cls, secret, counts)
+    def counted(cls, secret, q, counts):
+        calls.append(secret)
+        return original(cls, secret, q, counts)
 
     monkeypatch.setattr(MultiplicityProfile, "from_counts", classmethod(counted))
     for q, s, secrets in (("40961", "34", [0, 5, 40961]), ("61", "6", [0, 2**64])):

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 import maskwire.cli as cli
+import maskwire.pipeline as pipeline
 import maskwire.preimage as preimage
 from maskwire.cli import main
 
 
 def broken_counts(p, xs):
     """One row per secret that breaks mask conservation: one value hit twice, none missed."""
-    counts = np.ones((len(xs), p.q.q), dtype=np.int64)
+    counts = np.ones((len(xs), p.q), dtype=np.int64)
     counts[:, 0] = 2
     return counts
 
@@ -22,14 +23,14 @@ def broken_counts(p, xs):
 def three_hit_counts(p, xs):
     """One row per secret with one value hit three times and two values missed:
     the mask mass still adds up to q."""
-    counts = np.ones((len(xs), p.q.q), dtype=np.int64)
+    counts = np.ones((len(xs), p.q), dtype=np.int64)
     counts[:, :3] = (3, 0, 0)
     return counts
 
 
 def three_hit_at_secret_5(p, xs):
     """All ones, except secret 5's row gets counts 0, 3, 0 on values 0, 1, 2."""
-    counts = np.ones((len(xs), p.q.q), dtype=np.int8)
+    counts = np.ones((len(xs), p.q), dtype=np.int8)
     counts[np.asarray(xs) == 5, :3] = (0, 3, 0)
     return counts
 
@@ -124,7 +125,7 @@ def test_sweep_summary_adds_up_its_case_rows(monkeypatch, capsys, tmp_path):
     # Only q = 61 is broken: the summary counts one hard failure, q = 7
     # keeps every flag, and the mismatch totals are the case rows' sums.
     def broken_at_61(p, xs):
-        return broken_counts(p, xs) if p.q.q == 61 else preimage.counts_closedform_all(p, xs)
+        return broken_counts(p, xs) if p.q == 61 else preimage.counts_closedform_all(p, xs)
 
     monkeypatch.setattr(cli, "counts_closedform_all", broken_at_61)
     config = tmp_path / "sweep.json"
@@ -165,7 +166,7 @@ def test_sweep_rejects_a_bad_case_before_counting(monkeypatch, capsys, tmp_path)
     calls = []
 
     def counted(p, xs):
-        calls.append(p.q.q)
+        calls.append(p.q)
         return preimage.counts_closedform_all(p, xs)
 
     monkeypatch.setattr(cli, "counts_closedform_all", counted)
@@ -177,6 +178,23 @@ def test_sweep_rejects_a_bad_case_before_counting(monkeypatch, capsys, tmp_path)
     assert captured.out == ""
     assert "modulus 2147483648 exceeds supported bound 2147483647" in captured.err
     assert calls == []
+
+
+def test_compose_rejects_a_modulus_past_the_bound_before_counting(monkeypatch, capsys):
+    # No barrett stage builds a BarrettParams here: the identity gadget's
+    # own q check must stop the run before either wire is enumerated.  A
+    # count would take 8 GiB a secret, so the patched route refuses to run.
+    def refuse(g, xs):
+        raise AssertionError(f"counted a wire at q={g.q}")
+
+    monkeypatch.setattr(pipeline, "counts_bruteforce_all", refuse)
+    argv = ["compose", "--q", "2147483648", "--s", "40", "--stages", "identity,identity"]
+    code = main([*argv, "--mode", "fresh", "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "maskwire: error: modulus 2147483648 exceeds supported bound 2147483647\n"
+    )
 
 
 def test_threads_flag_starts_no_thread(monkeypatch, capsys):

@@ -20,7 +20,6 @@ from maskwire.gadgets import (
     make_barrett_gadget,
     make_identity_gadget,
 )
-from maskwire.modring import Modulus
 
 from reference import ceil_log2, ref_wire, ref_wire_hw
 
@@ -37,9 +36,9 @@ def hw(p, x, m):
 
 def test_params_construction():
     p = BarrettParams.create(3329, 24)
-    assert p.q.q == 3329
-    assert p.s == 24
-    assert p.r.val == 2385
+    assert (p.q, p.s, p.r) == (3329, 24, 2385)
+    assert [type(v) for v in (p.q, p.s, p.r)] == [int, int, int]
+    assert BarrettParams(3329, 24) == p
     assert p.scope_ok()
     p.require_scope()
 
@@ -100,7 +99,7 @@ def test_two_branch_law_exhaustive_to_256():
     # formula keeps covering every modulus up to 256 cheap.
     for q in range(1, 257):
         p = BarrettParams.create(q, ceil_log2(q))
-        r = p.r.val
+        r = p.r
         m = np.arange(q, dtype=np.int64)
         for x in range(q):
             want = np.where(m <= x, (x - m) % q, (x - m + r) % q)
@@ -112,7 +111,7 @@ def test_two_branch_law_million_samples():
     n = 10**6
     for q, s in ((3329, 24), (8380417, 48)):
         p = BarrettParams.create(q, s)
-        r = p.r.val
+        r = p.r
         xs = rng.integers(0, q, size=n)
         ms = rng.integers(0, q, size=n)
         want = np.where(ms <= xs, (xs - ms) % q, (xs - ms + r) % q)
@@ -141,17 +140,17 @@ def test_forms_agree_spot(q, s):
 def test_degenerate_offset_is_bijection():
     # q = 2^s makes r = 0; the wire collapses to plain m -> x - m.
     p = BarrettParams.create(16, 4)
-    assert p.r.val == 0
+    assert p.r == 0
     for x in range(16):
         assert {alg(p, x, m) for m in range(16)} == set(range(16))
 
 
 def test_identity_gadget():
-    ring = Modulus(11)
     for x in range(11):
         for m in range(11):
-            assert int(identity_mask_eval_vec(ring, x, np.int64(m))) == (x - m) % 11
-    g = make_identity_gadget(ring)
+            assert int(identity_mask_eval_vec(11, x, np.int64(m))) == (x - m) % 11
+    g = make_identity_gadget(11)
+    assert g.q == 11
     assert g.name == "identity"
     assert g.claimed_max_mult == 1
 
@@ -208,9 +207,27 @@ def test_barrett_gadget_wrapper():
 
 
 def test_gadget_validation():
-    ring = Modulus(7)
     with pytest.raises(ValueError):
-        WireGadget(name="bad", q=ring, claimed_max_mult=0, eval_vec=lambda x, m: m)
+        WireGadget(name="bad", q=7, claimed_max_mult=0, eval_vec=lambda x, m: m)
+
+
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        (2**31, "modulus 2147483648 exceeds supported bound 2147483647"),
+        (True, "modulus must be an integer, got True"),
+        (7.0, "modulus must be an integer, got 7.0"),
+        (0, "modulus must be >= 1, got 0"),
+    ],
+)
+@pytest.mark.parametrize(
+    "build", [make_identity_gadget, lambda q: BarrettParams(q, 40)],
+    ids=["identity-gadget", "barrett-params"],
+)
+def test_q_is_checked_at_construction(build, q, message):
+    # q is a plain int past construction, so the ring's bound check runs here.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(q)
 
 
 @given(

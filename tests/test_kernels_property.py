@@ -25,7 +25,6 @@ from maskwire.gadgets import (
     make_barrett_gadget,
     make_identity_gadget,
 )
-from maskwire.modring import Modulus
 from maskwire.preimage import counts_bruteforce_all, counts_closedform_all
 
 from reference import ceil_log2, ref_counts, ref_wire_hw
@@ -83,9 +82,9 @@ def test_evaluators_match_independent_forms(qs, xm):
 
         alg = barrett_algebraic_eval_vec(p, x, m)
         assert alg.dtype == m.dtype and alg.shape == shape
-        np.testing.assert_array_equal(alg.ravel(), remainder_form(q, p.r.val, xs, ms))
+        np.testing.assert_array_equal(alg.ravel(), remainder_form(q, p.r, xs, ms))
 
-        ident = identity_mask_eval_vec(Modulus(q), x, m)
+        ident = identity_mask_eval_vec(q, x, m)
         assert ident.dtype == m.dtype and ident.shape == shape
         np.testing.assert_array_equal(ident.ravel(), (xs - ms) % q)
 

@@ -10,14 +10,13 @@ from maskwire.leakage import (
     max_output_probability,
     min_entropy,
 )
-from maskwire.modring import ZqElem
 from maskwire.preimage import MultiplicityProfile, counts_closedform_all
 
 MLKEM = BarrettParams.create(3329, 24)
 
 
 def _profile(p, x):
-    return MultiplicityProfile.from_counts(ZqElem(x, p.q), counts_closedform_all(p, x))
+    return MultiplicityProfile.from_counts(x, p.q, counts_closedform_all(p, x))
 
 
 def test_max_probability_exact():

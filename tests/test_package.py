@@ -37,8 +37,23 @@ def test_scalar_pass_throughs_are_gone():
         for module in (preimage, gadgets, modring):
             assert not hasattr(module, name)
     for attr in ("__add__", "__sub__", "__int__", "_check_same_ring"):
-        assert attr not in vars(maskwire.ZqElem)
+        assert attr not in vars(modring.ZqElem)
     assert [f.name for f in fields(maskwire.WireGadget)] == [
         "name", "q", "claimed_max_mult", "eval_vec"
     ]
     assert [f.name for f in fields(maskwire.Preset)] == ["name", "q", "s"]
+
+
+def test_ring_wrappers_stay_in_modring():
+    # q, r and secrets are plain ints past construction: the package
+    # exports none of modring's types, which stay importable from modring.
+    import maskwire.modring as modring
+
+    for name in ("Modulus", "ZqElem", "branch_offset"):
+        assert name not in maskwire.__all__
+        assert not hasattr(maskwire, name)
+        assert hasattr(modring, name)
+    assert [f.name for f in fields(maskwire.MultiplicityProfile)] == [
+        "secret", "q", "zeros", "ones", "twos", "max_count"
+    ]
+    assert [f.name for f in fields(maskwire.BarrettParams)] == ["q", "s", "r"]

@@ -7,15 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maskwire.gadgets import BarrettParams, make_barrett_gadget, make_identity_gadget
-from maskwire.modring import Modulus
 from maskwire.pipeline import PipelineSpec, compose
 
 from reference import ref_wire
 
 
 def _identity_pair(q, mode):
-    ring = Modulus(q)
-    return PipelineSpec(make_identity_gadget(ring), make_identity_gadget(ring), mode)
+    return PipelineSpec(make_identity_gadget(q), make_identity_gadget(q), mode)
 
 
 def _id_barrett(q, s, mode):
@@ -26,10 +24,8 @@ def _id_barrett(q, s, mode):
 def test_spec_validation():
     with pytest.raises(ValueError):
         _identity_pair(7, "parallel")
-    with pytest.raises(ValueError):
-        PipelineSpec(
-            make_identity_gadget(Modulus(7)), make_identity_gadget(Modulus(11)), "fresh"
-        )
+    with pytest.raises(ValueError, match="got q=7 and q=11"):
+        PipelineSpec(make_identity_gadget(7), make_identity_gadget(11), "fresh")
 
 
 def test_fresh_identity_barrett():

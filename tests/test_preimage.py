@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from maskwire.cli import _secret_scope
 from maskwire.gadgets import BarrettParams, ScopeConditionError, make_barrett_gadget
-from maskwire.modring import Modulus, ZqElem
 from maskwire.preimage import (
     MultiplicityProfile,
     count_closedform,
@@ -27,16 +26,12 @@ from reference import ref_counts, ref_wire
 MLKEM = BarrettParams.create(3329, 24)
 
 
-def _elem(p: BarrettParams, n: int) -> ZqElem:
-    return ZqElem(n, p.q)
-
-
 def test_count_closedform_examples():
-    assert count_closedform(MLKEM, _elem(MLKEM, 100), _elem(MLKEM, 0)) == 2
-    assert count_closedform(MLKEM, _elem(MLKEM, 3328), _elem(MLKEM, 17)) == 1
+    assert count_closedform(MLKEM, 100, 0) == 2
+    assert count_closedform(MLKEM, 3328, 17) == 1
     p7 = BarrettParams.create(7, 3)
-    assert count_closedform(p7, _elem(p7, 3), _elem(p7, 4)) == 0
-    assert count_closedform(p7, _elem(p7, 0), _elem(p7, 0)) == 2
+    assert count_closedform(p7, 3, 4) == 0
+    assert count_closedform(p7, 0, 0) == 2
 
 
 def test_count_bruteforce_examples():
@@ -51,7 +46,7 @@ def test_count_degenerate_offset():
     for x in range(16):
         assert list(counts_bruteforce_all(g, x)) == [1] * 16
         for v in range(16):
-            assert count_closedform(p, _elem(p, x), _elem(p, v)) == 1
+            assert count_closedform(p, x, v) == 1
 
 
 @pytest.mark.parametrize("q,s", [(7, 3), (12, 5), (16, 4), (61, 6), (64, 7)])
@@ -65,7 +60,7 @@ def test_routes_agree_exhaustive(q, s):
         assert list(bf) == ref
         assert list(cf) == ref
         for v in range(q):
-            assert count_closedform(p, _elem(p, x), _elem(p, v)) == ref[v]
+            assert count_closedform(p, x, v) == ref[v]
 
 
 def test_counts_match_scalar_api():
@@ -74,7 +69,7 @@ def test_counts_match_scalar_api():
     cf = counts_closedform_all(MLKEM, x)
     assert np.array_equal(bf, cf)
     for v in (0, 1, 720, 944, 945, 3328):
-        assert int(cf[v]) == count_closedform(MLKEM, _elem(MLKEM, x), _elem(MLKEM, v))
+        assert int(cf[v]) == count_closedform(MLKEM, x, v)
 
 
 # Rings whose rows fit a test, one per kind of offset r = 2^s mod q:
@@ -104,7 +99,7 @@ def fill_case(draw):
 def test_closed_form_rows_match_the_scalar_form_around_every_flip_point(case):
     q, s, x = case
     p = BarrettParams.create(q, s)
-    r = p.r.val
+    r = p.r
     row = counts_closedform_all(p, x)
     assert row.shape == (q,) and int(row.sum(dtype=np.int64)) == q
     # A count changes where the direct set [0, x] ends, where the wrap set
@@ -112,14 +107,14 @@ def test_closed_form_rows_match_the_scalar_form_around_every_flip_point(case):
     for centre in (0, x, x + 1, (x + 1 + r) % q, (r - 1) % q, r, q - 1):
         lo = max(0, centre - WINDOW // 2)
         hi = min(q, lo + WINDOW)
-        want = [count_closedform(p, _elem(p, x), _elem(p, v)) for v in range(lo, hi)]
+        want = [count_closedform(p, x, v) for v in range(lo, hi)]
         assert row[lo:hi].tolist() == want
 
 
 def test_closed_form_fill_at_its_edges():
     # r = 0: the wrap set is (x, q), so every count is 1.
     p64 = BarrettParams.create(64, 6)
-    assert p64.r.val == 0
+    assert p64.r == 0
     assert (counts_closedform_all(p64, np.arange(64)) == 1).all()
     p7 = BarrettParams.create(7, 3)  # r = 1
     # x = q - 1: the direct set is the whole ring, the wrap set is empty.
@@ -146,34 +141,30 @@ KNOWN_PROFILES = [
 @pytest.mark.parametrize("x,zeros,ones,twos", KNOWN_PROFILES)
 def test_known_profiles(x, zeros, ones, twos):
     g = make_barrett_gadget(MLKEM)
-    prof = MultiplicityProfile.from_counts(_elem(MLKEM, x), counts_closedform_all(MLKEM, x))
+    prof = MultiplicityProfile.from_counts(x, 3329, counts_closedform_all(MLKEM, x))
     assert (prof.zeros, prof.ones, prof.twos) == (zeros, ones, twos)
     assert prof.overflow == 0
     assert prof.support_size == 3329 - zeros
-    oracle = MultiplicityProfile.from_counts(
-        _elem(MLKEM, x), counts_bruteforce_all(g, x)
-    )
+    oracle = MultiplicityProfile.from_counts(x, 3329, counts_bruteforce_all(g, x))
     assert oracle == prof
 
 
 def test_profile_invariant_enforcement():
-    ring = Modulus(7)
-    x = ZqElem(3, ring)
-    ok = MultiplicityProfile(secret=x, zeros=1, ones=5, twos=1, max_count=2)
+    ok = MultiplicityProfile(secret=3, q=7, zeros=1, ones=5, twos=1, max_count=2)
     assert ok.zeros == 1
     assert (ok.overflow, ok.support_size) == (0, 6)
     assert ok.conserved
     # Construction accepts a broken histogram; conserved reports it.
     broken = [
         # mask mass off: ones + 2*twos = 6 != 7
-        MultiplicityProfile(secret=x, zeros=2, ones=4, twos=1, max_count=2),
+        MultiplicityProfile(secret=3, q=7, zeros=2, ones=4, twos=1, max_count=2),
         # buckets do not partition q = 7: they sum to 8, so overflow is -1
-        MultiplicityProfile(secret=x, zeros=1, ones=5, twos=2, max_count=2),
+        MultiplicityProfile(secret=3, q=7, zeros=1, ones=5, twos=2, max_count=2),
     ]
     assert [prof.overflow for prof in broken] == [0, -1]
     assert [prof.conserved for prof in broken] == [False, False]
-    with pytest.raises(ValueError):
-        MultiplicityProfile.from_counts(x, np.zeros(6, dtype=np.int64))
+    with pytest.raises(ValueError, match="counts array must have length q=7"):
+        MultiplicityProfile.from_counts(3, 7, np.zeros(6, dtype=np.int64))
 
 
 @settings(max_examples=200, deadline=None)
@@ -192,7 +183,7 @@ def test_conservation_is_the_mask_mass_with_no_value_hit_three_times(counts, dty
     # stays data.
     c = np.array(counts, dtype=dtype)
     q = len(c)
-    prof = MultiplicityProfile.from_counts(ZqElem(0, Modulus(q)), c)
+    prof = MultiplicityProfile.from_counts(0, q, c)
     assert prof.conserved == (c.min() >= 0 and c.max() <= 2 and c.sum() == q)
     direct = [np.count_nonzero(c == k) for k in (0, 1, 2)]
     assert [prof.zeros, prof.ones, prof.twos] == direct
@@ -207,9 +198,9 @@ def test_gap_predictors_small_case():
     g = make_barrett_gadget(p)
     observed = np.count_nonzero(counts_bruteforce_all(g, np.arange(7)) == 0, axis=1).tolist()
     assert observed == [1, 1, 1, 1, 1, 1, 0]
-    paper = [support_gap_predicted_paper(p, _elem(p, x)) for x in range(7)]
+    paper = [support_gap_predicted_paper(p, x) for x in range(7)]
     assert paper == [1, 2, 3, 3, 2, 1, 0]
-    extended = [support_gap_predicted_extended(p, _elem(p, x)) for x in range(7)]
+    extended = [support_gap_predicted_extended(p, x) for x in range(7)]
     assert extended == observed
 
 
@@ -220,22 +211,21 @@ def test_gap_predictors_mlkem():
     observed = [zeros for block, _ in blocks for zeros in block]
     assert len(observed) == 3329
     for x, obs in enumerate(observed):
-        xe = _elem(MLKEM, x)
-        assert support_gap_predicted_extended(MLKEM, xe) == obs
+        assert support_gap_predicted_extended(MLKEM, x) == obs
         # 2r >= q here, so the published predictor agrees everywhere too.
-        assert support_gap_predicted_paper(MLKEM, xe) == obs
+        assert support_gap_predicted_paper(MLKEM, x) == obs
 
 
 def test_gap_extended_large_case():
     p = BarrettParams.create(8380417, 48)
-    assert p.r.val == 196580
-    xe = _elem(p, 4000000)
-    assert support_gap_predicted_extended(p, xe) == 196580
+    assert p.r == 196580
+    x = 4000000
+    assert support_gap_predicted_extended(p, x) == 196580
     g = make_barrett_gadget(p)
-    prof = MultiplicityProfile.from_counts(xe, counts_bruteforce_all(g, xe.val))
+    prof = MultiplicityProfile.from_counts(x, p.q, counts_bruteforce_all(g, x))
     assert prof.zeros == 196580
     # Here the three-term form reports x + 1 instead: its min lacks the r term.
-    assert support_gap_predicted_paper(p, xe) == 4000001
+    assert support_gap_predicted_paper(p, x) == 4000001
 
 
 def test_gap_zero_offset():
@@ -243,7 +233,7 @@ def test_gap_zero_offset():
     counts = counts_bruteforce_all(make_barrett_gadget(p), np.arange(16))
     assert not np.count_nonzero(counts == 0)
     for x in range(16):
-        assert support_gap_predicted_extended(p, _elem(p, x)) == 0
+        assert support_gap_predicted_extended(p, x) == 0
 
 
 @given(
@@ -256,7 +246,7 @@ def test_extended_predictor_matches_enumeration(q, s, data):
     x = data.draw(st.integers(min_value=0, max_value=q - 1))
     p = BarrettParams.create(q, s)
     zeros = ref_counts(q, s, x).count(0)
-    assert support_gap_predicted_extended(p, _elem(p, x)) == zeros
+    assert support_gap_predicted_extended(p, x) == zeros
 
 
 @given(
@@ -267,12 +257,11 @@ def test_extended_predictor_matches_enumeration(q, s, data):
 @settings(max_examples=200, deadline=None)
 def test_predictors_agree_when_offset_large(q, s, data):
     p = BarrettParams.create(q, s)
-    r = p.r.val
+    r = p.r
     if not (r != 0 and 2 * r >= q):
         return
     x = data.draw(st.integers(min_value=0, max_value=q - 1))
-    xe = _elem(p, x)
-    assert support_gap_predicted_paper(p, xe) == support_gap_predicted_extended(p, xe)
+    assert support_gap_predicted_paper(p, x) == support_gap_predicted_extended(p, x)
 
 
 @given(
@@ -287,10 +276,8 @@ def test_count_trichotomy_and_conservation_random(q, s, data):
     counts = ref_counts(q, s, x)
     assert max(counts) <= 2
     for v in range(q):
-        assert count_closedform(p, _elem(p, x), _elem(p, v)) == counts[v]
-    prof = MultiplicityProfile.from_counts(
-        _elem(p, x), np.array(counts, dtype=np.int64)
-    )
+        assert count_closedform(p, x, v) == counts[v]
+    prof = MultiplicityProfile.from_counts(x, q, np.array(counts, dtype=np.int64))
     assert prof.zeros == prof.twos
     assert prof.ones + 2 * prof.twos == q
 
@@ -357,6 +344,26 @@ def test_non_canonical_secret_rejected(x):
         trichotomy_check(p, secrets=[x])
     with pytest.raises(ValueError, match="not canonical"):
         trichotomy_check(p, secrets=[x], oracle=True)
+
+
+@pytest.mark.parametrize("x", [-1, 7, 10])
+@pytest.mark.parametrize(
+    "word, call",
+    [
+        ("secret", lambda p, x: count_closedform(p, x, 0)),
+        ("value", lambda p, x: count_closedform(p, 0, x)),
+        ("secret", support_gap_predicted_paper),
+        ("secret", support_gap_predicted_extended),
+        ("secret", lambda p, x: MultiplicityProfile.from_counts(x, p.q, np.ones(p.q, np.int8))),
+    ],
+    ids=["count-secret", "count-value", "gap-paper", "gap-extended", "from-counts"],
+)
+def test_scalar_forms_reject_a_non_canonical_int(word, call, x):
+    # Each takes plain ints, so each checks [0, q) itself: at 10 = 3 (mod 7)
+    # the formulas would otherwise answer for a secret outside the ring.
+    p = BarrettParams.create(7, 3)
+    with pytest.raises(ValueError, match=f"^{word} {x} not canonical for modulus 7$"):
+        call(p, x)
 
 
 def test_trichotomy_check_trivial_ring():

@@ -35,7 +35,6 @@ from maskwire.gadgets import (
     make_barrett_gadget,
     make_identity_gadget,
 )
-from maskwire.modring import Modulus
 from maskwire.pipeline import PipelineSpec, _shared_wire, compose
 from maskwire.preimage import (
     BLOCK_BYTES,
@@ -353,7 +352,7 @@ def test_wire_value_outside_the_ring_is_rejected(tile, wrong):
     def eval_vec(x, m):
         return np.where((x == 2) & (m == 3), wrong, (x - m) % q)
 
-    g = WireGadget("out-of-range", Modulus(q), 1, eval_vec)
+    g = WireGadget("out-of-range", q, 1, eval_vec)
     with tiles_of(tile):
         for secrets in (np.arange(q), 2):
             with pytest.raises(ValueError, match=r"outside \[0, 7\)"):
@@ -478,7 +477,7 @@ def test_constant_wire_counts_every_mask_at_one_value():
     def zeros(x, m):
         return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(m)), dtype=m.dtype)
 
-    g = WireGadget("constant", Modulus(q), q, zeros)
+    g = WireGadget("constant", q, q, zeros)
     with tiles_of(2**13):
         assert -(-q // tile_len(INT32)) == 5
         counts = counts_bruteforce_all(g, np.array([0, 1, q - 1]))
@@ -554,7 +553,7 @@ def test_tally_matches_a_per_mask_count(wire, tile, break_even, data):
     # secrets are one block, several rows or none, or a lone 0-d secret.
     q, table, kind = wire
     secrets = data.draw(st.lists(st.integers(0, q - 1), max_size=5))
-    g = WireGadget(kind, Modulus(q), q, lambda x, m: table[x, m])
+    g = WireGadget(kind, q, q, lambda x, m: table[x, m])
     want = per_mask_tally(q, table, secrets)
     calls = [np.array(secrets, dtype=np.int64)]
     if len(secrets) == 1:
