@@ -50,6 +50,6 @@ def branch_offset(q: Modulus, s: int) -> ZqElem:
     Uses modular exponentiation, so s = 48 (and far beyond) never builds
     the full 2^s intermediate.
     """
-    if s < 0:
-        raise ValueError(f"shift exponent must be >= 0, got {s}")
+    if not isinstance(s, int) or isinstance(s, bool) or s < 0:
+        raise ValueError(f"shift exponent must be >= 0 and an int, got {s!r}")
     return ZqElem(pow(2, s, q.q), q)

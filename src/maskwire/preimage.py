@@ -21,34 +21,30 @@ Every scan keeps each array it builds within BLOCK_BYTES, under glibc's
 128 KiB mmap threshold (gadgets says what crossing it cost).  Secrets go
 in blocks of B = block_rows(q, dtype), the most whole rows of q that
 fit, and a block is one (B, q) array: a (B, 1) secret column against a
-row of masks.  That is 9 / 7 / 4 / 2 secrets in int32 at
-q = 3329 / 4591 / 7681 / 12289, so small rings pay numpy's per-call cost
-once per block: at q = 3329 the exhaustive equivalence scan went from
-0.105 s to 0.046 s.  A row that does not fit is a block of one, a lone
-secret included, cut into tiles of tile_len(dtype) = BLOCK_BYTES //
-itemsize elements (32,704 in int32, 16,352 in int64) whose temporaries
-stay in L2 cache.  The closed form builds no temporary: it fills its
-int8 result in place, three slices a row with Python-int bounds.  At
-q = 8,380,417 that takes 1.5 ms a secret, against 16.6 ms for the
-nine elementwise passes per value of the two-candidate test it replaced
-(2-vCPU x86-64 host, numpy 2.4).
+row of masks, so small rings pay numpy's per-call cost once per block
+(9 secrets in int32 at q = 3329).  A row that does not fit is a block
+of one, cut into tiles of tile_len(dtype) = BLOCK_BYTES // itemsize
+elements (32,704 in int32) whose temporaries stay in L2 cache.  Both
+routes count in uint8, q bytes a secret.  The closed form fills its
+rows in place, three slices a row with Python-int bounds: 1.5 ms a
+secret at q = 8,380,417 (2-vCPU x86-64 host, numpy 2.4).
 
 Enumeration walks its mask axis through _tiles in its route's _lane,
 and the exhaustive equivalence scan in lane_dtype(q, s).  The
 two-branch and translation wires wrap at no s-bit word, so q alone sets
-a route's lane, int32 wherever q <= 2^30; enumeration's int32 counts
-take 4q bytes a secret.  It tallies a tile with one slice add per run
-of masks whose values fall by one, exact for any wire (see
-counts_bruteforce_all); the two wires break a row's run at most twice,
-at the branch switch and at the wrap past 0, so a Barrett secret at
+a route's lane, int32 wherever q <= 2^30.  It tallies a tile with one
+slice add per run of masks whose values fall by one, exact for any wire
+(see _tally); the two wires break a row's run at most twice, at the
+branch switch and at the wrap past 0, so a Barrett secret at
 q = 8,380,417 took 26-31 ms against 44-50 ms with a np.add.at a tile.
+A row's mass tells whether a uint8 count wrapped (counts_bruteforce_all).
 scan(secrets, route, reduce, check) drives every per-secret scan.  A
 route is an (arg, count) pair run as count(arg, xs): BarrettParams with
 counts_closedform_all, or a WireGadget with counts_bruteforce_all; scan
 sizes both routes' blocks in _lane, so they take the same blocks at one
-q.  A check route counts each block a second way; on disagreement
-reduce gets its counts.  Only reduce's result outlives a block, so one
-block's counts are alive at a time.
+q.  A check route counts each block a second way, compared slice by
+slice; on disagreement reduce gets its counts.  Only reduce's result
+outlives a block, and the other counts die before it runs.
 """
 
 from __future__ import annotations
@@ -78,8 +74,8 @@ DEFAULT_SAMPLE_SECRETS = 16
 DEFAULT_SEED = 0
 # Bytes per block or tile array, kept under glibc's 128 KiB mmap threshold.
 BLOCK_BYTES = 2**17 - 256
-# Mean run length from which enumeration tallies a tile by slices, not np.add.at.  On
-# 32,704-mask int32 tiles into a 33 MB row they broke even at runs of 512-768 masks.
+# Mean run length from which enumeration tallies a tile by slices, not np.add.at.  Tiles
+# of 32,704 int32 masks into an 8.4 MB uint8 row broke even at runs of 768-1024 masks.
 RUN_BREAK_EVEN = 1024
 # (offset, secrets, masks) from _tiles and for equivalence_check.
 Tile = Tuple[int, np.ndarray, np.ndarray]
@@ -237,8 +233,14 @@ def _scan_block(
     if check is None:
         return reduce(xs, counts), True
     checked = check[1](check[0], xs)
-    agree = np.array_equal(checked, counts)
-    return reduce(xs, counts if agree else checked), agree
+    # Compared in slices of BLOCK_BYTES elements, so no q-length bool is built.
+    a, b, n = checked.reshape(-1), counts.reshape(-1), BLOCK_BYTES
+    agree = checked.shape == counts.shape and all(
+        np.array_equal(a[i : i + n], b[i : i + n]) for i in range(0, a.size, n)
+    )
+    counts = counts if agree else checked
+    del checked, a, b  # reduce runs beside one block of counts, not two
+    return reduce(xs, counts), agree
 
 
 def _require_canonical(name: str, n: int, q: int) -> None:
@@ -256,7 +258,22 @@ def _canonical(x: IntOrArray, q: int) -> np.ndarray:
 
 
 def counts_bruteforce_all(g: WireGadget, x: IntOrArray) -> np.ndarray:
-    """Per-value preimage counts for secret(s) x over every mask, int32 of shape(x) + (q,).
+    """Per-value preimage counts for secret(s) x over every mask, of shape(x) + (q,).
+
+    uint8, or int32 if a count passes 255.  A row's q masks make q increments
+    and uint8 keeps a count c as c mod 256, so the row sums to
+    q - 256 * sum(c // 256): to q exactly when no count passed 255.  A block
+    with a row off is counted again in int32, where no count passes q < 2^31.
+    """
+    xs = _canonical(x, g.q)
+    counts = _tally(g, xs, np.uint8)
+    if (counts.sum(axis=-1, dtype=np.uint32) != g.q).any():
+        counts = _tally(g, xs, np.int32)
+    return counts
+
+
+def _tally(g: WireGadget, xs: np.ndarray, dtype: type) -> np.ndarray:
+    """Counts for secret(s) xs in dtype, each modulo dtype's range, of shape(xs) + (q,).
 
     g.eval_vec gets one (col, masks) tile of _tiles at a time and returns
     a (B, n) array; a value outside [0, q) raises ValueError instead of
@@ -265,13 +282,11 @@ def counts_bruteforce_all(g: WireGadget, x: IntOrArray) -> np.ndarray:
     per mask, and each run adds 1 to one slice of counts.  That is exact
     for any wire: the runs partition the tile's masks, a run's indices are
     one interval, and no row falls by one into the next row's offset.  A
-    tile whose mean run is under RUN_BREAK_EVEN takes one np.add.at.  No
-    count passes q < 2^31.
+    tile whose mean run is under RUN_BREAK_EVEN takes one np.add.at.
     """
     q = g.q
-    xs = _canonical(x, q)
     offsets = np.arange(0, xs.size * q, q, dtype=lane_dtype(xs.size * q)).reshape(-1, 1)
-    counts = np.zeros(xs.size * q, dtype=np.int32)
+    counts = np.zeros(xs.size * q, dtype=dtype)
     for _, col, masks in _tiles(xs, q, _lane(g)):
         idx = g.eval_vec(col, masks)
         # Read unsigned, a negative value is huge, so one max bounds both ends.
@@ -282,7 +297,7 @@ def counts_bruteforce_all(g: WireGadget, x: IntOrArray) -> np.ndarray:
         breaks = idx[1:] - idx[:-1] != -1
         if idx.size < RUN_BREAK_EVEN * (np.count_nonzero(breaks) + 1):
             # A typed increment keeps ufunc.at on its fast path; a Python 1 does not.
-            np.add.at(counts, idx, np.int32(1))
+            np.add.at(counts, idx, dtype(1))
             continue
         cuts = np.flatnonzero(breaks)  # where each run but the tile's last one ends
         tops = [int(idx[0])] + idx[cuts + 1].tolist()
@@ -307,7 +322,7 @@ def count_closedform(p: BarrettParams, x: int, v: int) -> int:
 
 
 def counts_closedform_all(p: BarrettParams, x: IntOrArray) -> np.ndarray:
-    """Closed-form preimage counts for canonical secret(s) x, int8 of shape(x) + (q,).
+    """Closed-form preimage counts for canonical secret(s) x, uint8 of shape(x) + (q,).
 
     Row x is [v <= x] + [v in D^c + r]: 1 on [0, x], plus 1 on the wrap
     set, the q - 1 - x values from (x + 1 + r) mod q on, cut in two where
@@ -317,7 +332,7 @@ def counts_closedform_all(p: BarrettParams, x: IntOrArray) -> np.ndarray:
     """
     q, r = p.q, p.r
     xs = _canonical(x, q)
-    counts = np.zeros((xs.size, q), dtype=np.int8)
+    counts = np.zeros((xs.size, q), dtype=np.uint8)
     for row, x in zip(counts, xs.ravel().tolist()):
         row[: x + 1] = 1
         lo = (x + 1 + r) % q

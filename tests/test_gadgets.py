@@ -48,6 +48,13 @@ def test_negative_shift_rejected():
         BarrettParams.create(7, -1)
 
 
+@pytest.mark.parametrize("s", [True, False, 2.0, "3", None])
+def test_shift_must_be_a_plain_int(s):
+    # A bool would pass as s = 1 or 0, a float would reach pow as a TypeError.
+    with pytest.raises(ValueError, match="shift exponent must be >= 0"):
+        BarrettParams(7, s)
+
+
 def test_scope_condition():
     # 2^s below q: the width-s wrap can strand values, so the hw form refuses.
     p = BarrettParams.create(5, 2)

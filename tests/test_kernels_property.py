@@ -114,7 +114,7 @@ def params_and_secret(draw):
 def test_closedform_counts_match_enumeration(qsx):
     q, s, x = qsx
     counts = counts_closedform_all(BarrettParams.create(q, s), x)
-    assert counts.dtype == np.int8
+    assert counts.dtype == np.uint8
     assert counts.tolist() == ref_counts(q, s, x)
 
 

@@ -35,6 +35,7 @@ from maskwire.gadgets import (
     make_barrett_gadget,
     make_identity_gadget,
 )
+from maskwire.cli import _profile_pass
 from maskwire.pipeline import PipelineSpec, _shared_wire, compose
 from maskwire.preimage import (
     BLOCK_BYTES,
@@ -94,8 +95,8 @@ def test_tiled_counts_match_scalar_enumeration(case):
     with tiles_of(tile):
         closed = counts_closedform_all(p, x)
         oracle = counts_bruteforce_all(make_barrett_gadget(p), x)
-    assert closed.dtype == np.int8 and closed.tolist() == want
-    assert oracle.dtype == np.int32 and oracle.tolist() == want
+    assert closed.dtype == np.uint8 and closed.tolist() == want
+    assert oracle.dtype == np.uint8 and oracle.tolist() == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -191,20 +192,34 @@ def traced_peak(fn, *args):
 
 def test_scan_memory_is_one_result_array():
     # An untiled scan holds several q-length int64 temporaries at once.
-    # The closed form fills its int8 row in place (measured q + 1,010
-    # bytes).  The oracle's int32 row takes 4q bytes beside a few tiles
-    # (measured 4.0 blocks); an int64 row seeded by a bincount read
-    # 8q + 5.0 blocks.
+    # Both routes return one uint8 row.  The closed form fills it in place
+    # (measured q + 900 bytes); enumeration holds a few tiles beside it
+    # (measured q + 4.3 blocks).  The int32 row it replaced read
+    # 4q + 4.3 blocks, and an int64 row seeded by a bincount 8q + 5.0.
     q, s = 2**20 - 3, 40
     p = BarrettParams.create(q, s)
     x = q // 3
     closed, closed_peak = traced_peak(counts_closedform_all, p, x)
     oracle, oracle_peak = traced_peak(counts_bruteforce_all, make_barrett_gadget(p), x)
-    assert closed.dtype == np.int8 and closed.nbytes == q
+    assert closed.dtype == np.uint8 and closed.nbytes == q
     assert closed_peak < closed.nbytes + BLOCK_BYTES
-    assert oracle.dtype == np.int32 and oracle.nbytes == 4 * q
-    assert oracle_peak < 4 * q + 6 * BLOCK_BYTES
+    assert oracle.dtype == np.uint8 and oracle.nbytes == q
+    assert oracle_peak < q + 6 * BLOCK_BYTES
     assert np.array_equal(closed, oracle)
+
+
+def test_cross_checked_profile_holds_two_rows_at_most():
+    # One secret profiled from the closed form and checked by enumeration:
+    # the two uint8 rows, then the closed form's row and from_counts'
+    # q-length bool, each pair beside a few tiles (measured 2q + 4.3
+    # blocks).  An int32 oracle row compared whole read 2q + 32.3 blocks.
+    q = 2**20 - 3
+    p = BarrettParams.create(q, 40)
+    check = (make_barrett_gadget(p), counts_bruteforce_all)
+    profiled, peak = traced_peak(lambda: list(_profile_pass(p, [q // 3], check)))
+    ((prof, agree),) = profiled
+    assert agree and prof.conserved and prof.secret == q // 3
+    assert peak < 2 * q + 8 * BLOCK_BYTES
 
 
 def test_sampled_equivalence_memory_does_not_grow_with_sample():
@@ -380,11 +395,12 @@ def test_block_rows_at_the_documented_moduli(q, dtype, rows):
 def test_block_scan_memory_stays_near_the_mmap_threshold():
     # One block scan holds a few block-sized arrays at once, each under
     # glibc's 128 KiB mmap threshold.  Both counting routes run on the
-    # 9-row block a scan hands them; the closed form fills its int8 rows
+    # 9-row block a scan hands them; the closed form fills its uint8 rows
     # in place and holds no tile.  Measured peaks, in 128 KiB (numpy
-    # 2.4.6): closed form 0.24 (its 29,961-byte rows and 1,065 bytes),
-    # enumeration 3.40, equivalence 3.80; with a budget twice as large
-    # enumeration and equivalence read 6.45 / 7.85, past their bounds.
+    # 2.4.6): closed form 0.24 (its 29,961-byte rows and 1,118 bytes),
+    # enumeration 2.41 (3.09 with int32 rows), equivalence 3.80; with a
+    # budget twice as large enumeration and equivalence read 4.95 / 7.85
+    # (6.45 with int32 rows), past their bounds.
     q, s = 3329, 24
     threshold = 2**17
     p = BarrettParams.create(q, s)
@@ -398,7 +414,7 @@ def test_block_scan_memory_stays_near_the_mmap_threshold():
     assert np.array_equal(closed, oracle)
     assert rep.passed and rep.pairs_checked == q * q
     assert closed_peak < closed.nbytes + BLOCK_BYTES
-    assert oracle_peak < 5 * threshold
+    assert oracle_peak < 4 * threshold
     assert equiv_peak < 6 * threshold
 
 
@@ -457,8 +473,9 @@ def test_secret_blocks_are_sized_in_the_lane_of_the_route(q, route, rows):
 def test_lone_secret_scan_memory_stays_within_a_few_tiles(q):
     # Enumeration runs a lone secret as a (1, 1) column in tiles of
     # BLOCK_BYTES: a few tile-sized temporaries beside its result array
-    # (measured 5.0 x 128 KiB; doubling the budget reads 10.0 at
-    # q = 65537).  The closed form fills its row in place (0.02).
+    # (measured 4.3 x 128 KiB beside a uint8 row, 5.0 beside an int32
+    # one; doubling the budget reads 6.5 at q = 65537).  The closed form
+    # fills its row in place (0.02).
     threshold = 2**17
     p = BarrettParams.create(q, 40)
     assert block_rows(q, lane_dtype(q)) == block_rows(q, INT64) == 1
@@ -466,7 +483,7 @@ def test_lone_secret_scan_memory_stays_within_a_few_tiles(q):
     oracle, oracle_peak = traced_peak(counts_bruteforce_all, make_barrett_gadget(p), q // 3)
     assert np.array_equal(closed, oracle)
     assert closed_peak - closed.nbytes < 3 * threshold
-    assert oracle_peak - oracle.nbytes < 6 * threshold
+    assert oracle_peak - oracle.nbytes < 5.5 * threshold
 
 
 def test_constant_wire_counts_every_mask_at_one_value():
@@ -564,8 +581,78 @@ def test_tally_matches_a_per_mask_count(wire, tile, break_even, data):
         with tiles_of(tile), mock.patch.object(preimage, "RUN_BREAK_EVEN", break_even):
             with runs_only() if barred else nullcontext():
                 got = counts_bruteforce_all(g, xs)
-        assert got.dtype == np.int32 and got.shape == np.shape(xs) + (q,)
+        # Every count here is at most q <= 120, so the guard keeps uint8.
+        assert got.dtype == np.uint8 and got.shape == np.shape(xs) + (q,)
         assert got.reshape(-1, q).tolist() == want
+
+
+GUARD_Q = 521  # past 512, so one value can take 512 of a row's masks
+
+
+def piled_table(q, hits):
+    """Row i: the first hits[i] masks go to value 0, the rest fall by one from q - 1.
+
+    Value 0 gets hits[i] preimages and values hits[i]..q - 1 one each: a
+    stretch of one-mask runs, then one long run.
+    """
+    return np.array([[0] * k + list(range(q - 1, k - 1, -1)) for k in hits], dtype=np.int32)
+
+
+@pytest.mark.parametrize("hits", [255, 256, 257, 511, 512])
+@pytest.mark.parametrize("break_even", [1, preimage.RUN_BREAK_EVEN])
+def test_uint8_tally_wraps_only_into_an_int32_recount(hits, break_even):
+    # A uint8 count of 256 or 512 reads 0, and 257 reads 1, so only the
+    # row's mass (q - 256 * (hits // 256)) gives the wrap away.  Tiles of
+    # 14 int32 masks cut both kinds of run; break-even 1 bars np.add.at.
+    q = GUARD_Q
+    table = piled_table(q, [1, hits])
+    g = WireGadget("piled", q, q, lambda x, m: table[x, m])
+    for secrets in ([1], [0, 1, 0], [0]):
+        xs = np.array(secrets) if len(secrets) > 1 else secrets[0]
+        with tiles_of(7), mock.patch.object(preimage, "RUN_BREAK_EVEN", break_even):
+            with runs_only() if break_even == 1 else nullcontext():
+                got = counts_bruteforce_all(g, xs)
+        assert got.reshape(-1, q).tolist() == per_mask_tally(q, table, secrets)
+        assert got.dtype == (np.int32 if hits > 255 and 1 in secrets else np.uint8)
+
+
+def stub_route(q, shape, flip=None, dtype=np.uint8):
+    """A route whose counts are ones of `shape` in dtype, with a 0 at flat index flip."""
+
+    def count(_arg, xs):
+        counts = np.ones(shape, dtype=dtype)
+        if flip is not None:
+            counts.reshape(-1)[flip] = 0
+        return counts
+
+    return (BarrettParams.create(q, 40), count)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32])
+def test_scan_block_finds_one_differing_count_in_any_slice(dtype):
+    # Two rows of q = BLOCK_BYTES + 7 compare as three slices of
+    # BLOCK_BYTES elements, the last one 14 long.
+    q = BLOCK_BYTES + 7
+    xs, shape, size = np.arange(2), (2, q), 2 * q
+    route = stub_route(q, shape)
+    for flip in (0, BLOCK_BYTES - 1, BLOCK_BYTES, 2 * BLOCK_BYTES, size - 1):
+        seen, agree = preimage._scan_block(
+            xs, route, lambda _, c: c, stub_route(q, shape, flip, dtype)
+        )
+        # On disagreement reduce gets the check's counts.
+        assert not agree and seen.dtype == dtype
+        assert seen.reshape(-1)[flip] == 0 and int(seen.sum()) == size - 1
+    check = stub_route(q, shape, dtype=dtype)
+    seen, agree = preimage._scan_block(xs, route, lambda _, c: c, check)
+    assert agree and seen.dtype == np.uint8
+
+
+def test_scan_block_reads_a_shape_mismatch_as_disagreement():
+    # Same values and size in another shape: every flat slice agrees, the shapes do not.
+    q = 61
+    route, check = stub_route(q, (2, q)), stub_route(q, (q, 2))
+    seen, agree = preimage._scan_block(np.arange(2), route, lambda _, c: c.shape, check)
+    assert not agree and seen == (q, 2)
 
 
 MILLION = 2**20 - 3  # 32 tiles of 32,704 int32 masks and one of 2,045
