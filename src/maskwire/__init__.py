@@ -17,9 +17,8 @@ from .gadgets import (
 )
 from .leakage import (
     MAX_LEAKAGE_BITS,
-    EntropyBound,
     barrier_table,
-    max_output_probability,
+    floor_bits,
     min_entropy,
 )
 from .pipeline import CompositionReport, PipelineSpec, compose
@@ -60,10 +59,9 @@ __all__ = [
     "support_gap_predicted_extended",
     "tightness_witness_search",
     "equivalence_check",
-    "EntropyBound",
     "MAX_LEAKAGE_BITS",
-    "max_output_probability",
     "min_entropy",
+    "floor_bits",
     "barrier_table",
     "PipelineSpec",
     "CompositionReport",

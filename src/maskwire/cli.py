@@ -26,8 +26,8 @@ from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .gadgets import BarrettParams, make_barrett_gadget, make_identity_gadget
-from .leakage import barrier_table, min_entropy
-from .pipeline import PIPELINE_EXHAUSTIVE_LIMIT, PipelineSpec, compose
+from .leakage import barrier_table, floor_bits, min_entropy
+from .pipeline import MODES, PIPELINE_EXHAUSTIVE_LIMIT, PipelineSpec, compose
 from .preimage import (
     DEFAULT_SAMPLE_SECRETS,
     DEFAULT_SEED,
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated pair from {identity, barrett}",
     )
-    p_co.add_argument("--mode", choices=("fresh", "shared"), required=True)
+    p_co.add_argument("--mode", choices=MODES, required=True)
 
     p_sw = sub.add_parser(
         "sweep", parents=[common], help="batch analysis from a JSON config"
@@ -244,13 +244,14 @@ def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
         args.q, args.seed, EXHAUSTIVE_SECRET_LIMIT,
         explicit=args.secret, every=args.all_secrets, sample=args.sample,
     )
+    floor = floor_bits(p.q)
     rows = []
     passed = True
     for prof, _ in _profile_pass(p, secrets):
         # Off mask mass leaves no distribution to measure; a value hit
         # three times keeps its min-entropy, which then reads below the
         # floor.  Either way the profile is not conserved and fails the run.
-        bound = None if prof.overflow == 0 and not prof.conserved else min_entropy(prof)
+        measured = prof.overflow != 0 or prof.conserved
         passed = passed and prof.conserved
         rows.append(
             {
@@ -263,8 +264,8 @@ def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
                 "gap_observed": prof.zeros,
                 "gap_paper": support_gap_predicted_paper(p, prof.secret),
                 "gap_extended": support_gap_predicted_extended(p, prof.secret),
-                "min_entropy_bits": bound.exact_min_entropy_bits if bound else None,
-                "floor_bits": bound.barrier_floor_bits if bound else None,
+                "min_entropy_bits": min_entropy(prof) if measured else None,
+                "floor_bits": floor if measured else None,
             }
         )
     params = _scope_params(args, p, secrets, secret_mode)
@@ -489,8 +490,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     start = time.perf_counter()
     try:
         params, rows, summary, code = _HANDLERS[args.command](args)
-    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
-        # Usage errors: ScopeConditionError is a ValueError; numpy overflows past int64.
+    except (ValueError, OverflowError, OSError) as exc:
+        # ScopeConditionError and JSONDecodeError are ValueErrors; numpy overflows past int64.
         print(f"maskwire: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -1,17 +1,17 @@
-"""Min-entropy accounting for the masked wire distribution.
+"""Min-entropy accounting for the masked wire distribution, in plain floats.
 
 For a uniform mask the wire value lands on v with probability
-count(v)/q, so the min-entropy of the wire is log2(q) - log2(max count).
-A two-way collision therefore costs exactly one bit against the ideal
-log2(q), and the trichotomy bound turns that into a floor: the wire
-never reveals more than one bit of the secret's ideal entropy.
+count(v)/q, so a secret's min-entropy is log2(q) - log2(max count):
+min_entropy is per secret.  A two-way collision costs exactly one bit
+against the ideal log2(q), and the trichotomy bound turns that into a
+floor: floor_bits(q) = log2(q) - 1 is the worst case over all secrets.
+Leakage averaged over a uniform secret is not computed yet (ROADMAP
+item 6).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .gadgets import BarrettParams
@@ -21,39 +21,14 @@ from .preimage import MultiplicityProfile
 MAX_LEAKAGE_BITS = 1.0
 
 
-@dataclass(frozen=True)
-class EntropyBound:
-    """Exact min-entropy of one wire next to its guaranteed floor."""
-
-    q: int
-    max_prob: Fraction
-    exact_min_entropy_bits: float
-    barrier_floor_bits: float
-    slack_bits: float
+def min_entropy(profile: MultiplicityProfile) -> float:
+    """Exact min-entropy of one secret's wire in bits: log2(q) - log2(max count)."""
+    return math.log2(profile.q) - math.log2(profile.max_count)
 
 
-def max_output_probability(profile: MultiplicityProfile) -> Fraction:
-    """Largest point mass of the wire distribution, exact."""
-    return Fraction(profile.max_count, profile.q)
-
-
-def min_entropy(profile: MultiplicityProfile) -> EntropyBound:
-    """Exact min-entropy in bits, with the floor log2(q) - 1 and the slack.
-
-    Slack is 1.0 for a collision-free secret (bijective fiber) and 0.0
-    when some value is hit twice; fractional values are impossible while
-    preimage sizes stay in {0, 1, 2}.
-    """
-    q = profile.q
-    exact = math.log2(q) - math.log2(profile.max_count)
-    floor = math.log2(q) - MAX_LEAKAGE_BITS
-    return EntropyBound(
-        q=q,
-        max_prob=max_output_probability(profile),
-        exact_min_entropy_bits=exact,
-        barrier_floor_bits=floor,
-        slack_bits=exact - floor,
-    )
+def floor_bits(q: int) -> float:
+    """Worst-case min-entropy over all secrets while counts stay in {0, 1, 2}."""
+    return math.log2(q) - MAX_LEAKAGE_BITS
 
 
 def barrier_table(params_list: Sequence[BarrettParams]) -> list[dict]:
@@ -65,7 +40,7 @@ def barrier_table(params_list: Sequence[BarrettParams]) -> list[dict]:
                 "q": p.q,
                 "s": p.s,
                 "log2_q": math.log2(p.q),
-                "floor_bits": math.log2(p.q) - MAX_LEAKAGE_BITS,
+                "floor_bits": floor_bits(p.q),
                 "max_leakage_bits": MAX_LEAKAGE_BITS,
             }
         )

@@ -434,7 +434,7 @@ def tightness_witness_search(p: BarrettParams) -> WitnessReport:
     wire = barrett_algebraic_eval_vec(p, 0, np.array([0, p.r]))
     return WitnessReport(
         found=True, secret=0, value=0, count=2, mask_a=0, mask_b=p.r,
-        verified=not wire.any() and p.r != 0,
+        verified=not wire.any(),
     )
 
 

@@ -1,6 +1,7 @@
 """Report envelope shared by every CLI command, plus the three renderers.
 
-Result rows are the machine-readable payload and must be byte-identical
+Result rows are the machine-readable payload, plain None, bool, int,
+float and str values rendered as they are, and must be byte-identical
 across runs with identical inputs; elapsed_ms lives outside the rows so
 timing noise never touches them.  CSV keeps rows on stdout and the
 summary on stderr so the output pipes cleanly into downstream tooling.
@@ -10,10 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Mapping, Sequence, Tuple
-
-import numpy as np
 
 from ._version import VERSION
 
@@ -28,20 +26,8 @@ class ReportEnvelope:
     tool_version: str = field(default=VERSION)
 
 
-def _plain(value: Any) -> Any:
-    """Coerce numpy scalars and Fractions into JSON-friendly values."""
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
-
-
 def format_value(value: Any) -> str:
-    """One field as text: floats at six decimals, bools lowercase."""
-    value = _plain(value)
+    """One plain field as text: floats at six decimals, bools lowercase."""
     if value is None:
         return "-"
     if isinstance(value, bool):
@@ -60,8 +46,7 @@ def render_json(env: ReportEnvelope) -> Tuple[str, str]:
         "summary": env.summary,
         "elapsed_ms": round(env.elapsed_ms, 3),
     }
-    # json calls _plain only on what it cannot encode, so no row is copied.
-    return json.dumps(doc, indent=2, default=_plain) + "\n", ""
+    return json.dumps(doc, indent=2) + "\n", ""
 
 
 def render_csv(env: ReportEnvelope) -> Tuple[str, str]:

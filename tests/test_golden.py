@@ -8,7 +8,7 @@ recorded from the parent of the change that added it, before any
 source edit, and must not be regenerated from the code under test.
 golden/render_digests.json does the same for the csv and human
 renderings: exit code, stdout and stderr, with elapsed_ms and the sweep's
-config path masked.
+config path masked.  Every command also hands render plain values only.
 """
 
 import contextlib
@@ -18,9 +18,12 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from maskwire import cli
 from maskwire.cli import main
+from maskwire.report import ReportEnvelope
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_digests.json").read_text())
 
@@ -73,3 +76,38 @@ def test_cli_rendering_matches_golden(name, fmt, tmp_path):
     argv = [arg.replace("{config}", str(config)) for arg in case["argv"]]
     text = json.dumps(rendered(argv, fmt, config))
     assert hashlib.sha256(text.encode()).hexdigest() == case[fmt]
+
+
+PLAIN = (type(None), bool, int, float, str)
+
+
+def not_plain(env: ReportEnvelope) -> list:
+    """(key, value) of every parameter, row or summary value whose exact type is not PLAIN."""
+    fields = [env.parameters, *env.rows, env.summary]
+    return [(k, v) for mapping in fields for k, v in mapping.items() if type(v) not in PLAIN]
+
+
+def test_not_plain_flags_numpy_scalars():
+    env = ReportEnvelope("analyze", {"q": 61}, [{"bits": np.float64(1.0)}], {"n": np.int64(1)}, 0.0)
+    assert not_plain(env) == [("bits", 1.0), ("n", 1)]
+    assert not_plain(ReportEnvelope("analyze", {"q": 61}, [{"bits": 1.0}], {}, 0.0)) == []
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(case, id=f"{kind}-{name}")
+        for kind, cases in (("json", GOLDEN), ("render", RENDERED))
+        for name, case in sorted(cases.items())
+    ],
+)
+def test_every_golden_command_renders_plain_values(case, tmp_path, monkeypatch):
+    # The renderers coerce nothing, so each value reaches them as a plain type.
+    config = tmp_path / "sweep.json"
+    if "config" in case:
+        config.write_text(json.dumps(case["config"]))
+    envs = []
+    monkeypatch.setattr(cli, "render", lambda env, fmt: (envs.append(env), ("", ""))[1])
+    main([arg.replace("{config}", str(config)) for arg in case["argv"]])
+    (env,) = envs
+    assert env.rows and not_plain(env) == []

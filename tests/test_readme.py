@@ -1,5 +1,7 @@
-"""The README's examples: its CLI tables are what the CLI prints, and its library block runs."""
+"""The README's examples: its CLI tables are what the CLI prints, its claims
+ledger matches what its commands report, and its library block runs."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -53,3 +55,36 @@ def test_readme_library_block_runs(capsys):
     exec(compile(code, str(README), "exec"), {})
     entropy, mask_b = capsys.readouterr().out.split()
     assert entropy.startswith("10.700873") and mask_b == "2385"
+
+
+def ledger():
+    """(command or None, status) of each row of the README's claims table."""
+    section = README.read_text(encoding="utf-8").split("## Claims of the paper")[1].split("\n## ")[0]
+    rows = [line.strip("| ").split(" | ") for line in section.splitlines() if line.startswith("| ")]
+    assert rows[0] == ["claim", "command", "status"]
+    return [
+        (None if command == "-" else command.strip("`").removeprefix("maskwire "), status)
+        for _, command, status in rows[1:]
+    ]
+
+
+def test_readme_claims_ledger_matches_its_commands(capsys):
+    rows = ledger()
+    kinds = {re.match(r"not yet|out of scope|data|reproduced", status)[0] for _, status in rows}
+    assert kinds == {"data", "not yet", "out of scope", "reproduced"}
+    for command, status in rows:
+        if command is None:
+            assert re.fullmatch(r"not yet: ROADMAP item \d+|out of scope: .+", status), status
+            continue
+        argv = shlex.split(command)
+        code = main([*argv, "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and doc["summary"]["passed"] is True, command
+        if status.startswith("reproduced"):
+            ring = re.fullmatch(r"reproduced at \((\d+), (\d+)\)", status).groups()
+            assert (argv[argv.index("--q") + 1], argv[argv.index("--s") + 1]) == ring
+        else:
+            # A data row's status names fields of the summary or the first row.
+            found = {**doc["rows"][0], **doc["summary"]}
+            pairs = re.findall(r"`(\w+)` (\d+)", status)
+            assert pairs and all(found[k] == int(v) for k, v in pairs), status
