@@ -13,18 +13,27 @@ claimed worst-case preimage size.  q, r, secrets and wire values are
 plain ints: BarrettParams and WireGadget run modring's checks on q once,
 when they are built, and keep nothing of modring's types.
 
-Each form of a map has one implementation, its *_eval_vec kernel: the
-Barrett wire's two-branch and hardware-faithful s-bit forms, and the
-identity wire.  A 0-d secret and mask give a single wire value.  The
-tests pin every kernel to the pure-int oracle in tests/reference.py.
-The kernels feed every exhaustive scan, so they are written for few,
-cheap passes:
+Each map has one *_eval_vec kernel: the Barrett wire's two-branch and
+hardware-faithful s-bit forms, and the identity wire.  A 0-d secret and
+mask give a single wire value.  The tests pin every kernel to the
+pure-int oracle in tests/reference.py.  A scan's tile, a (B, 1) column
+of canonical secrets against range(lo, hi) with SLICE_MIN_ROW or more
+masks, takes the two-branch and identity kernels' slice form: row x is
+x - m, plus r on x < m <= x + r and r + q on m > x + r (r = 0 for the
+identity wire), so one arange and a slice add at each bound in the row.
+Mask arrays (sampled pairs, witness), a (B, n) secret (the shared wire's
+second stage) and shorter rows take the general form below.  The slice
+bounds x + 1 and x + 1 + r are the closed form's in mask space, so an
+error common to both passes enumeration against the closed form; the
+exhaustive equivalence scan against the s-bit form catches it.  The
+kernels feed every exhaustive scan, so they are written for few, cheap
+passes:
 
 * on int64 inputs every vec evaluator returns int64 and is exact for any
   values, negative and non-canonical ones included, with wrapping int64
   arithmetic; the hardware-faithful one takes this path for s <= 62 and
   exact Python ints above;
-* on an int32 mask array each evaluator runs in lane_dtype(q, s), with
+* on int32 or range masks each evaluator runs in lane_dtype(q, s), with
   s = 0 for the two maps that wrap at no s-bit word, and when that is
   int32 treats both operands as canonical residues 0 <= x, m < q and
   returns int32; other int32 mask arrays are widened to int64 first;
@@ -44,7 +53,7 @@ evaluators against each other, so they share only _in_lane and
 _floor_mod, never the branch offset r or the s-bit wrap.
 
 Every evaluator broadcasts x against m: a scan passes a (B, 1) column
-of B consecutive secrets against one row of masks and gets a (B, n)
+of B consecutive secrets against one range of masks and gets a (B, n)
 block back, so a small ring pays numpy's per-call cost once per block
 instead of once per secret.  preimage.block_rows sizes B so that every
 block-sized array stays under glibc's 128 KiB mmap threshold; past it,
@@ -67,8 +76,13 @@ import numpy as np
 from .modring import Modulus, branch_offset
 
 IntOrArray = Union[int, np.ndarray]
+Masks = Union[np.ndarray, range]
 INT32 = np.dtype(np.int32)
 INT64 = np.dtype(np.int64)
+# Rows this long or longer take the slice form.  General / slice form per 128 KiB
+# block, in us (2-vCPU x86-64, numpy 2.4): Barrett 94 / 1,997 at q = 61 (536 rows),
+# 80 / 63 at 2053 (15 rows), 54 / 26 at 3329 (9); identity 40 / 46, 31 / 23.
+SLICE_MIN_ROW = 2048
 
 
 def lane_dtype(q: int, s: int = 0) -> np.dtype:
@@ -123,8 +137,10 @@ class BarrettParams:
             )
 
 
-def _in_lane(q: int, s: int, x: IntOrArray, m: np.ndarray) -> tuple:
-    """(x, m, x - m) as arrays in lane_dtype(q, s) for int32 masks, else in int64."""
+def _in_lane(q: int, s: int, x: IntOrArray, m: Masks) -> tuple:
+    """(x, m, x - m) as arrays in lane_dtype(q, s) for int32 masks or a range, else in int64."""
+    if isinstance(m, range):
+        m = np.arange(m.start, m.stop, m.step, dtype=lane_dtype(q, s))
     lane = lane_dtype(q, s) if getattr(m, "dtype", None) == INT32 else INT64
     x = np.asarray(x, dtype=lane)
     m = np.asarray(m, dtype=lane)
@@ -138,14 +154,40 @@ def _floor_mod(out: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def barrett_algebraic_eval_vec(p: BarrettParams, x: IntOrArray, m: np.ndarray) -> np.ndarray:
+def _sliceable(x: IntOrArray, m: Masks) -> bool:
+    """A (B, 1) secret column against SLICE_MIN_ROW or more contiguous masks, a range."""
+    sliceable = isinstance(m, range) and m.step == 1 and len(m) >= SLICE_MIN_ROW
+    return sliceable and np.shape(x)[1:] == (1,)
+
+
+def _two_branch_slices(q: int, r: int, x: np.ndarray, m: range) -> np.ndarray:
+    """The slice form (module docstring) of the column x on the masks m, in lane_dtype(q)."""
+    lo, n, lane = m.start, len(m), lane_dtype(q)
+    # Per row: x - lo, and the row indices of masks x + 1 and x + 1 + r.
+    rows = [(x - lo, x + 1 - lo, x + 1 + r - lo) for x in x.ravel().tolist()]
+    tops = [d + (r if a <= 0 else 0) + (q if b <= 0 else 0) for d, a, b in rows]
+    if len(tops) == 1:
+        out = np.arange(tops[0], tops[0] - n, -1, dtype=lane).reshape(1, n)
+    else:
+        out = np.subtract(np.array(tops, dtype=lane).reshape(-1, 1), np.arange(n, dtype=lane))
+    for row, (_, a, b) in zip(out, rows):
+        if r and 0 < a < n:
+            row[a:] += r
+        if 0 < b < n:
+            row[b:] += q
+    return out
+
+
+def barrett_algebraic_eval_vec(p: BarrettParams, x: IntOrArray, m: Masks) -> np.ndarray:
     """Two-branch wire map (x - m, plus r where m > x) mod q, in the masks' lane_dtype(q)."""
+    if _sliceable(x, m):
+        return _two_branch_slices(p.q, p.r, x, m)
     x, m, out = _in_lane(p.q, 0, x, m)
     np.add(out, p.r, out=out, where=m > x)
     return _floor_mod(out, p.q)
 
 
-def barrett_nat_eval_vec(p: BarrettParams, x: IntOrArray, m: np.ndarray) -> np.ndarray:
+def barrett_nat_eval_vec(p: BarrettParams, x: IntOrArray, m: Masks) -> np.ndarray:
     """Hardware-faithful wire map ((x + 2^s - m) mod 2^s) mod q, in the masks' lane."""
     p.require_scope()
     q = p.q
@@ -160,8 +202,10 @@ def barrett_nat_eval_vec(p: BarrettParams, x: IntOrArray, m: np.ndarray) -> np.n
     return _floor_mod(out, q)
 
 
-def identity_mask_eval_vec(q: int, x: IntOrArray, m: np.ndarray) -> np.ndarray:
+def identity_mask_eval_vec(q: int, x: IntOrArray, m: Masks) -> np.ndarray:
     """Translation wire map (x - m) mod q, in the masks' lane_dtype(q)."""
+    if _sliceable(x, m):
+        return _two_branch_slices(q, 0, x, m)
     return _floor_mod(_in_lane(q, 0, x, m)[2], q)
 
 
@@ -172,12 +216,13 @@ class WireGadget:
 
     eval_vec is the stage's only form of its map, used by every mask
     scan; tests pin it to tests/reference.py.  A scan hands it canonical
-    secrets and masks in its route's lane (preimage._lane: int32 wherever
-    q <= 2^30) and reads back any integer array of wire values.  It must
-    broadcast: a scan passes a (B, 1) column of secrets, B = 1 for a
-    lone secret, against a 1-D row of masks and reads row i of the
-    (B, n) result as secret i's wire values, so a column call must equal
-    the 0-d-secret calls stacked.
+    secrets in its route's lane (preimage._lane: int32 wherever
+    q <= 2^30) and masks as a range, which a gadget that needs an array
+    turns into np.arange(m.start, m.stop), and reads back any integer
+    array of wire values.  It must broadcast: a scan passes a (B, 1)
+    column of secrets, B = 1 for a lone secret, against a range of n
+    masks and reads row i of the (B, n) result as secret i's wire
+    values, so a column call must equal the 0-d-secret calls stacked.
     """
 
     name: str

@@ -32,12 +32,14 @@ secret at q = 8,380,417 (2-vCPU x86-64 host, numpy 2.4).
 Enumeration walks its mask axis through _tiles in its route's _lane,
 and the exhaustive equivalence scan in lane_dtype(q, s).  The
 two-branch and translation wires wrap at no s-bit word, so q alone sets
-a route's lane, int32 wherever q <= 2^30.  It tallies a tile with one
-slice add per run of masks whose values fall by one, exact for any wire
-(see _tally); the two wires break a row's run at most twice, at the
+a route's lane, int32 wherever q <= 2^30.  Its masks are a range a
+tile, so the two wires take gadgets' slice form.  It tallies a tile with
+one slice add per run of masks whose values fall by one, exact for any
+wire (see _tally); the two wires break a row's run at most twice, at the
 branch switch and at the wrap past 0, so a Barrett secret at
-q = 8,380,417 took 26-31 ms against 44-50 ms with a np.add.at a tile.
-A row's mass tells whether a uint8 count wrapped (counts_bruteforce_all).
+q = 8,380,417 took 8.6-16 ms (20-35 ms with the general form and a range
+check over every value).  The runs, else a row's mass, tell whether a
+uint8 count wrapped (counts_bruteforce_all).
 scan(secrets, route, reduce, check) drives every per-secret scan.  A
 route is an (arg, count) pair run as count(arg, xs): BarrettParams with
 counts_closedform_all, or a WireGadget with counts_bruteforce_all; scan
@@ -60,6 +62,7 @@ from .gadgets import (
     INT64,
     BarrettParams,
     IntOrArray,
+    Masks,
     WireGadget,
     barrett_algebraic_eval_vec,
     barrett_nat_eval_vec,
@@ -77,8 +80,8 @@ BLOCK_BYTES = 2**17 - 256
 # Mean run length from which enumeration tallies a tile by slices, not np.add.at.  Tiles
 # of 32,704 int32 masks into an 8.4 MB uint8 row broke even at runs of 768-1024 masks.
 RUN_BREAK_EVEN = 1024
-# (offset, secrets, masks) from _tiles and for equivalence_check.
-Tile = Tuple[int, np.ndarray, np.ndarray]
+# (offset, secrets, masks) from _tiles (masks a range) and for equivalence_check.
+Tile = Tuple[int, np.ndarray, Masks]
 # (arg, count) for scan, run as count(arg, xs).
 Route = Tuple[Any, Callable[[Any, np.ndarray], np.ndarray]]
 
@@ -196,15 +199,15 @@ def _blocks(secrets: Iterable[int], rows: int) -> Iterator[np.ndarray]:
 
 
 def _tiles(xs: np.ndarray, q: int, dtype: np.dtype) -> Iterator[Tile]:
-    """(lo, col, row) tiles over the masks [0, q), built one at a time.
+    """(lo, col, masks) tiles over the masks [0, q), one at a time.
 
-    col is xs as a (B, 1) column in dtype; row is lo, lo + 1, ..., the
-    masks of one tile of tile_len(dtype), in dtype.
+    col is xs as a (B, 1) column in dtype; masks is range(lo, hi), the
+    contiguous masks of one tile of tile_len(dtype).
     """
     col = xs.astype(dtype).reshape(-1, 1)
     step = tile_len(dtype)
     for lo in range(0, q, step):
-        yield lo, col, np.arange(lo, min(lo + step, q), dtype=dtype)
+        yield lo, col, range(lo, min(lo + step, q))
 
 
 def scan(
@@ -260,50 +263,60 @@ def _canonical(x: IntOrArray, q: int) -> np.ndarray:
 def counts_bruteforce_all(g: WireGadget, x: IntOrArray) -> np.ndarray:
     """Per-value preimage counts for secret(s) x over every mask, of shape(x) + (q,).
 
-    uint8, or int32 if a count passes 255.  A row's q masks make q increments
-    and uint8 keeps a count c as c mod 256, so the row sums to
-    q - 256 * sum(c // 256): to q exactly when no count passed 255.  A block
-    with a row off is counted again in int32, where no count passes q < 2^31.
+    uint8, or int32 if a count passes 255.  A count is at most its value's
+    runs (see _tally), so with at most 255 runs a row no uint8 count wraps.
+    Else a row's q masks make q increments, and with a count c kept as
+    c mod 256 the row sums to q - 256 * sum(c // 256): to q exactly when no
+    count passed 255.  A block with a row off is counted again in int32.
     """
     xs = _canonical(x, g.q)
-    counts = _tally(g, xs, np.uint8)
-    if (counts.sum(axis=-1, dtype=np.uint32) != g.q).any():
-        counts = _tally(g, xs, np.int32)
+    counts, runs = _tally(g, xs, np.uint8)
+    if runs > 255 and (counts.sum(axis=-1, dtype=np.uint32) != g.q).any():
+        counts, _ = _tally(g, xs, np.int32)
     return counts
 
 
-def _tally(g: WireGadget, xs: np.ndarray, dtype: type) -> np.ndarray:
-    """Counts for secret(s) xs in dtype, each modulo dtype's range, of shape(xs) + (q,).
+def _tally(g: WireGadget, xs: np.ndarray, dtype: type) -> Tuple[np.ndarray, int]:
+    """(counts, runs) for secret(s) xs: counts in dtype, each modulo its range,
+    of shape(xs) + (q,), and the most runs that any one row fell into.
 
     g.eval_vec gets one (col, masks) tile of _tiles at a time and returns
-    a (B, n) array; a value outside [0, q) raises ValueError instead of
-    landing in a neighbouring secret's row.  Row i's values plus i*q, in
-    lane_dtype(B*q) so no index wraps, are cut into runs that fall by one
-    per mask, and each run adds 1 to one slice of counts.  That is exact
-    for any wire: the runs partition the tile's masks, a run's indices are
-    one interval, and no row falls by one into the next row's offset.  A
-    tile whose mean run is under RUN_BREAK_EVEN takes one np.add.at.
+    a (B, n) array.  Each row is cut into runs of masks whose values fall
+    by one, and each run adds 1 to one slice of its row's counts: exact
+    for any wire.  A run's top and bottom bound it, so a value outside
+    [0, q) raises ValueError instead of landing in another row.  A run
+    going on past a tile edge counts once: its pieces cover disjoint
+    values.  A tile whose mean run is under RUN_BREAK_EVEN takes one
+    np.add.at, checked by an unsigned max, each mask a run of its own.
     """
     q = g.q
     offsets = np.arange(0, xs.size * q, q, dtype=lane_dtype(xs.size * q)).reshape(-1, 1)
     counts = np.zeros(xs.size * q, dtype=dtype)
-    for _, col, masks in _tiles(xs, q, _lane(g)):
-        idx = g.eval_vec(col, masks)
-        # Read unsigned, a negative value is huge, so one max bounds both ends.
-        if idx.view(f"u{idx.itemsize}").max(initial=0) >= q:
-            raise ValueError(f"wire value outside [0, {q}) for modulus {q}")
-        # Rebound, so the (B, n) values die before the run test's temporaries.
-        idx = idx.ravel() if xs.size == 1 else (idx + offsets).ravel()
-        breaks = idx[1:] - idx[:-1] != -1
-        if idx.size < RUN_BREAK_EVEN * (np.count_nonzero(breaks) + 1):
+    runs = [0] * xs.size
+    for lo, col, masks in _tiles(xs, q, _lane(g)):
+        vals = g.eval_vec(col, masks)
+        n, flat = len(masks), vals.ravel()
+        breaks = flat[1:] - flat[:-1] != -1
+        breaks[n - 1 :: n] = True  # no run crosses into the next row
+        cut = np.count_nonzero(breaks)
+        if flat.size < RUN_BREAK_EVEN * (cut + 1):
+            # Read unsigned, a negative value is huge, so one max bounds both ends.
+            if vals.view(f"u{vals.itemsize}").max(initial=0) >= q:
+                raise ValueError(f"wire value outside [0, {q}) for modulus {q}")
             # A typed increment keeps ufunc.at on its fast path; a Python 1 does not.
-            np.add.at(counts, idx, dtype(1))
-            continue
-        cuts = np.flatnonzero(breaks)  # where each run but the tile's last one ends
-        tops = [int(idx[0])] + idx[cuts + 1].tolist()
-        for top, bottom in zip(tops, idx[cuts].tolist() + [int(idx[-1])]):
-            counts[bottom : top + 1] += 1
-    return counts.reshape(xs.shape + (q,))
+            np.add.at(counts, (vals + offsets).ravel(), dtype(1))
+            runs = [k + n for k in runs]
+        else:
+            cuts = np.flatnonzero(breaks).tolist() if cut else []
+            starts, ends = [0] + [c + 1 for c in cuts], cuts + [flat.size - 1]
+            for start, top, bottom in zip(starts, flat[starts].tolist(), flat[ends].tolist()):
+                if not 0 <= bottom <= top < q:
+                    raise ValueError(f"wire value outside [0, {q}) for modulus {q}")
+                row = start // n  # a row's first run may go on from the tile before
+                runs[row] += start % n > 0 or lo == 0 or top != last[row] - 1
+                counts[row * q + bottom : row * q + top + 1] += 1
+        last = vals[:, -1].tolist()
+    return counts.reshape(xs.shape + (q,)), max(runs, default=0)
 
 
 def count_closedform(p: BarrettParams, x: int, v: int) -> int:
@@ -489,7 +502,7 @@ def equivalence_check(
             i = int(bad[0])
             at = np.unravel_index(i, alg.shape)
             x = int(np.broadcast_to(xs, alg.shape)[at])
-            m = int(np.broadcast_to(masks, alg.shape)[at])
+            m = int(masks[at[-1]])  # a range, or the pair masks
             return EquivalenceReport(
                 False, before + i + 1, mode, x, m, int(alg[at]), int(hw[at])
             )

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import maskwire.cli as cli
+import maskwire.gadgets as gadgets
 import maskwire.pipeline as pipeline
 import maskwire.preimage as preimage
 from maskwire.cli import main
@@ -105,6 +106,55 @@ def test_equiv_mismatch_renders_its_pair(monkeypatch, capsys):
     (row,) = doc["rows"]
     assert (row["passed"], row["pairs_checked"], row["pair_mode"]) == (False, 1080, "exhaustive")
     assert (row["mm_secret"], row["mm_mask"], row["mm_algebraic"], row["mm_hw"]) == (17, 42, 39, 40)
+
+
+SLICES = gadgets._two_branch_slices
+
+
+def late_wrap_bound(q, r, x, m):
+    """The slice form with its wrap bound x + 1 + r one mask late: that mask reads -1."""
+    out = SLICES(q, r, x, m)
+    for row, x in zip(out, x.ravel().tolist()):
+        if r and 0 <= x + 1 + r - m.start < len(m):
+            row[x + 1 + r - m.start] -= q
+    return out
+
+
+def late_wrap_in_range(q, r, x, m):
+    """The slice form with its wrap bound one mask late and the offset with it: r + 1."""
+    return SLICES(q, r + 1 if r else 0, x, m)
+
+
+@pytest.mark.parametrize(
+    "mutant,sweep_code",
+    [pytest.param(late_wrap_bound, 2, id="bound"), pytest.param(late_wrap_in_range, 1, id="offset")],
+)
+def test_slice_form_mutant_is_caught_by_routes_it_shares_no_code_with(
+    monkeypatch, capsys, tmp_path, mutant, sweep_code
+):
+    # The exhaustive equivalence scan compares the slice form with the
+    # s-bit form: SLICE_MIN_ROW 1 sends q = 61's rows to the slice form.
+    calls = []
+    monkeypatch.setattr(gadgets, "_two_branch_slices", lambda *a: calls.append(1) or mutant(*a))
+    with monkeypatch.context() as patched:
+        patched.setattr(gadgets, "SLICE_MIN_ROW", 1)
+        code, doc = run_json(capsys, "equiv", "--q", "61", "--s", "6", "--exhaustive")
+    assert calls and code == 1 and doc["summary"]["passed"] is False
+    # A sampled sweep case enumerates 16 rows of 16,411 masks by slices
+    # against the closed form.  A bound moved alone puts -1 on the wire,
+    # which the tally rejects (exit 2); moved with its offset, the wire
+    # stays in the ring and the routes disagree (exit 1).
+    calls.clear()
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"cases": [{"q": 16411, "s": 10}]}))
+    code = main(["sweep", "--config", str(config), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert calls and code == sweep_code
+    if sweep_code == 2:
+        assert "wire value outside [0, 16411)" in err
+    else:
+        case = json.loads(out)["rows"][0]
+        assert case["secret_mode"] == "sampled" and case["routes_agree"] is False
 
 
 def test_sweep_reports_broken_conservation(monkeypatch, capsys, tmp_path):

@@ -9,14 +9,23 @@ residues; the closed-form counter only promises exact counts for a
 canonical secret.
 Scans pass a (B, 1) column of secrets against a row of masks, and each
 evaluator must then give the scalar-secret rows stacked, in both lanes.
+On a scan's tiles, a column against a range of masks, the two-branch and
+identity kernels take their slice form; it must equal their general form
+on the same masks as an array, and the reference, on every tile.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import maskwire.gadgets as gadgets
+import maskwire.preimage as preimage
 from maskwire.gadgets import (
+    INT32,
     BarrettParams,
     barrett_algebraic_eval_vec,
     barrett_nat_eval_vec,
@@ -27,7 +36,7 @@ from maskwire.gadgets import (
 )
 from maskwire.preimage import counts_bruteforce_all, counts_closedform_all
 
-from reference import ceil_log2, ref_counts, ref_wire_hw
+from reference import ceil_log2, ref_counts, ref_wire, ref_wire_hw
 
 WIDE_S = (61, 62, 63, 64, 200)
 INT64 = st.integers(-(2**63), 2**63 - 1)
@@ -168,3 +177,75 @@ def test_column_call_equals_stacked_scalar_calls(case):
         assert got.shape == (len(xs), len(masks))
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+def slice_and_general_forms(p, col, masks):
+    """(sliced, general) for both sliceable kernels: on the range, and on it as an array."""
+    array = np.arange(masks.start, masks.stop, dtype=np.int32)
+    return [
+        (barrett_algebraic_eval_vec(p, col, masks), barrett_algebraic_eval_vec(p, col, array)),
+        (identity_mask_eval_vec(p.q, col, masks), identity_mask_eval_vec(p.q, col, array)),
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 79),
+    st.integers(0, 9),
+    st.integers(1, 40),
+    st.lists(st.integers(0, 78), min_size=1, max_size=4),
+)
+@example(61, 6, 8, [7])  # r = 3: x + 1 = 8 starts the second tile
+@example(61, 6, 8, [4])  # x + 1 + r = 8 starts the second tile
+@example(61, 6, 8, [6, 3, 3])  # x + 1 = 7 and x + 1 + r = 10 straddle an edge, 3 rows
+@example(64, 6, 8, [7, 63, 0])  # r = 0: one bound, x + 1
+@example(79, 9, 40, [78, 0, 39])  # whole rows in one tile, then a short one
+def test_slice_form_equals_general_form_and_reference_on_every_tile(q, s, tile, secrets):
+    # Tiles of `tile` int32 masks, and SLICE_MIN_ROW 1, so every tile of
+    # a few rows takes the slice form; lo > 0 past the first tile.
+    p = BarrettParams.create(q, s)
+    xs = np.array([x % q for x in secrets])
+    want = {
+        "barrett": [[ref_wire(q, s, x, m) for m in range(q)] for x in xs.tolist()],
+        "identity": [[(x - m) % q for m in range(q)] for x in xs.tolist()],
+    }
+    with mock.patch.object(preimage, "BLOCK_BYTES", 4 * tile), mock.patch.object(
+        gadgets, "SLICE_MIN_ROW", 1
+    ):
+        tiles = list(preimage._tiles(xs, q, INT32))
+        assert [len(masks) for _, _, masks in tiles][:-1] == [tile] * (len(tiles) - 1)
+        for lo, col, masks in tiles:
+            for name, (sliced, general) in zip(want, slice_and_general_forms(p, col, masks)):
+                assert sliced.dtype == general.dtype == INT32
+                assert sliced.shape == general.shape == (len(xs), len(masks))
+                ref = [row[lo : lo + len(masks)] for row in want[name]]
+                assert sliced.tolist() == general.tolist() == ref
+
+
+MLDSA = BarrettParams.create(8380417, 48)
+MLDSA_TILE = 32704  # int32 masks a tile at the real BLOCK_BYTES
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        5 * MLDSA_TILE - 1,  # x + 1 starts tile 5
+        8 * MLDSA_TILE - 1 - MLDSA.r,  # x + 1 + r starts tile 8
+        256 * MLDSA_TILE - 1,  # x + 1 starts the short last tile; x + 1 + r > q
+    ],
+)
+def test_slice_form_at_mldsa_bounds_on_tile_edges(x):
+    q, r = MLDSA.q, MLDSA.r
+    assert preimage.tile_len(INT32) == MLDSA_TILE
+    bounds = [b for b in (x + 1, x + 1 + r) if b < q]
+    assert any(b % MLDSA_TILE == 0 for b in bounds)
+    for lo, col, masks in preimage._tiles(np.array([x]), q, INT32):
+        for sliced, general in slice_and_general_forms(MLDSA, col, masks):
+            assert np.array_equal(sliced, general)
+        for b in bounds:
+            # Two masks either side of each bound, against the reference.
+            for m in range(max(b - 2, lo), min(b + 2, masks.stop)):
+                got = barrett_algebraic_eval_vec(MLDSA, col, masks)[0, m - lo]
+                assert got == ref_wire(q, MLDSA.s, x, m)
+    g = make_barrett_gadget(MLDSA)
+    assert np.array_equal(counts_bruteforce_all(g, x), counts_closedform_all(MLDSA, x))

@@ -365,6 +365,7 @@ def test_wire_value_outside_the_ring_is_rejected(tile, wrong):
     q = 7
 
     def eval_vec(x, m):
+        m = np.asarray(m)  # a scan's masks are a range
         return np.where((x == 2) & (m == 3), wrong, (x - m) % q)
 
     g = WireGadget("out-of-range", q, 1, eval_vec)
@@ -436,8 +437,8 @@ def test_tiles_walk_the_axis_in_order_one_tile_at_a_time(tile, q, rows, dtype):
     for lo, col, row in walked:
         assert col.shape == (rows, 1) and col.dtype == dtype
         assert col.ravel().tolist() == xs.tolist()
-        assert row.dtype == dtype and 1 <= len(row) <= step and row[0] == lo
-    assert np.concatenate([row for _, _, row in walked]).tolist() == list(range(q))
+        assert isinstance(row, range) and 1 <= len(row) <= step and row[0] == lo
+    assert [m for _, _, row in walked for m in row] == list(range(q))
 
 
 def test_tile_walk_holds_no_list_of_tiles():
@@ -492,7 +493,7 @@ def test_constant_wire_counts_every_mask_at_one_value():
     q = 65537
 
     def zeros(x, m):
-        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(m)), dtype=m.dtype)
+        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(m)), dtype=x.dtype)
 
     g = WireGadget("constant", q, q, zeros)
     with tiles_of(2**13):
@@ -614,6 +615,53 @@ def test_uint8_tally_wraps_only_into_an_int32_recount(hits, break_even):
                 got = counts_bruteforce_all(g, xs)
         assert got.reshape(-1, q).tolist() == per_mask_tally(q, table, secrets)
         assert got.dtype == (np.int32 if hits > 255 and 1 in secrets else np.uint8)
+
+
+@pytest.mark.parametrize("cover", [255, 256])
+def test_runs_bound_every_count_so_255_runs_need_no_mass_guard(cover):
+    # One run falls from q - cover to 0, then cover - 1 one-mask runs hit
+    # 0 again: value 0 is covered by all `cover` runs of the row.  Tiles
+    # of 14 masks cut the long run into pieces, which count as one run.
+    # 255 runs bound every count, so the uint8 tally stands unsummed; 256
+    # can wrap (256 reads 0), so the mass guard recounts in int32.
+    q = GUARD_Q
+    table = np.array([list(range(q - cover, -1, -1)) + [0] * (cover - 1)], dtype=np.int32)
+    g = WireGadget("covered", q, q, lambda x, m: table[x, m])
+    with tiles_of(7), mock.patch.object(preimage, "RUN_BREAK_EVEN", 1), runs_only():
+        counts, runs = preimage._tally(g, np.array([0]), np.uint8)
+        got = counts_bruteforce_all(g, 0)
+    assert runs == cover
+    assert counts[0, 0] == cover % 256
+    assert got.tolist() == per_mask_tally(q, table, [0])[0]
+    assert got.dtype == (np.uint8 if cover == 255 else np.int32)
+
+
+@pytest.mark.parametrize("at", [0, 3, 6])
+@pytest.mark.parametrize("break_even", [1, preimage.RUN_BREAK_EVEN])
+def test_negative_value_in_a_later_row_is_rejected(break_even, at):
+    # Block row 1 (secret 2) reads -1 at mask `at`: plus its row offset q,
+    # that is q - 1, inside row 0's band.  Each run is checked against its
+    # own row, and np.add.at's check reads the values before the offsets.
+    q = 7
+    table = (np.arange(q).reshape(-1, 1) - np.arange(q)) % q
+    table[2, at] = -1
+    g = WireGadget("negative", q, 1, lambda x, m: table[x, m])
+    with mock.patch.object(preimage, "RUN_BREAK_EVEN", break_even):
+        with runs_only() if break_even == 1 else nullcontext():
+            with pytest.raises(ValueError, match=r"outside \[0, 7\)"):
+                counts_bruteforce_all(g, np.array([1, 2]))
+
+
+def test_a_run_never_crosses_a_row_edge():
+    # Secret 3 ends its row at value 4 and starts it at 3, so two rows of
+    # secret 3 fall by one across the row edge.  Counted as one run, the
+    # second row's values would land in the first row's counts.
+    q = 7
+    g = make_identity_gadget(q)
+    with mock.patch.object(preimage, "RUN_BREAK_EVEN", 1), runs_only():
+        counts, runs = preimage._tally(g, np.array([3, 3]), np.uint8)
+    assert counts.tolist() == [[1] * q] * 2
+    assert runs == 2
 
 
 def stub_route(q, shape, flip=None, dtype=np.uint8):
