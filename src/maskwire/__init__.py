@@ -15,12 +15,7 @@ from .gadgets import (
     make_barrett_gadget,
     make_identity_gadget,
 )
-from .leakage import (
-    MAX_LEAKAGE_BITS,
-    barrier_table,
-    floor_bits,
-    min_entropy,
-)
+from .leakage import MAX_LEAKAGE_BITS, floor_bits, min_entropy
 from .pipeline import CompositionReport, PipelineSpec, compose
 from .preimage import (
     EquivalenceReport,
@@ -37,7 +32,6 @@ from .preimage import (
     tightness_witness_search,
     trichotomy_check,
 )
-from .presets import PRESETS, Preset, get_preset
 
 __all__ = [
     "__version__",
@@ -62,11 +56,7 @@ __all__ = [
     "MAX_LEAKAGE_BITS",
     "min_entropy",
     "floor_bits",
-    "barrier_table",
     "PipelineSpec",
     "CompositionReport",
     "compose",
-    "Preset",
-    "PRESETS",
-    "get_preset",
 ]

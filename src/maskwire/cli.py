@@ -12,7 +12,8 @@ Subcommands map one-to-one onto the library's analysis entry points:
 
 Every command fixes its scope, the secrets it scans, in _secret_scope
 before it counts.  Exit codes: 0 clean, 1 an asserted invariant failed
-(the report still renders), 2 usage or config error, or out of memory.
+(the report still renders) or a wire value left its ring (no report),
+2 usage or config error, or out of memory.
 Result rows are deterministic for identical inputs; only elapsed_ms varies.
 """
 
@@ -20,20 +21,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 from .gadgets import BarrettParams, make_barrett_gadget, make_identity_gadget
-from .leakage import barrier_table, floor_bits, min_entropy
+from .leakage import MAX_LEAKAGE_BITS, floor_bits, min_entropy
 from .pipeline import MODES, PIPELINE_EXHAUSTIVE_LIMIT, PipelineSpec, compose
 from .preimage import (
     DEFAULT_SAMPLE_SECRETS,
     DEFAULT_SEED,
     EXHAUSTIVE_SECRET_LIMIT,
     MultiplicityProfile,
-    Route,
+    WireValueError,
     _require_canonical,
     counts_bruteforce_all,
     counts_closedform_all,
@@ -45,7 +48,6 @@ from .preimage import (
     tightness_witness_search,
     trichotomy_check,
 )
-from .presets import PRESETS, get_preset
 from .report import FORMATS, ReportEnvelope, render
 
 # Exhaustive (x, m) equivalence sweeps stop here; beyond, pairs are sampled.
@@ -60,6 +62,9 @@ SWEEP_EXHAUSTIVE_LIMIT = 2**14
 SWEEP_EQUIV_LIMIT = 2**16
 SWEEP_SAMPLE_SECRETS = DEFAULT_SAMPLE_SECRETS
 MISMATCH_ROW_CAP = 100
+
+# entropy --preset: the (q, s) of the lattice schemes this tooling targets.
+PRESETS = {"mlkem": (3329, 24), "mldsa": (8380417, 48)}
 
 _SWEEP_COLUMNS = (
     "row",
@@ -225,15 +230,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _profile_pass(p: BarrettParams, secrets: Sequence[int], check: Optional[Route] = None):
-    """(profile, agree) per secret, in order, from one scan(secrets, closed form, ..., check)."""
+def _profile_pass(p: BarrettParams, secrets: Sequence[int], check: Optional[Callable] = None):
+    """(profile, agree) per secret, in order, from one closed-form scan checked by check."""
     def profiles(xs, counts):
         return [
             MultiplicityProfile.from_counts(x, p.q, row)
             for x, row in zip(xs.tolist(), counts)
         ]
 
-    for block, agree in scan(secrets, (p, counts_closedform_all), profiles, check):
+    # partial reads this module's global now, so a tracer's or test's rebinding is what runs.
+    for block, agree in scan(p.q, secrets, partial(counts_closedform_all, p), profiles, check):
         for prof in block:
             yield prof, agree
 
@@ -308,14 +314,17 @@ def _cmd_entropy(args) -> tuple[dict, list[dict], dict, int]:
     if args.preset is not None:
         if args.q is not None or args.s is not None:
             raise ValueError("--preset and --q/--s are mutually exclusive")
-        preset = get_preset(args.preset)
-        name, p = preset.name, preset.params()
+        name, (q, s) = args.preset, PRESETS[args.preset]
+    elif args.q is None or args.s is None:
+        raise ValueError("entropy needs either --preset or both --q and --s")
     else:
-        if args.q is None or args.s is None:
-            raise ValueError("entropy needs either --preset or both --q and --s")
-        name, p = "custom", BarrettParams.create(args.q, args.s)
-    rows = [{"name": name, **row} for row in barrier_table([p])]
-    params = {"q": p.q, "s": p.s, "preset": args.preset or "-"}
+        name, q, s = "custom", args.q, args.s
+    BarrettParams.create(q, s)  # checks the ring as every command does: bad (q, s) exits 2
+    rows = [{
+        "name": name, "q": q, "s": s, "log2_q": math.log2(q),
+        "floor_bits": floor_bits(q), "max_leakage_bits": MAX_LEAKAGE_BITS,
+    }]
+    params = {"q": q, "s": s, "preset": args.preset or "-"}
     summary = {"passed": True}
     return params, rows, summary, 0
 
@@ -367,10 +376,6 @@ def _cmd_compose(args) -> tuple[dict, list[dict], dict, int]:
     return params, rows, summary, 0 if passed else 1
 
 
-def _ceil_log2(q: int) -> int:
-    return (q - 1).bit_length()
-
-
 def _load_sweep_config(path: str) -> list[BarrettParams]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -392,7 +397,7 @@ def _load_sweep_config(path: str) -> list[BarrettParams]:
         q = case.get("q")
         if not isinstance(q, int) or isinstance(q, bool) or q < 1:
             raise ValueError(f"case {i}: q must be a positive integer")
-        s = case.get("s", 2 * _ceil_log2(q))
+        s = case.get("s", 2 * (q - 1).bit_length())
         if not isinstance(s, int) or isinstance(s, bool) or s < 0:
             raise ValueError(f"case {i}: s must be a non-negative integer")
         out.append((q, s))
@@ -407,7 +412,8 @@ def _sweep_case(p: BarrettParams, secrets: Sequence[int], secret_mode: str) -> l
     """One case's rows: the case row, then its mismatch rows."""
     q, s = p.q, p.s
     # Sampled secrets are also enumerated, to cross-check the closed form.
-    check = (make_barrett_gadget(p), counts_bruteforce_all) if secret_mode == "sampled" else None
+    sampled = secret_mode == "sampled"
+    check = partial(counts_bruteforce_all, make_barrett_gadget(p)) if sampled else None
     # The case row is the tally: its flags and counts are updated as checks run.
     case_row = _sweep_row(
         row="case", q=q, s=s, r=p.r, secret_mode=secret_mode,
@@ -490,6 +496,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     start = time.perf_counter()
     try:
         params, rows, summary, code = _HANDLERS[args.command](args)
+    except WireValueError as exc:
+        # A wire map off its ring is a fault in the library, not bad input.
+        print(f"maskwire: error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OverflowError, OSError) as exc:
         # ScopeConditionError and JSONDecodeError are ValueErrors; numpy overflows past int64.
         print(f"maskwire: error: {exc}", file=sys.stderr)

@@ -216,10 +216,10 @@ class WireGadget:
 
     eval_vec is the stage's only form of its map, used by every mask
     scan; tests pin it to tests/reference.py.  A scan hands it canonical
-    secrets in its route's lane (preimage._lane: int32 wherever
-    q <= 2^30) and masks as a range, which a gadget that needs an array
-    turns into np.arange(m.start, m.stop), and reads back any integer
-    array of wire values.  It must broadcast: a scan passes a (B, 1)
+    secrets in lane_dtype(q) (int32 wherever q <= 2^30) and masks as
+    a range, which a gadget that needs an array turns into
+    np.arange(m.start, m.stop), and reads back any integer array of wire
+    values.  It must broadcast: a scan passes a (B, 1)
     column of secrets, B = 1 for a lone secret, against a range of n
     masks and reads row i of the (B, n) result as secret i's wire
     values, so a column call must equal the 0-d-secret calls stacked.

@@ -12,9 +12,7 @@ item 6).
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
-from .gadgets import BarrettParams
 from .preimage import MultiplicityProfile
 
 # Worst admissible per-wire loss in bits once the preimage size is capped at 2.
@@ -30,18 +28,3 @@ def floor_bits(q: int) -> float:
     """Worst-case min-entropy over all secrets while counts stay in {0, 1, 2}."""
     return math.log2(q) - MAX_LEAKAGE_BITS
 
-
-def barrier_table(params_list: Sequence[BarrettParams]) -> list[dict]:
-    """Per-parameter-set floor summary rows for reporting."""
-    rows = []
-    for p in params_list:
-        rows.append(
-            {
-                "q": p.q,
-                "s": p.s,
-                "log2_q": math.log2(p.q),
-                "floor_bits": floor_bits(p.q),
-                "max_leakage_bits": MAX_LEAKAGE_BITS,
-            }
-        )
-    return rows

@@ -15,6 +15,7 @@ are data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from .gadgets import WireGadget
@@ -82,7 +83,8 @@ def compose(spec: PipelineSpec, secrets: Optional[Sequence[int]] = None) -> Comp
         secrets = range(spec.stage1.q)
 
     def peak(wire: WireGadget) -> int:
-        blocks = scan(secrets, (wire, counts_bruteforce_all), lambda xs, c: int(c.max()))
+        count = partial(counts_bruteforce_all, wire)
+        blocks = scan(wire.q, secrets, count, lambda xs, c: int(c.max()))
         return max((k for k, _ in blocks), default=0)
 
     k1 = peak(spec.stage1)

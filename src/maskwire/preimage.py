@@ -29,30 +29,32 @@ routes count in uint8, q bytes a secret.  The closed form fills its
 rows in place, three slices a row with Python-int bounds: 1.5 ms a
 secret at q = 8,380,417 (2-vCPU x86-64 host, numpy 2.4).
 
-Enumeration walks its mask axis through _tiles in its route's _lane,
-and the exhaustive equivalence scan in lane_dtype(q, s).  The
-two-branch and translation wires wrap at no s-bit word, so q alone sets
-a route's lane, int32 wherever q <= 2^30.  Its masks are a range a
-tile, so the two wires take gadgets' slice form.  It tallies a tile with
-one slice add per run of masks whose values fall by one, exact for any
+Enumeration walks its mask axis through _tiles in lane_dtype(q), and
+the exhaustive equivalence scan in lane_dtype(q, s).  The two-branch
+and translation wires wrap at no s-bit word, so q alone sets a route's
+lane, int32 wherever q <= 2^30.  Its masks are a range a tile, so the
+two wires take gadgets' slice form.  It tallies a tile with one slice
+add per run of masks whose values fall by one, exact for any
 wire (see _tally); the two wires break a row's run at most twice, at the
 branch switch and at the wrap past 0, so a Barrett secret at
 q = 8,380,417 took 8.6-16 ms (20-35 ms with the general form and a range
 check over every value).  The runs, else a row's mass, tell whether a
 uint8 count wrapped (counts_bruteforce_all).
-scan(secrets, route, reduce, check) drives every per-secret scan.  A
-route is an (arg, count) pair run as count(arg, xs): BarrettParams with
-counts_closedform_all, or a WireGadget with counts_bruteforce_all; scan
-sizes both routes' blocks in _lane, so they take the same blocks at one
-q.  A check route counts each block a second way, compared slice by
-slice; on disagreement reduce gets its counts.  Only reduce's result
-outlives a block, and the other counts die before it runs.
+scan(q, secrets, count, reduce, check) drives every per-secret scan.  A
+route is a plain callable count(xs) of a secret block:
+partial(counts_closedform_all, p), partial(counts_bruteforce_all, g)
+for a WireGadget g, or any other wire's counts.  scan sizes its blocks
+in lane_dtype(q), so every route takes the same blocks at one q.  A
+check route counts each block a second way, compared slice by slice; on
+disagreement reduce gets its counts.  Only reduce's result outlives a
+block, and the other counts die before it runs.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Optional, Tuple
 
@@ -82,8 +84,10 @@ BLOCK_BYTES = 2**17 - 256
 RUN_BREAK_EVEN = 1024
 # (offset, secrets, masks) from _tiles (masks a range) and for equivalence_check.
 Tile = Tuple[int, np.ndarray, Masks]
-# (arg, count) for scan, run as count(arg, xs).
-Route = Tuple[Any, Callable[[Any, np.ndarray], np.ndarray]]
+
+
+class WireValueError(ValueError):
+    """A wire map returned a value outside [0, q): a fault in the map, not in its input."""
 
 
 @dataclass(frozen=True)
@@ -186,11 +190,6 @@ def block_rows(q: int, dtype: np.dtype) -> int:
     return max(1, tile_len(dtype) // q)
 
 
-def _lane(arg: Any) -> np.dtype:
-    """A route's lane, lane_dtype(q), for BarrettParams and WireGadget alike."""
-    return lane_dtype(arg.q)
-
-
 def _blocks(secrets: Iterable[int], rows: int) -> Iterator[np.ndarray]:
     """The secrets in order as int64 arrays of `rows`, only the last shorter."""
     it = iter(secrets)
@@ -211,31 +210,31 @@ def _tiles(xs: np.ndarray, q: int, dtype: np.dtype) -> Iterator[Tile]:
 
 
 def scan(
+    q: int,
     secrets: Iterable[int],
-    route: Route,
+    count: Callable[[np.ndarray], np.ndarray],
     reduce: Callable[[np.ndarray, np.ndarray], Any],
-    check: Optional[Route] = None,
+    check: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> Iterator[Tuple[Any, bool]]:
-    """(reduce(xs, counts), agree) for each block xs of the secrets, in order.
+    """(reduce(xs, count(xs)), agree) for each block xs of the secrets, in order.
 
-    xs is an int64 array of block_rows(q, _lane(route)) secrets; only the
+    xs is an int64 array of block_rows(q, lane_dtype(q)) secrets; only the
     last block may be shorter.  check, if given, counts each block a second
     way over the same q, agree says whether the two arrays are equal, and
     on disagreement reduce gets check's counts.
     """
-    rows = block_rows(route[0].q, _lane(route[0]))
-    for xs in _blocks(secrets, rows):
-        yield _scan_block(xs, route, reduce, check)
+    for xs in _blocks(secrets, block_rows(q, lane_dtype(q))):
+        yield _scan_block(xs, count, reduce, check)
 
 
 def _scan_block(
-    xs: np.ndarray, route: Route, reduce: Callable, check: Optional[Route]
+    xs: np.ndarray, count: Callable, reduce: Callable, check: Optional[Callable]
 ) -> Tuple[Any, bool]:
     """One block of scan; its count arrays die on return, before the next block."""
-    counts = route[1](route[0], xs)
+    counts = count(xs)
     if check is None:
         return reduce(xs, counts), True
-    checked = check[1](check[0], xs)
+    checked = check(xs)
     # Compared in slices of BLOCK_BYTES elements, so no q-length bool is built.
     a, b, n = checked.reshape(-1), counts.reshape(-1), BLOCK_BYTES
     agree = checked.shape == counts.shape and all(
@@ -284,7 +283,7 @@ def _tally(g: WireGadget, xs: np.ndarray, dtype: type) -> Tuple[np.ndarray, int]
     a (B, n) array.  Each row is cut into runs of masks whose values fall
     by one, and each run adds 1 to one slice of its row's counts: exact
     for any wire.  A run's top and bottom bound it, so a value outside
-    [0, q) raises ValueError instead of landing in another row.  A run
+    [0, q) raises WireValueError instead of landing in another row.  A run
     going on past a tile edge counts once: its pieces cover disjoint
     values.  A tile whose mean run is under RUN_BREAK_EVEN takes one
     np.add.at, checked by an unsigned max, each mask a run of its own.
@@ -293,7 +292,7 @@ def _tally(g: WireGadget, xs: np.ndarray, dtype: type) -> Tuple[np.ndarray, int]
     offsets = np.arange(0, xs.size * q, q, dtype=lane_dtype(xs.size * q)).reshape(-1, 1)
     counts = np.zeros(xs.size * q, dtype=dtype)
     runs = [0] * xs.size
-    for lo, col, masks in _tiles(xs, q, _lane(g)):
+    for lo, col, masks in _tiles(xs, q, lane_dtype(q)):
         vals = g.eval_vec(col, masks)
         n, flat = len(masks), vals.ravel()
         breaks = flat[1:] - flat[:-1] != -1
@@ -302,7 +301,7 @@ def _tally(g: WireGadget, xs: np.ndarray, dtype: type) -> Tuple[np.ndarray, int]
         if flat.size < RUN_BREAK_EVEN * (cut + 1):
             # Read unsigned, a negative value is huge, so one max bounds both ends.
             if vals.view(f"u{vals.itemsize}").max(initial=0) >= q:
-                raise ValueError(f"wire value outside [0, {q}) for modulus {q}")
+                raise WireValueError(f"wire value outside [0, {q}) for modulus {q}")
             # A typed increment keeps ufunc.at on its fast path; a Python 1 does not.
             np.add.at(counts, (vals + offsets).ravel(), dtype(1))
             runs = [k + n for k in runs]
@@ -311,7 +310,7 @@ def _tally(g: WireGadget, xs: np.ndarray, dtype: type) -> Tuple[np.ndarray, int]
             starts, ends = [0] + [c + 1 for c in cuts], cuts + [flat.size - 1]
             for start, top, bottom in zip(starts, flat[starts].tolist(), flat[ends].tolist()):
                 if not 0 <= bottom <= top < q:
-                    raise ValueError(f"wire value outside [0, {q}) for modulus {q}")
+                    raise WireValueError(f"wire value outside [0, {q}) for modulus {q}")
                 row = start // n  # a row's first run may go on from the tile before
                 runs[row] += start % n > 0 or lo == 0 or top != last[row] - 1
                 counts[row * q + bottom : row * q + top + 1] += 1
@@ -387,13 +386,13 @@ def trichotomy_check(
     no block after it is counted.
     """
     if oracle:
-        name, route = "bruteforce", (make_barrett_gadget(p), counts_bruteforce_all)
+        name, count = "bruteforce", partial(counts_bruteforce_all, make_barrett_gadget(p))
     else:
-        name, route = "closedform", (p, counts_closedform_all)
+        name, count = "closedform", partial(counts_closedform_all, p)
     checked = max_seen = 0
     counterexample = None
     for (seen, peak, counterexample), _ in scan(
-        range(p.q) if secrets is None else secrets, route, _trichotomy_block
+        p.q, range(p.q) if secrets is None else secrets, count, _trichotomy_block
     ):
         checked += seen
         max_seen = max(max_seen, peak)

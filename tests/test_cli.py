@@ -1,10 +1,12 @@
 """CLI behavior: formats, determinism, exit codes, config handling."""
 
 import json
+import math
 
 import pytest
 
 from maskwire.cli import main
+from maskwire.leakage import MAX_LEAKAGE_BITS, floor_bits
 from maskwire.preimage import MultiplicityProfile
 
 
@@ -233,19 +235,29 @@ def test_equiv_scope_violation_is_usage_error(capsys):
 
 
 def test_entropy_presets(capsys):
-    code, doc, _ = run_json(capsys, "entropy", "--preset", "mlkem")
-    assert code == 0
-    (row,) = doc["rows"]
-    assert row["name"] == "mlkem"
-    assert abs(row["floor_bits"] - 10.70) < 0.01
-    code, doc, _ = run_json(capsys, "entropy", "--preset", "mldsa")
-    assert abs(doc["rows"][0]["log2_q"] - 22.99) < 0.01
+    # Each preset's one row: log2(q), the floor one bit below it, and the bit lost.
+    for name, q, s, log2_q, floor in (
+        ("mlkem", 3329, 24, 11.7009, 10.7009),
+        ("mldsa", 8380417, 48, 22.9986, 21.9986),
+    ):
+        code, doc, _ = run_json(capsys, "entropy", "--preset", name)
+        assert code == 0
+        (row,) = doc["rows"]
+        assert (row["name"], row["q"], row["s"]) == (name, q, s)
+        assert math.isclose(row["log2_q"], log2_q, abs_tol=1e-4)
+        assert math.isclose(row["floor_bits"], floor, abs_tol=1e-4)
+        assert row["floor_bits"] == floor_bits(q)
+        assert row["max_leakage_bits"] == MAX_LEAKAGE_BITS == 1.0
 
 
 def test_entropy_custom_and_usage_errors(capsys):
     code, doc, _ = run_json(capsys, "entropy", "--q", "3329", "--s", "24")
     assert code == 0
     assert doc["rows"][0]["name"] == "custom"
+    # The smallest ring: log2(2) = 1 bit, all of it the bit lost.
+    code, doc, _ = run_json(capsys, "entropy", "--q", "2", "--s", "1")
+    (row,) = doc["rows"]
+    assert code == 0 and row["log2_q"] == 1.0 and row["floor_bits"] == 0.0
     code, _, _ = run(capsys, "entropy", "--preset", "mlkem", "--q", "7")
     assert code == 2
     code, _, _ = run(capsys, "entropy", "--q", "7")

@@ -3,7 +3,7 @@
 import math
 
 from maskwire.gadgets import BarrettParams
-from maskwire.leakage import MAX_LEAKAGE_BITS, barrier_table, floor_bits, min_entropy
+from maskwire.leakage import MAX_LEAKAGE_BITS, floor_bits, min_entropy
 from maskwire.preimage import MultiplicityProfile, counts_closedform_all
 
 MLKEM = BarrettParams.create(3329, 24)
@@ -44,19 +44,3 @@ def test_floor_never_undercut():
         for x in range(q):
             assert min_entropy(_profile(p, x)) - floor in (0.0, 1.0)
 
-
-def test_barrier_table_values():
-    rows = barrier_table([MLKEM, BarrettParams.create(8380417, 48)])
-    assert [r["q"] for r in rows] == [3329, 8380417]
-    assert math.isclose(rows[0]["log2_q"], 11.7009, abs_tol=1e-4)
-    assert math.isclose(rows[0]["floor_bits"], 10.7009, abs_tol=1e-4)
-    assert math.isclose(rows[1]["log2_q"], 22.9986, abs_tol=1e-4)
-    assert math.isclose(rows[1]["floor_bits"], 21.9986, abs_tol=1e-4)
-    assert [r["floor_bits"] for r in rows] == [floor_bits(3329), floor_bits(8380417)]
-    assert all(r["max_leakage_bits"] == MAX_LEAKAGE_BITS == 1.0 for r in rows)
-
-
-def test_barrier_table_smallest_ring():
-    (row,) = barrier_table([BarrettParams.create(2, 1)])
-    assert row["log2_q"] == 1.0
-    assert row["floor_bits"] == 0.0

@@ -1,6 +1,9 @@
 """The package's public names."""
 
+import importlib
 from dataclasses import fields
+
+import pytest
 
 import maskwire
 
@@ -41,7 +44,20 @@ def test_scalar_pass_throughs_are_gone():
     assert [f.name for f in fields(maskwire.WireGadget)] == [
         "name", "q", "claimed_max_mult", "eval_vec"
     ]
-    assert [f.name for f in fields(maskwire.Preset)] == ["name", "q", "s"]
+
+
+def test_presets_live_in_the_cli():
+    # entropy's two (q, s) pairs are a CLI table: no presets module, no
+    # Preset record and no one-row table builder in the package.
+    from maskwire import cli, leakage
+
+    for name in ("Preset", "PRESETS", "get_preset", "barrier_table"):
+        assert name not in maskwire.__all__
+        assert not hasattr(maskwire, name)
+    assert not hasattr(leakage, "barrier_table")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("maskwire.presets")
+    assert cli.PRESETS == {"mlkem": (3329, 24), "mldsa": (8380417, 48)}
 
 
 def test_ring_wrappers_stay_in_modring():

@@ -1,5 +1,7 @@
 """Counting routes, profiles, gap predictors, witness, and equivalence."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -206,8 +208,8 @@ def test_gap_predictors_small_case():
 
 def test_gap_predictors_mlkem():
     # Every secret's zeros by mask enumeration, one scan block at a time.
-    route = (make_barrett_gadget(MLKEM), counts_bruteforce_all)
-    blocks = scan(range(3329), route, lambda xs, c: np.count_nonzero(c == 0, axis=1).tolist())
+    route = partial(counts_bruteforce_all, make_barrett_gadget(MLKEM))
+    blocks = scan(3329, range(3329), route, lambda xs, c: np.count_nonzero(c == 0, axis=1).tolist())
     observed = [zeros for block, _ in blocks for zeros in block]
     assert len(observed) == 3329
     for x, obs in enumerate(observed):

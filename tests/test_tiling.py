@@ -15,6 +15,7 @@ tracemalloc.
 
 import tracemalloc
 from contextlib import contextmanager, nullcontext
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -215,7 +216,7 @@ def test_cross_checked_profile_holds_two_rows_at_most():
     # blocks).  An int32 oracle row compared whole read 2q + 32.3 blocks.
     q = 2**20 - 3
     p = BarrettParams.create(q, 40)
-    check = (make_barrett_gadget(p), counts_bruteforce_all)
+    check = partial(counts_bruteforce_all, make_barrett_gadget(p))
     profiled, peak = traced_peak(lambda: list(_profile_pass(p, [q // 3], check)))
     ((prof, agree),) = profiled
     assert agree and prof.conserved and prof.secret == q // 3
@@ -242,9 +243,9 @@ def test_blocked_counts_match_scalar_enumeration(case, rows):
     g = make_barrett_gadget(p)
     secrets = a_few_blocks(q, x, rows)
     want = [ref_counts(q, s, x) for x in secrets]
-    for route in ((p, counts_closedform_all), (g, counts_bruteforce_all)):
+    for route in (partial(counts_closedform_all, p), partial(counts_bruteforce_all, g)):
         with tiles_of(tile), blocks_of(rows, q, lane_dtype(q)):
-            scanned = [pair for pair, _ in scan(secrets, route, lambda xs, counts: (xs, counts))]
+            scanned = [pair for pair, _ in scan(q, secrets, route, lambda xs, counts: (xs, counts))]
         blocks = [xs for xs, _ in scanned]
         got = [counts for _, counts in scanned]
         assert [len(xs) for xs in blocks[:-1]] == [rows] * (len(blocks) - 1)
@@ -460,12 +461,13 @@ def test_tile_walk_holds_no_list_of_tiles():
      (3329, "enumerate", 9)],
 )
 def test_secret_blocks_are_sized_in_the_lane_of_the_route(q, route, rows):
-    # Both routes count in lane_dtype(q), int32 here.
+    # Both routes count in lane_dtype(q), int32 here, so q alone sizes the blocks.
     p = BarrettParams.create(q, 2 * ceil_log2(q))
-    handed = p if route == "closed" else make_barrett_gadget(p)
-    # A stub count: only the route's modulus sizes the blocks.
-    stub = (handed, lambda _, xs: xs)
-    lengths = [n for n, _ in scan(range(q), stub, lambda xs, counts: len(xs))]
+    if route == "closed":
+        count = partial(counts_closedform_all, p)
+    else:
+        count = partial(counts_bruteforce_all, make_barrett_gadget(p))
+    lengths = [n for n, _ in scan(q, range(q), count, lambda xs, counts: len(counts))]
     assert lengths[:-1] == [rows] * (len(lengths) - 1)
     assert 1 <= lengths[-1] <= rows and sum(lengths) == q
 
@@ -664,16 +666,16 @@ def test_a_run_never_crosses_a_row_edge():
     assert runs == 2
 
 
-def stub_route(q, shape, flip=None, dtype=np.uint8):
+def stub_route(shape, flip=None, dtype=np.uint8):
     """A route whose counts are ones of `shape` in dtype, with a 0 at flat index flip."""
 
-    def count(_arg, xs):
+    def count(xs):
         counts = np.ones(shape, dtype=dtype)
         if flip is not None:
             counts.reshape(-1)[flip] = 0
         return counts
 
-    return (BarrettParams.create(q, 40), count)
+    return count
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int32])
@@ -682,15 +684,15 @@ def test_scan_block_finds_one_differing_count_in_any_slice(dtype):
     # BLOCK_BYTES elements, the last one 14 long.
     q = BLOCK_BYTES + 7
     xs, shape, size = np.arange(2), (2, q), 2 * q
-    route = stub_route(q, shape)
+    route = stub_route(shape)
     for flip in (0, BLOCK_BYTES - 1, BLOCK_BYTES, 2 * BLOCK_BYTES, size - 1):
         seen, agree = preimage._scan_block(
-            xs, route, lambda _, c: c, stub_route(q, shape, flip, dtype)
+            xs, route, lambda _, c: c, stub_route(shape, flip, dtype)
         )
         # On disagreement reduce gets the check's counts.
         assert not agree and seen.dtype == dtype
         assert seen.reshape(-1)[flip] == 0 and int(seen.sum()) == size - 1
-    check = stub_route(q, shape, dtype=dtype)
+    check = stub_route(shape, dtype=dtype)
     seen, agree = preimage._scan_block(xs, route, lambda _, c: c, check)
     assert agree and seen.dtype == np.uint8
 
@@ -698,7 +700,7 @@ def test_scan_block_finds_one_differing_count_in_any_slice(dtype):
 def test_scan_block_reads_a_shape_mismatch_as_disagreement():
     # Same values and size in another shape: every flat slice agrees, the shapes do not.
     q = 61
-    route, check = stub_route(q, (2, q)), stub_route(q, (q, 2))
+    route, check = stub_route((2, q)), stub_route((q, 2))
     seen, agree = preimage._scan_block(np.arange(2), route, lambda _, c: c.shape, check)
     assert not agree and seen == (q, 2)
 
@@ -743,8 +745,8 @@ def test_trichotomy_holds_one_block_of_counts_at_a_time(oracle):
 def off_by_one_on(secrets, count):
     """count, with value 0 of every secret in `secrets` hit once more."""
 
-    def counted(arg, xs):
-        counts = count(arg, xs).astype(np.int64)
+    def counted(xs):
+        counts = count(xs).astype(np.int64)
         counts[np.isin(xs, secrets), 0] += 1
         return counts
 
@@ -756,15 +758,14 @@ def off_by_one_on(secrets, count):
 def test_scan_cross_check_flags_only_the_disagreeing_block(rows, enumerate_first):
     q, s = 61, 6
     p = BarrettParams.create(q, s)
-    closed = (p, counts_closedform_all)
-    enumerated = (make_barrett_gadget(p), counts_bruteforce_all)
-    route, (arg, count) = (enumerated, closed) if enumerate_first else (closed, enumerated)
-    middle = range(rows, 2 * rows)
-    check = (arg, off_by_one_on(middle, count))
+    closed = partial(counts_closedform_all, p)
+    enumerated = partial(counts_bruteforce_all, make_barrett_gadget(p))
+    route, count = (enumerated, closed) if enumerate_first else (closed, enumerated)
+    check = off_by_one_on(range(rows, 2 * rows), count)
     with blocks_of(rows, q, lane_dtype(q)):
         # Both routes share one lane, so both ask for `rows`.
         assert block_rows(q, lane_dtype(q)) == rows
-        out = list(scan(range(3 * rows), route, lambda xs, c: (xs.tolist(), c.tolist()), check))
+        out = list(scan(q, range(3 * rows), route, lambda xs, c: (xs.tolist(), c.tolist()), check))
     assert [len(xs) for (xs, _), _ in out] == [rows] * 3
     assert [agree for _, agree in out] == [True, False, True]
     for (xs, counts), agree in out:
