@@ -1,7 +1,9 @@
 """Min-entropy bookkeeping on top of multiplicity profiles, in plain floats."""
 
+import json
 import math
 
+from maskwire.cli import main
 from maskwire.gadgets import BarrettParams
 from maskwire.leakage import MAX_LEAKAGE_BITS, floor_bits, min_entropy
 from maskwire.preimage import MultiplicityProfile, counts_closedform_all
@@ -27,6 +29,30 @@ def test_min_entropy_degenerate_offset():
     # r = 0: every secret keeps the full log2(q) bits.
     p = BarrettParams.create(16, 4)
     assert [min_entropy(_profile(p, x)) for x in range(16)] == [4.0] * 16
+
+
+def _barrier_row(capsys, *argv):
+    # The barrier row is the one row `entropy` builds for a (q, s) pair.
+    assert main(["entropy", *argv, "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    return row
+
+
+def test_barrier_table_values(capsys):
+    rows = [_barrier_row(capsys, "--preset", name) for name in ("mlkem", "mldsa")]
+    assert [r["q"] for r in rows] == [3329, 8380417]
+    assert math.isclose(rows[0]["log2_q"], 11.7009, abs_tol=1e-4)
+    assert math.isclose(rows[0]["floor_bits"], 10.7009, abs_tol=1e-4)
+    assert math.isclose(rows[1]["log2_q"], 22.9986, abs_tol=1e-4)
+    assert math.isclose(rows[1]["floor_bits"], 21.9986, abs_tol=1e-4)
+    assert [r["floor_bits"] for r in rows] == [floor_bits(3329), floor_bits(8380417)]
+    assert all(r["max_leakage_bits"] == MAX_LEAKAGE_BITS == 1.0 for r in rows)
+
+
+def test_barrier_table_smallest_ring(capsys):
+    row = _barrier_row(capsys, "--q", "2", "--s", "1")
+    assert row["log2_q"] == 1.0
+    assert row["floor_bits"] == 0.0
 
 
 def test_floor_bits_is_one_bit_below_log2_q():
