@@ -16,7 +16,7 @@ from .gadgets import (
     make_identity_gadget,
 )
 from .leakage import MAX_LEAKAGE_BITS, floor_bits, min_entropy
-from .pipeline import CompositionReport, PipelineSpec, compose
+from .pipeline import CompositionReport, compose
 from .preimage import (
     EquivalenceReport,
     MultiplicityProfile,
@@ -56,7 +56,6 @@ __all__ = [
     "MAX_LEAKAGE_BITS",
     "min_entropy",
     "floor_bits",
-    "PipelineSpec",
     "CompositionReport",
     "compose",
 ]

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 from .gadgets import BarrettParams, make_barrett_gadget, make_identity_gadget
 from .leakage import MAX_LEAKAGE_BITS, floor_bits, min_entropy
-from .pipeline import MODES, PIPELINE_EXHAUSTIVE_LIMIT, PipelineSpec, compose
+from .pipeline import MODES, PIPELINE_EXHAUSTIVE_LIMIT, compose
 from .preimage import (
     DEFAULT_SAMPLE_SECRETS,
     DEFAULT_SEED,
@@ -65,26 +65,6 @@ MISMATCH_ROW_CAP = 100
 
 # entropy --preset: the (q, s) of the lattice schemes this tooling targets.
 PRESETS = {"mlkem": (3329, 24), "mldsa": (8380417, 48)}
-
-_SWEEP_COLUMNS = (
-    "row",
-    "q",
-    "s",
-    "r",
-    "secret_mode",
-    "secrets_checked",
-    "trichotomy_ok",
-    "conservation_ok",
-    "routes_agree",
-    "equiv",
-    "max_count",
-    "paper_gap_mismatches",
-    "extended_gap_mismatches",
-    "formula",
-    "secret",
-    "observed",
-    "predicted",
-)
 
 STAGE_NAMES = ("identity", "barrett")
 
@@ -358,9 +338,8 @@ def _cmd_compose(args) -> tuple[dict, list[dict], dict, int]:
             return make_barrett_gadget(barrett_p)
         return make_identity_gadget(args.q)
 
-    spec = PipelineSpec(build(names[0]), build(names[1]), args.mode)
     secrets, secret_mode = _secret_scope(args.q, args.seed, PIPELINE_EXHAUSTIVE_LIMIT)
-    rep = compose(spec, secrets)
+    rep = compose(build(names[0]), build(names[1]), args.mode, secrets)
     rows = [asdict(rep)]
     # Only the fresh-composition bound is a claim; shared results are data.
     passed = rep.fresh_bound_holds if args.mode == "fresh" else True
@@ -404,22 +383,21 @@ def _load_sweep_config(path: str) -> list[BarrettParams]:
     return [BarrettParams.create(q, s) for q, s in out]
 
 
-def _sweep_row(**values) -> dict:
-    return {col: values.get(col) for col in _SWEEP_COLUMNS}
-
-
 def _sweep_case(p: BarrettParams, secrets: Sequence[int], secret_mode: str) -> list[dict]:
     """One case's rows: the case row, then its mismatch rows."""
     q, s = p.q, p.s
     # Sampled secrets are also enumerated, to cross-check the closed form.
     sampled = secret_mode == "sampled"
     check = partial(counts_bruteforce_all, make_barrett_gadget(p)) if sampled else None
-    # The case row is the tally: its flags and counts are updated as checks run.
-    case_row = _sweep_row(
-        row="case", q=q, s=s, r=p.r, secret_mode=secret_mode,
-        secrets_checked=len(secrets), conservation_ok=True, routes_agree=True,
-        equiv="skipped", max_count=0, paper_gap_mismatches=0, extended_gap_mismatches=0,
-    )
+    # The case row is the tally: its flags and counts are updated as checks
+    # run.  Its keys are every row's columns, in order.
+    case_row = {
+        "row": "case", "q": q, "s": s, "r": p.r, "secret_mode": secret_mode,
+        "secrets_checked": len(secrets), "trichotomy_ok": None,
+        "conservation_ok": True, "routes_agree": True, "equiv": "skipped",
+        "max_count": 0, "paper_gap_mismatches": 0, "extended_gap_mismatches": 0,
+        "formula": None, "secret": None, "observed": None, "predicted": None,
+    }
     rows = [case_row]
     for prof, agree in _profile_pass(p, secrets, check):
         case_row["max_count"] = max(case_row["max_count"], prof.max_count)
@@ -433,12 +411,11 @@ def _sweep_case(p: BarrettParams, secrets: Sequence[int], secret_mode: str) -> l
                 continue
             case_row[f"{formula}_gap_mismatches"] += 1
             if case_row[f"{formula}_gap_mismatches"] <= MISMATCH_ROW_CAP:
-                rows.append(
-                    _sweep_row(
-                        row="mismatch", q=q, s=s, r=p.r, formula=formula,
-                        secret=prof.secret, observed=prof.zeros, predicted=predicted,
-                    )
-                )
+                rows.append({
+                    **dict.fromkeys(case_row), "row": "mismatch", "q": q, "s": s,
+                    "r": p.r, "formula": formula, "secret": prof.secret,
+                    "observed": prof.zeros, "predicted": predicted,
+                })
 
     case_row["trichotomy_ok"] = case_row["max_count"] <= 2
     if q <= SWEEP_EQUIV_LIMIT and p.scope_ok():

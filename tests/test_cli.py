@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from maskwire import cli
 from maskwire.cli import main
 from maskwire.leakage import MAX_LEAKAGE_BITS, floor_bits
 from maskwire.preimage import MultiplicityProfile
@@ -426,6 +427,28 @@ def test_sweep_strict_formula_promotes_mismatch(tmp_path, capsys):
         r["row"] == "mismatch" and r["secret"] == 3 and r["formula"] == "paper"
         for r in doc["rows"]
     )
+
+
+def test_sweep_mismatch_rows_capped(tmp_path, capsys):
+    # At (1021, 10), r = 3, the paper formula misses 1,014 secrets; the case
+    # row counts them all, but only MISMATCH_ROW_CAP of them get a row.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"cases": [{"q": 1021, "s": 10}]}))
+    code, doc, _ = run_json(capsys, "sweep", "--config", str(cfg))
+    assert code == 0
+    case, *mismatches = doc["rows"]
+    assert case["row"] == "case" and case["r"] == 3
+    assert case["paper_gap_mismatches"] == 1014
+    assert case["extended_gap_mismatches"] == 0
+    assert len(mismatches) == cli.MISMATCH_ROW_CAP == 100
+    assert {row["row"] for row in mismatches} == {"mismatch"}
+    assert {row["formula"] for row in mismatches} == {"paper"}
+    secrets = [row["secret"] for row in mismatches]
+    assert secrets == sorted(set(secrets))
+    assert all(list(row) == list(case) for row in mismatches)
+    code, doc, _ = run_json(capsys, "sweep", "--config", str(cfg), "--strict-formula")
+    assert code == 1
+    assert doc["summary"]["paper_gap_mismatches"] == 1014
 
 
 def test_sweep_trivial_ring(tmp_path, capsys):

@@ -21,6 +21,20 @@ def test_compose_is_the_only_composition_entry_point():
     assert "compose" in maskwire.__all__
 
 
+def test_compose_takes_its_stages_directly():
+    # No argument bundle: the two stages and the mode are compose's own parameters.
+    import inspect
+
+    from maskwire import pipeline
+
+    assert "PipelineSpec" not in maskwire.__all__
+    assert not hasattr(maskwire, "PipelineSpec")
+    assert not hasattr(pipeline, "PipelineSpec")
+    assert list(inspect.signature(maskwire.compose).parameters) == [
+        "stage1", "stage2", "mode", "secrets"
+    ]
+
+
 def test_scalar_pass_throughs_are_gone():
     import maskwire.gadgets as gadgets
     import maskwire.modring as modring

@@ -2,34 +2,37 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maskwire import pipeline
 from maskwire.gadgets import BarrettParams, make_barrett_gadget, make_identity_gadget
-from maskwire.pipeline import PipelineSpec, compose
+from maskwire.pipeline import compose
 
 from reference import ref_wire
 
 
 def _identity_pair(q, mode):
-    return PipelineSpec(make_identity_gadget(q), make_identity_gadget(q), mode)
+    """compose's (stage1, stage2, mode) arguments."""
+    return make_identity_gadget(q), make_identity_gadget(q), mode
 
 
 def _id_barrett(q, s, mode):
     p = BarrettParams.create(q, s)
-    return PipelineSpec(make_identity_gadget(p.q), make_barrett_gadget(p), mode)
+    return make_identity_gadget(p.q), make_barrett_gadget(p), mode
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        _identity_pair(7, "parallel")
+        compose(*_identity_pair(7, "parallel"))
     with pytest.raises(ValueError, match="got q=7 and q=11"):
-        PipelineSpec(make_identity_gadget(7), make_identity_gadget(11), "fresh")
+        compose(make_identity_gadget(7), make_identity_gadget(11), "fresh")
 
 
 def test_fresh_identity_barrett():
-    rep = compose(_id_barrett(3329, 24, "fresh"))
+    rep = compose(*_id_barrett(3329, 24, "fresh"))
     assert rep.wire1_max_mult == 1
     assert rep.wire2_max_mult == 2
     assert rep.pipeline_max_mult == 2
@@ -40,7 +43,7 @@ def test_fresh_identity_barrett():
 
 
 def test_fresh_identity_identity():
-    rep = compose(_identity_pair(11, "fresh"))
+    rep = compose(*_identity_pair(11, "fresh"))
     assert rep.pipeline_max_mult == 1
     assert rep.bound_fresh == 1
     assert rep.fresh_bound_holds
@@ -48,8 +51,7 @@ def test_fresh_identity_identity():
 
 def test_fresh_barrett_barrett():
     p = BarrettParams.create(7, 3)
-    spec = PipelineSpec(make_barrett_gadget(p), make_barrett_gadget(p), "fresh")
-    rep = compose(spec)
+    rep = compose(make_barrett_gadget(p), make_barrett_gadget(p), "fresh")
     assert rep.wire1_max_mult == 2
     assert rep.wire2_max_mult == 2
     assert rep.pipeline_max_mult == 2
@@ -61,7 +63,7 @@ def test_fresh_barrett_barrett():
 @pytest.mark.parametrize("q", list(range(1, 65)))
 def test_shared_identity_identity_parity_law(q):
     # Shared mask feeds through as x - 2m: bijective iff 2 is invertible mod q.
-    rep = compose(_identity_pair(q, "shared"))
+    rep = compose(*_identity_pair(q, "shared"))
     expected = 1 if q % 2 == 1 else 2
     assert rep.wire2_max_mult == expected
     assert rep.pipeline_max_mult == expected
@@ -69,10 +71,10 @@ def test_shared_identity_identity_parity_law(q):
 
 
 def test_shared_identity_identity_examples():
-    rep7 = compose(_identity_pair(7, "shared"))
+    rep7 = compose(*_identity_pair(7, "shared"))
     assert rep7.pipeline_max_mult == 1
     assert rep7.secrets_checked == 7
-    rep4 = compose(_identity_pair(4, "shared"))
+    rep4 = compose(*_identity_pair(4, "shared"))
     assert rep4.pipeline_max_mult == 2
     assert rep4.bound_product == 1
     assert not rep4.product_bound_holds
@@ -89,8 +91,7 @@ def test_shared_barrett_barrett_measured():
             hits[ref_wire(q, s, ref_wire(q, s, x, m), m)] += 1
         expected = max(expected, max(hits))
     p = BarrettParams.create(q, s)
-    spec = PipelineSpec(make_barrett_gadget(p), make_barrett_gadget(p), "shared")
-    rep = compose(spec)
+    rep = compose(make_barrett_gadget(p), make_barrett_gadget(p), "shared")
     assert rep.pipeline_max_mult == expected == 3
     assert rep.bound_product == 4
     assert rep.product_bound_holds
@@ -100,13 +101,13 @@ def test_shared_barrett_barrett_measured():
 
 def test_default_secret_scope():
     # With no secrets compose scans every one; sampling past a limit is the CLI's rule.
-    rep = compose(_identity_pair(64, "shared"))
+    rep = compose(*_identity_pair(64, "shared"))
     assert rep.secrets_checked == 64
-    assert rep == compose(_identity_pair(64, "shared"), secrets=range(64))
+    assert rep == compose(*_identity_pair(64, "shared"), secrets=range(64))
 
 
 def test_explicit_secrets():
-    rep = compose(_id_barrett(3329, 24, "fresh"), secrets=[0, 100, 3328])
+    rep = compose(*_id_barrett(3329, 24, "fresh"), secrets=[0, 100, 3328])
     assert rep.secrets_checked == 3
     assert rep.pipeline_max_mult == 2
 
@@ -116,7 +117,26 @@ def test_non_canonical_secret_rejected(mode):
     # 10 = 3 (mod 7), where the barrett stage has a two-preimage value;
     # enumerating secret 10 as given would measure all ones instead.
     with pytest.raises(ValueError, match="not canonical"):
-        compose(_id_barrett(7, 3, mode), secrets=[10])
+        compose(*_id_barrett(7, 3, mode), secrets=[10])
+
+
+def test_iterator_secrets_rejected_before_any_count(monkeypatch):
+    # compose scans the secrets once per wire; a one-shot iterator would
+    # leave the second scan empty, so it is refused before the first.
+    def no_count(*args):
+        raise AssertionError("counted before the secrets were checked")
+
+    monkeypatch.setattr(pipeline, "counts_bruteforce_all", no_count)
+    with pytest.raises(TypeError, match="not an iterator"):
+        compose(*_identity_pair(3, "fresh"), secrets=iter([0, 1, 2]))
+    with pytest.raises(TypeError, match="not an iterator"):
+        compose(*_identity_pair(3, "shared"), secrets=(x for x in range(3)))
+
+
+def test_array_secrets_accepted():
+    rep = compose(*_id_barrett(7, 3, "shared"), secrets=np.arange(3))
+    assert rep.secrets_checked == 3
+    assert rep == compose(*_id_barrett(7, 3, "shared"), secrets=[0, 1, 2])
 
 
 @st.composite
@@ -153,7 +173,7 @@ def test_compose_matches_scalar_loops(case):
             wire2 = Counter(wire(second, wire(first, x, m), m) for m in range(q))
         k2 = max(k2, max(wire2.values()))
 
-    rep = compose(PipelineSpec(build(first), build(second), mode), secrets=secrets)
+    rep = compose(build(first), build(second), mode, secrets=secrets)
     assert rep.mode == mode
     assert rep.secrets_checked == len(scope)
     assert rep.wire1_max_mult == k1

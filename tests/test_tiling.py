@@ -37,7 +37,7 @@ from maskwire.gadgets import (
     make_identity_gadget,
 )
 from maskwire.cli import _profile_pass
-from maskwire.pipeline import PipelineSpec, _shared_wire, compose
+from maskwire.pipeline import _shared_wire, compose
 from maskwire.preimage import (
     BLOCK_BYTES,
     block_rows,
@@ -169,12 +169,12 @@ def test_tiled_shared_composition_matches_scalar_loop(case, first, second):
     def build(name):
         return make_barrett_gadget(p) if name == "barrett" else make_identity_gadget(p.q)
 
-    spec = PipelineSpec(build(first), build(second), "shared")
+    stages = build(first), build(second)
     want = [0] * q
     for m in range(q):
         want[ref_stage(second, q, s, ref_stage(first, q, s, x, m), m)] += 1
     with tiles_of(tile):
-        got = counts_bruteforce_all(_shared_wire(spec), x)
+        got = counts_bruteforce_all(_shared_wire(*stages), x)
     assert got.tolist() == want
 
 
@@ -263,7 +263,7 @@ def test_blocked_shared_composition_matches_scalar_loop(case, rows, first, secon
     def build(name):
         return make_barrett_gadget(p) if name == "barrett" else make_identity_gadget(p.q)
 
-    spec = PipelineSpec(build(first), build(second), "shared")
+    stages = build(first), build(second)
     secrets = a_few_blocks(q, x, rows)
     wire1, wire2 = [], []
     for x in secrets:
@@ -275,8 +275,8 @@ def test_blocked_shared_composition_matches_scalar_loop(case, rows, first, secon
         wire1.append(h1)
         wire2.append(h2)
     with tiles_of(tile), blocks_of(rows, q, lane_dtype(q)):
-        got = counts_bruteforce_all(_shared_wire(spec), np.array(secrets))
-        rep = compose(spec, secrets=secrets)
+        got = counts_bruteforce_all(_shared_wire(*stages), np.array(secrets))
+        rep = compose(*stages, "shared", secrets=secrets)
     assert got.tolist() == wire2
     assert rep.secrets_checked == len(secrets)
     assert rep.wire1_max_mult == max(max(h) for h in wire1)
@@ -809,8 +809,8 @@ def test_shared_wire_eval_vec_matches_its_scalar_eval(first, second, data):
     def build(name):
         return make_barrett_gadget(p) if name == "barrett" else make_identity_gadget(p.q)
 
-    spec = PipelineSpec(build(first), build(second), "shared")
-    wire = _shared_wire(spec)
+    stage1, stage2 = build(first), build(second)
+    wire = _shared_wire(stage1, stage2)
     xs = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=4))
     got = wire.eval_vec(np.array(xs).reshape(-1, 1), np.arange(q))
     want = [[ref_stage(second, q, s, ref_stage(first, q, s, x, m), m) for m in range(q)]
@@ -818,4 +818,4 @@ def test_shared_wire_eval_vec_matches_its_scalar_eval(first, second, data):
     assert got.tolist() == want
     # A column call equals the 0-d-secret calls stacked.
     assert got.tolist() == [wire.eval_vec(x, np.arange(q)).tolist() for x in xs]
-    assert wire.claimed_max_mult == spec.stage1.claimed_max_mult * spec.stage2.claimed_max_mult
+    assert wire.claimed_max_mult == stage1.claimed_max_mult * stage2.claimed_max_mult
