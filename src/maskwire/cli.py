@@ -38,7 +38,8 @@ from .preimage import (
     MultiplicityProfile,
     WireValueError,
     _require_canonical,
-    counts_bruteforce_all,
+    counts_bruteforce_all,  # unused here; bench/test_harness.py reads this binding
+    counts_bruteforce_check,
     counts_closedform_all,
     equivalence_check,
     sample_secrets,
@@ -55,7 +56,7 @@ EQUIV_EXHAUSTIVE_LIMIT = 2**12
 EQUIV_SAMPLE_PAIRS = 10**6
 
 # Sweep cases: exhaustive secrets (closed form) up to the first limit,
-# _secret_scope's enumerated-and-cross-checked sample beyond; pointwise
+# _secret_scope's sample beyond, cross-checked by enumeration; pointwise
 # equivalence runs while the full q^2 sweep stays affordable.  The
 # sample size is _secret_scope's own, echoed as parameters.sample.
 SWEEP_EXHAUSTIVE_LIMIT = 2**14
@@ -224,6 +225,15 @@ def _profile_pass(p: BarrettParams, secrets: Sequence[int], check: Optional[Call
             yield prof, agree
 
 
+def _sample_agrees(p: BarrettParams, seed: int) -> bool:
+    """Whether enumeration confirms the closed form on the seeded sample: the
+    cross-check of an exhaustive scope, which profiles nothing."""
+    check = partial(counts_bruteforce_check, make_barrett_gadget(p))
+    sample = sample_secrets(p.q, DEFAULT_SAMPLE_SECRETS, seed)
+    blocks = scan(p.q, sample, partial(counts_closedform_all, p), lambda xs, counts: None, check)
+    return all(agree for _, agree in blocks)
+
+
 def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
     p = BarrettParams.create(args.q, args.s)
     secrets, secret_mode = _secret_scope(
@@ -232,7 +242,7 @@ def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
     )
     floor = floor_bits(p.q)
     rows = []
-    passed = True
+    passed = secret_mode != "exhaustive" or _sample_agrees(p, args.seed)
     for prof, _ in _profile_pass(p, secrets):
         # Off mask mass leaves no distribution to measure; a value hit
         # three times keeps its min-entropy, which then reads below the
@@ -383,18 +393,22 @@ def _load_sweep_config(path: str) -> list[BarrettParams]:
     return [BarrettParams.create(q, s) for q, s in out]
 
 
-def _sweep_case(p: BarrettParams, secrets: Sequence[int], secret_mode: str) -> list[dict]:
+def _sweep_case(
+    p: BarrettParams, secrets: Sequence[int], secret_mode: str, seed: int
+) -> list[dict]:
     """One case's rows: the case row, then its mismatch rows."""
     q, s = p.q, p.s
-    # Sampled secrets are also enumerated, to cross-check the closed form.
+    # Sampled secrets are cross-checked as they are profiled; an exhaustive
+    # case checks the seeded sample first.
     sampled = secret_mode == "sampled"
-    check = partial(counts_bruteforce_all, make_barrett_gadget(p)) if sampled else None
+    check = partial(counts_bruteforce_check, make_barrett_gadget(p)) if sampled else None
     # The case row is the tally: its flags and counts are updated as checks
     # run.  Its keys are every row's columns, in order.
     case_row = {
         "row": "case", "q": q, "s": s, "r": p.r, "secret_mode": secret_mode,
         "secrets_checked": len(secrets), "trichotomy_ok": None,
-        "conservation_ok": True, "routes_agree": True, "equiv": "skipped",
+        "conservation_ok": True, "routes_agree": sampled or _sample_agrees(p, seed),
+        "equiv": "skipped",
         "max_count": 0, "paper_gap_mismatches": 0, "extended_gap_mismatches": 0,
         "formula": None, "secret": None, "observed": None, "predicted": None,
     }
@@ -427,7 +441,7 @@ def _cmd_sweep(args) -> tuple[dict, list[dict], dict, int]:
     cases = _load_sweep_config(args.config)
     # Every case's ring and scope are fixed before the first case is counted.
     scoped = [(p, *_secret_scope(p.q, args.seed, SWEEP_EXHAUSTIVE_LIMIT)) for p in cases]
-    rows = [row for case in scoped for row in _sweep_case(*case)]
+    rows = [row for case in scoped for row in _sweep_case(*case, args.seed)]
     # The summary is read back from the case rows, so it cannot disagree with them.
     case_rows = [row for row in rows if row["row"] == "case"]
     hard_failures = sum(

@@ -44,10 +44,13 @@ scan(q, secrets, count, reduce, check) drives every per-secret scan.  A
 route is a plain callable count(xs) of a secret block:
 partial(counts_closedform_all, p), partial(counts_bruteforce_all, g)
 for a WireGadget g, or any other wire's counts.  scan sizes its blocks
-in lane_dtype(q), so every route takes the same blocks at one q.  A
-check route counts each block a second way, compared slice by slice; on
-disagreement reduce gets its counts.  Only reduce's result outlives a
-block, and the other counts die before it runs.
+in lane_dtype(q), so every route takes the same blocks at one q.
+reduce(xs, counts) runs first; then a check(xs, counts) returns None if
+the counts are right, else its own counts, which reduce gets instead.
+A check may overwrite counts, so reduce must not return a view of them.
+partial(counts_bruteforce_check, g) cancels the closed form's uint8
+counts in place, mask by mask, so a checked block holds one row of
+counts a secret.  Only reduce's result outlives a block.
 """
 
 from __future__ import annotations
@@ -109,15 +112,19 @@ class MultiplicityProfile:
 
     @classmethod
     def from_counts(cls, secret: int, q: int, counts: np.ndarray) -> "MultiplicityProfile":
-        """Profile a per-value counts array in four passes: nonzero, twos, max and min."""
+        """Profile a per-value counts array from its nonzero, twos, max and, if signed, min.
+
+        The twos, and a broken row's ones, are counted BLOCK_BYTES values at a
+        time, so no q-length bool is built beside the row.
+        """
         _require_canonical("secret", secret, q)
         if counts.shape != (q,):
             raise ValueError(f"counts array must have length q={q}")
-        nonzero, twos = int(np.count_nonzero(counts)), int(np.count_nonzero(counts == 2))
+        nonzero, twos = int(np.count_nonzero(counts)), _count_equal(counts, 2)
         top = int(counts.max())
         # Past 0..2, nonzero - twos is not the ones: count them, so a broken row stays data.
-        in_range = top <= 2 and counts.min() >= 0
-        ones = nonzero - twos if in_range else int(np.count_nonzero(counts == 1))
+        in_range = top <= 2 and (counts.dtype.kind == "u" or counts.min() >= 0)
+        ones = nonzero - twos if in_range else _count_equal(counts, 1)
         return cls(secret, q, zeros=q - nonzero, ones=ones, twos=twos, max_count=top)
 
     @property
@@ -190,6 +197,14 @@ def block_rows(q: int, dtype: np.dtype) -> int:
     return max(1, tile_len(dtype) // q)
 
 
+def _count_equal(row: np.ndarray, value: int) -> int:
+    """Entries of a 1-D row equal to value, compared BLOCK_BYTES entries at a time."""
+    n = BLOCK_BYTES
+    if row.size <= n:
+        return int(np.count_nonzero(row == value))
+    return sum(int(np.count_nonzero(row[i : i + n] == value)) for i in range(0, row.size, n))
+
+
 def _blocks(secrets: Iterable[int], rows: int) -> Iterator[np.ndarray]:
     """The secrets in order as int64 arrays of `rows`, only the last shorter."""
     it = iter(secrets)
@@ -214,14 +229,16 @@ def scan(
     secrets: Iterable[int],
     count: Callable[[np.ndarray], np.ndarray],
     reduce: Callable[[np.ndarray, np.ndarray], Any],
-    check: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    check: Optional[Callable[[np.ndarray, np.ndarray], Optional[np.ndarray]]] = None,
 ) -> Iterator[Tuple[Any, bool]]:
-    """(reduce(xs, count(xs)), agree) for each block xs of the secrets, in order.
+    """(reduce(xs, counts), agree) for each block xs of the secrets, in order.
 
     xs is an int64 array of block_rows(q, lane_dtype(q)) secrets; only the
-    last block may be shorter.  check, if given, counts each block a second
-    way over the same q, agree says whether the two arrays are equal, and
-    on disagreement reduce gets check's counts.
+    last block may be shorter, and counts = count(xs).  reduce runs first.
+    check(xs, counts), if given, then returns None when counts are right
+    and otherwise its own counts, which reduce gets in their place, with
+    agree False.  A check may overwrite counts, so reduce must not return
+    a view of them.
     """
     for xs in _blocks(secrets, block_rows(q, lane_dtype(q))):
         yield _scan_block(xs, count, reduce, check)
@@ -232,17 +249,12 @@ def _scan_block(
 ) -> Tuple[Any, bool]:
     """One block of scan; its count arrays die on return, before the next block."""
     counts = count(xs)
-    if check is None:
-        return reduce(xs, counts), True
-    checked = check(xs)
-    # Compared in slices of BLOCK_BYTES elements, so no q-length bool is built.
-    a, b, n = checked.reshape(-1), counts.reshape(-1), BLOCK_BYTES
-    agree = checked.shape == counts.shape and all(
-        np.array_equal(a[i : i + n], b[i : i + n]) for i in range(0, a.size, n)
-    )
-    counts = counts if agree else checked
-    del checked, a, b  # reduce runs beside one block of counts, not two
-    return reduce(xs, counts), agree
+    result = reduce(xs, counts)
+    theirs = None if check is None else check(xs, counts)
+    if theirs is None:
+        return result, True
+    del counts  # reduce runs beside the check's counts alone
+    return reduce(xs, theirs), False
 
 
 def _require_canonical(name: str, n: int, q: int) -> None:
@@ -275,7 +287,33 @@ def counts_bruteforce_all(g: WireGadget, x: IntOrArray) -> np.ndarray:
     return counts
 
 
-def _tally(g: WireGadget, xs: np.ndarray, dtype: type) -> Tuple[np.ndarray, int]:
+def counts_bruteforce_check(
+    g: WireGadget, x: IntOrArray, counts: np.ndarray
+) -> Optional[np.ndarray]:
+    """None if counts are g's preimage counts for secret(s) x, else those counts.
+
+    scan's check by enumeration.  _tally takes 1 off uint8 counts in place
+    for every mask, so counts that agree leave all zeros, modulo 256.  No
+    enumerated count passes its runs, so with at most 255 runs a row a
+    zero residue is agreement; with more, the counts agree unless an exact
+    recount passes 255.  Counts of another dtype or shape are compared
+    with the recount.
+    """
+    xs = _canonical(x, g.q)
+    if counts.dtype != np.uint8 or counts.shape != xs.shape + (g.q,):
+        exact = counts_bruteforce_all(g, xs)
+        return None if np.array_equal(exact, counts) else exact
+    residue, runs = _tally(g, xs, np.uint8, into=counts)
+    zero = not np.count_nonzero(residue)
+    if zero and runs <= 255:
+        return None
+    exact = counts_bruteforce_all(g, xs)
+    return None if zero and exact.dtype == np.uint8 else exact
+
+
+def _tally(
+    g: WireGadget, xs: np.ndarray, dtype: type, into: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, int]:
     """(counts, runs) for secret(s) xs: counts in dtype, each modulo its range,
     of shape(xs) + (q,), and the most runs that any one row fell into.
 
@@ -287,10 +325,15 @@ def _tally(g: WireGadget, xs: np.ndarray, dtype: type) -> Tuple[np.ndarray, int]
     going on past a tile edge counts once: its pieces cover disjoint
     values.  A tile whose mean run is under RUN_BREAK_EVEN takes one
     np.add.at, checked by an unsigned max, each mask a run of its own.
+    Given into, counts of that shape and dtype, each mask takes 1 off
+    them in place instead, and they are returned.
     """
     q = g.q
     offsets = np.arange(0, xs.size * q, q, dtype=lane_dtype(xs.size * q)).reshape(-1, 1)
-    counts = np.zeros(xs.size * q, dtype=dtype)
+    counts = np.zeros(xs.size * q, dtype=dtype) if into is None else into.reshape(-1)
+    # ~0 is -1 in any integer dtype, modulo 256 in uint8.  A typed step keeps
+    # ufunc.at on its fast path; a Python 1 does not.
+    step = dtype(1) if into is None else ~dtype(0)
     runs = [0] * xs.size
     for lo, col, masks in _tiles(xs, q, lane_dtype(q)):
         vals = g.eval_vec(col, masks)
@@ -302,8 +345,7 @@ def _tally(g: WireGadget, xs: np.ndarray, dtype: type) -> Tuple[np.ndarray, int]
             # Read unsigned, a negative value is huge, so one max bounds both ends.
             if vals.view(f"u{vals.itemsize}").max(initial=0) >= q:
                 raise WireValueError(f"wire value outside [0, {q}) for modulus {q}")
-            # A typed increment keeps ufunc.at on its fast path; a Python 1 does not.
-            np.add.at(counts, (vals + offsets).ravel(), dtype(1))
+            np.add.at(counts, (vals + offsets).ravel(), step)
             runs = [k + n for k in runs]
         else:
             cuts = np.flatnonzero(breaks).tolist() if cut else []
@@ -313,7 +355,7 @@ def _tally(g: WireGadget, xs: np.ndarray, dtype: type) -> Tuple[np.ndarray, int]
                     raise WireValueError(f"wire value outside [0, {q}) for modulus {q}")
                 row = start // n  # a row's first run may go on from the tile before
                 runs[row] += start % n > 0 or lo == 0 or top != last[row] - 1
-                counts[row * q + bottom : row * q + top + 1] += 1
+                counts[row * q + bottom : row * q + top + 1] += step
         last = vals[:, -1].tolist()
     return counts.reshape(xs.shape + (q,)), max(runs, default=0)
 

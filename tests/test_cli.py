@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from maskwire import cli
@@ -484,6 +485,39 @@ def test_sweep_config_rejection(tmp_path, capsys):
     assert code == 2
     code, _, err = run(capsys, "sweep", "--config", str(tmp_path / "absent.json"))
     assert code == 2
+
+
+def closedform_wrap_one_up(p, xs):
+    """The closed form with its wrap set moved up one value: still q masks a
+    row and zeros = twos, so every row reads conserved."""
+    q, r = p.q, p.r
+    counts = np.zeros((len(xs), q), dtype=np.uint8)
+    for row, x in zip(counts, np.asarray(xs).tolist()):
+        row[: x + 1] = 1
+        lo = (x + 2 + r) % q
+        hi = lo + q - 1 - x
+        row[lo:hi] += 1
+        row[: max(0, hi - q)] += 1
+    return counts
+
+
+def test_exhaustive_scope_is_cross_checked_by_enumeration(monkeypatch, capsys, tmp_path):
+    # Conservation and trichotomy hold, so only the check of the seeded
+    # sample against enumeration fails the run; analyze still renders its rows.
+    monkeypatch.setattr(cli, "counts_closedform_all", closedform_wrap_one_up)
+    code, doc, _ = run_json(capsys, "analyze", "--q", "61", "--s", "6")
+    assert code == 1 and doc["parameters"]["secret_mode"] == "exhaustive"
+    assert doc["summary"] == {"passed": False, "secrets_checked": 61, "route": "closedform"}
+    assert len(doc["rows"]) == 61
+    assert all(row["zeros"] == row["twos"] and row["max_count"] <= 2 for row in doc["rows"])
+    cfg = tmp_path / "cases.json"
+    cfg.write_text(json.dumps({"cases": [{"q": 61, "s": 6}]}))
+    code, doc, _ = run_json(capsys, "sweep", "--config", str(cfg))
+    assert code == 1
+    case = doc["rows"][0]
+    assert case["secret_mode"] == "exhaustive" and case["routes_agree"] is False
+    assert case["conservation_ok"] is True and case["trichotomy_ok"] is True
+    assert doc["summary"]["hard_failures"] == 1
 
 
 def test_human_format_renders(capsys):

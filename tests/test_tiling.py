@@ -42,6 +42,7 @@ from maskwire.preimage import (
     BLOCK_BYTES,
     block_rows,
     counts_bruteforce_all,
+    counts_bruteforce_check,
     counts_closedform_all,
     equivalence_check,
     scan,
@@ -210,17 +211,36 @@ def test_scan_memory_is_one_result_array():
 
 
 def test_cross_checked_profile_holds_two_rows_at_most():
-    # One secret profiled from the closed form and checked by enumeration:
-    # the two uint8 rows, then the closed form's row and from_counts'
-    # q-length bool, each pair beside a few tiles (measured 2q + 4.3
-    # blocks).  An int32 oracle row compared whole read 2q + 32.3 blocks.
+    # One secret profiled from the closed form, then checked by enumeration
+    # taking each mask off that row in place: one uint8 row, beside
+    # from_counts' slices and then beside enumeration's tiles (measured
+    # q + 2.5 blocks).  Enumeration's own row compared slice by slice read
+    # 2q + 4.3 blocks, and an int32 oracle row compared whole 2q + 32.3.
     q = 2**20 - 3
     p = BarrettParams.create(q, 40)
-    check = partial(counts_bruteforce_all, make_barrett_gadget(p))
+    check = partial(counts_bruteforce_check, make_barrett_gadget(p))
     profiled, peak = traced_peak(lambda: list(_profile_pass(p, [q // 3], check)))
     ((prof, agree),) = profiled
     assert agree and prof.conserved and prof.secret == q // 3
-    assert peak < 2 * q + 8 * BLOCK_BYTES
+    assert peak < q + 8 * BLOCK_BYTES
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_profile_builds_no_row_length_array(dtype):
+    # The twos, and the ones of a row with a value hit three times, are
+    # counted BLOCK_BYTES values at a time: a q-length bool of counts == 2
+    # alone would take q bytes (measured 1.0 block for either dtype).
+    q = 2**20 - 3
+    p = BarrettParams.create(q, 40)
+    counts = counts_closedform_all(p, q // 3).astype(dtype)
+    if dtype == np.int64:
+        counts[:3] = (3, 0, 0)  # a value hit three times: the ones are counted too
+    prof, peak = traced_peak(preimage.MultiplicityProfile.from_counts, q // 3, q, counts)
+    assert (prof.zeros, prof.ones, prof.twos) == (
+        q - np.count_nonzero(counts), np.count_nonzero(counts == 1), np.count_nonzero(counts == 2)
+    )
+    assert prof.conserved == (dtype == np.uint8)
+    assert peak < 2 * BLOCK_BYTES
 
 
 def test_sampled_equivalence_memory_does_not_grow_with_sample():
@@ -680,29 +700,70 @@ def stub_route(shape, flip=None, dtype=np.uint8):
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int32])
 def test_scan_block_finds_one_differing_count_in_any_slice(dtype):
-    # Two rows of q = BLOCK_BYTES + 7 compare as three slices of
-    # BLOCK_BYTES elements, the last one 14 long.
+    # The identity wire hits every value once.  Two rows of
+    # q = BLOCK_BYTES + 7 span three slices of BLOCK_BYTES values, the
+    # last one 14 long; a 0 at either end of any slice is found, by the
+    # uint8 residue or by the int32 compare.
     q = BLOCK_BYTES + 7
     xs, shape, size = np.arange(2), (2, q), 2 * q
-    route = stub_route(shape)
+    check = partial(counts_bruteforce_check, make_identity_gadget(q))
+
+    def copied(_, counts):
+        return counts.copy()  # the check overwrites uint8 counts
+
     for flip in (0, BLOCK_BYTES - 1, BLOCK_BYTES, 2 * BLOCK_BYTES, size - 1):
-        seen, agree = preimage._scan_block(
-            xs, route, lambda _, c: c, stub_route(shape, flip, dtype)
-        )
-        # On disagreement reduce gets the check's counts.
-        assert not agree and seen.dtype == dtype
-        assert seen.reshape(-1)[flip] == 0 and int(seen.sum()) == size - 1
-    check = stub_route(shape, dtype=dtype)
-    seen, agree = preimage._scan_block(xs, route, lambda _, c: c, check)
-    assert agree and seen.dtype == np.uint8
+        seen, agree = preimage._scan_block(xs, stub_route(shape, flip, dtype), copied, check)
+        # On disagreement reduce gets the check's counts: enumeration's ones.
+        assert not agree and seen.dtype == np.uint8 and int(seen.sum()) == size
+    seen, agree = preimage._scan_block(xs, stub_route(shape, dtype=dtype), copied, check)
+    assert agree and seen.dtype == dtype and int(seen.sum()) == size
 
 
 def test_scan_block_reads_a_shape_mismatch_as_disagreement():
-    # Same values and size in another shape: every flat slice agrees, the shapes do not.
+    # Same values and size in another shape: taken off in place, every
+    # count would leave 0; the shapes do not agree.
     q = 61
-    route, check = stub_route((2, q)), stub_route((q, 2))
-    seen, agree = preimage._scan_block(np.arange(2), route, lambda _, c: c.shape, check)
-    assert not agree and seen == (q, 2)
+    check = partial(counts_bruteforce_check, make_identity_gadget(q))
+    seen, agree = preimage._scan_block(
+        np.arange(2), stub_route((q, 2)), lambda _, c: c.shape, check
+    )
+    assert not agree and seen == (2, q)
+
+
+def test_counts_equal_modulo_256_read_as_disagreement():
+    # Masks 0..255 of every secret send the wire to 0, the rest to 1, 2, ...:
+    # value 0 has 256 preimages, each mask a run of its own.  Counts of 0
+    # there leave a zero uint8 residue, which past 255 runs a row settles
+    # nothing: the exact recount passes 255, so the counts disagree.
+    q = 300
+    values = np.concatenate([np.zeros(256, np.int64), np.arange(1, q - 255)])
+    g = WireGadget("piled", q, 256, lambda x, m: np.tile(values[np.asarray(m)], (len(x), 1)))
+    xs = np.arange(2)
+    exact = counts_bruteforce_all(g, xs)
+    assert exact.dtype == np.int32 and exact[:, 0].tolist() == [256, 256]
+    counts = exact.astype(np.uint8)
+    assert counts[:, 0].tolist() == [0, 0]
+    theirs = counts_bruteforce_check(g, xs, counts)
+    assert theirs is not None and np.array_equal(theirs, exact)
+    assert not counts.any()  # the residue, in place
+    # Past 255 runs a row too, counts that agree read as agreement.
+    ramp = WireGadget("ramp", q, 1, lambda x, m: np.tile(np.asarray(m), (len(x), 1)))
+    assert counts_bruteforce_check(ramp, xs, np.ones((2, q), np.uint8)) is None
+
+
+def test_counts_of_another_dtype_are_compared_whole():
+    # int64 counts take no residue: they are compared with enumeration's
+    # and left as they are, so a count off by 256 is seen too.
+    q = 61
+    p = BarrettParams.create(q, 6)
+    g, xs = make_barrett_gadget(p), np.arange(3)
+    want = counts_closedform_all(p, xs)
+    counts = want.astype(np.int64)
+    assert counts_bruteforce_check(g, xs, counts) is None
+    counts[1, 5] += 256
+    theirs = counts_bruteforce_check(g, xs, counts)
+    assert theirs is not None and theirs.dtype == np.uint8 and np.array_equal(theirs, want)
+    assert counts[1, 5] == int(want[1, 5]) + 256
 
 
 MILLION = 2**20 - 3  # 32 tiles of 32,704 int32 masks and one of 2,045
@@ -746,33 +807,45 @@ def off_by_one_on(secrets, count):
     """count, with value 0 of every secret in `secrets` hit once more."""
 
     def counted(xs):
-        counts = count(xs).astype(np.int64)
+        counts = count(xs)
         counts[np.isin(xs, secrets), 0] += 1
         return counts
 
     return counted
 
 
+def compared(count):
+    """A check that counts a second way and compares the two arrays whole."""
+
+    def check(xs, counts):
+        theirs = count(xs)
+        return None if np.array_equal(theirs, counts) else theirs
+
+    return check
+
+
 @pytest.mark.parametrize("rows", [2, 3])
 @pytest.mark.parametrize("enumerate_first", [False, True])
 def test_scan_cross_check_flags_only_the_disagreeing_block(rows, enumerate_first):
+    # The middle block's counts are off; the other route, as a check,
+    # flags that block alone and reduce gets its counts instead.
     q, s = 61, 6
     p = BarrettParams.create(q, s)
     closed = partial(counts_closedform_all, p)
     enumerated = partial(counts_bruteforce_all, make_barrett_gadget(p))
-    route, count = (enumerated, closed) if enumerate_first else (closed, enumerated)
-    check = off_by_one_on(range(rows, 2 * rows), count)
+    if enumerate_first:
+        route, check = enumerated, compared(closed)
+    else:
+        route, check = closed, partial(counts_bruteforce_check, make_barrett_gadget(p))
+    route = off_by_one_on(range(rows, 2 * rows), route)
     with blocks_of(rows, q, lane_dtype(q)):
         # Both routes share one lane, so both ask for `rows`.
         assert block_rows(q, lane_dtype(q)) == rows
         out = list(scan(q, range(3 * rows), route, lambda xs, c: (xs.tolist(), c.tolist()), check))
     assert [len(xs) for (xs, _), _ in out] == [rows] * 3
     assert [agree for _, agree in out] == [True, False, True]
-    for (xs, counts), agree in out:
-        want = [ref_counts(q, s, x) for x in xs]
-        if not agree:
-            want = [[c[0] + 1, *c[1:]] for c in want]
-        assert counts == want
+    for (xs, counts), _ in out:
+        assert counts == [ref_counts(q, s, x) for x in xs]
 
 
 def test_trichotomy_counts_no_block_after_the_counterexample():
