@@ -46,11 +46,12 @@ in its lane, so no step falls into numpy scalar arithmetic on 0-d input.
 v % q is written v -= (v // q) * q, exact for every int64 since the true
 result lies in [0, q) and wrapping cancels; % 2^s is written & (2^s - 1).
 With numpy 2.4 on a 2-vCPU x86-64 host, int64 % q costs 4.1 ns per
-element, // q 1.1 ns and & 0.8 ns, and both Barrett evaluators plus their
-compare at q = 12289, s = 28 cost 8.4 ns per pair in int64 lanes and
-4.9 ns in int32 lanes.  The equivalence scan checks the two Barrett
-evaluators against each other, so they share only _in_lane and
-_floor_mod, never the branch offset r or the s-bit wrap.
+element, // q 1.1 ns and & 0.8 ns, and the exhaustive equivalence scan
+at q = 12289 costs 1.2 ns per pair at s = 28 (int32 tiles) and 1.9 ns at
+s = 40 (int64), against 2.3 and 4.7 ns with the s-bit form run at every
+pair.  The scan checks the two-branch evaluator at every pair against
+the s-bit one on the 2q - 1 differences x - m (preimage), so they share
+only _in_lane and _floor_mod, unused by the slice form, never r or the wrap.
 
 Every evaluator broadcasts x against m: a scan passes a (B, 1) column
 of B consecutive secrets against one range of masks and gets a (B, n)

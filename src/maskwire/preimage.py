@@ -30,8 +30,11 @@ rows in place, three slices a row with Python-int bounds: 1.5 ms a
 secret at q = 8,380,417 (2-vCPU x86-64 host, numpy 2.4).
 
 Enumeration walks its mask axis through _tiles in lane_dtype(q), and
-the exhaustive equivalence scan in lane_dtype(q, s).  The two-branch
-and translation wires wrap at no s-bit word, so q alone sets a route's
+the exhaustive equivalence scan in lane_dtype(q, s).  Only that scan's
+line of 2q - 1 s-bit values (equivalence_check), one a scan, and what
+builds it pass BLOCK_BYTES, from q = 16,353 in int32 and 8,177 in int64:
+above every NTT modulus at its sweep shift.  The two-branch and
+translation wires wrap at no s-bit word, so q alone sets a route's
 lane, int32 wherever q <= 2^30.  Its masks are a range a tile, so the
 two wires take gadgets' slice form.  It tallies a tile with one slice
 add per run of masks whose values fall by one, exact for any
@@ -64,6 +67,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Tuple
 import numpy as np
 
 from .gadgets import (
+    INT32,
     INT64,
     BarrettParams,
     IntOrArray,
@@ -324,7 +328,8 @@ def _tally(
     [0, q) raises WireValueError instead of landing in another row.  A run
     going on past a tile edge counts once: its pieces cover disjoint
     values.  A tile whose mean run is under RUN_BREAK_EVEN takes one
-    np.add.at, checked by an unsigned max, each mask a run of its own.
+    np.add.at, checked by an unsigned max, and credits each row with the
+    tile's runs less one a row besides, at most n: never fewer than its own.
     Given into, counts of that shape and dtype, each mask takes 1 off
     them in place instead, and they are returned.
     """
@@ -346,7 +351,8 @@ def _tally(
             if vals.view(f"u{vals.itemsize}").max(initial=0) >= q:
                 raise WireValueError(f"wire value outside [0, {q}) for modulus {q}")
             np.add.at(counts, (vals + offsets).ravel(), step)
-            runs = [k + n for k in runs]
+            # Of the tile's cut + 1 runs, each other row holds one or more.
+            runs = [k + min(n, cut + 2 - len(vals)) for k in runs]
         else:
             cuts = np.flatnonzero(breaks).tolist() if cut else []
             starts, ends = [0] + [c + 1 for c in cuts], cuts + [flat.size - 1]
@@ -503,6 +509,27 @@ def _exhaustive_pair_tiles(q: int, dtype: np.dtype) -> Iterator[Tile]:
             yield int(xs[0]) * q + lo, col, masks
 
 
+def _s_bit_line(p: BarrettParams) -> np.ndarray:
+    """The s-bit form at every pair of residues: hw(x, m) = line[q - 1 - x + m].
+
+    The form reads a pair only through d = x - m, so it runs once a d in
+    q - 1 .. 1 - q, on (d, 0) or (0, -d), with int32 masks (gadgets' lanes).
+    """
+    d = np.arange(p.q - 1, -p.q, -1, dtype=INT32)
+    return barrett_nat_eval_vec(p, np.maximum(d, 0), np.maximum(-d, 0))
+
+
+def _line_window(line: np.ndarray, q: int, before: int, shape: Tuple[int, int]) -> np.ndarray:
+    """The (B, n) view of line that holds an exhaustive tile's s-bit values.
+
+    The tile's secrets x0 + i and masks lo + j are consecutive, from
+    before = x0 * q + lo, so pair (i, j) is line[q - 1 - x0 + lo - i + j].
+    """
+    x0, lo = divmod(before, q)
+    k = line.itemsize
+    return np.ndarray(shape, line.dtype, line, (q - 1 - x0 + lo) * k, (-k, k))
+
+
 def _sampled_pair_tiles(q: int, sample: int, seed: int) -> Iterator[Tile]:
     """(pairs before, secrets, masks) tiles of `sample` seeded random pairs.
 
@@ -522,8 +549,9 @@ def equivalence_check(
 ) -> EquivalenceReport:
     """Compare the algebraic and hardware-faithful forms pointwise.
 
-    sample = None checks all q^2 (x, m) pairs, with masks in the lane
-    gadgets.lane_dtype(q, s) picks; otherwise `sample` int64 pairs
+    sample = None checks all q^2 (x, m) pairs, in tiles in the lane
+    gadgets.lane_dtype(q, s) picks, each against its window of one line
+    of the hardware form (_s_bit_line); otherwise `sample` int64 pairs
     are drawn tile by tile from one np.random.default_rng(seed), each
     tile's secrets and masks by one integers(0, q, size=(2, n)) call.
     Raises ScopeConditionError when q > 2^s — a usage error, distinct
@@ -535,12 +563,15 @@ def equivalence_check(
         mode, total, tiles = "exhaustive", q * q, _exhaustive_pair_tiles(q, lane_dtype(q, p.s))
     else:
         mode, total, tiles = "sampled", sample, _sampled_pair_tiles(q, sample, seed)
+    line = _s_bit_line(p) if sample is None else None
     for before, xs, masks in tiles:
         alg = barrett_algebraic_eval_vec(p, xs, masks)
-        hw = barrett_nat_eval_vec(p, xs, masks)
-        bad = np.flatnonzero(alg != hw)
-        if len(bad) > 0:
-            i = int(bad[0])
+        if line is None:
+            hw = barrett_nat_eval_vec(p, xs, masks)
+        else:
+            hw = _line_window(line, q, before, (len(xs), len(masks)))
+        if not np.array_equal(alg, hw):
+            i = int(np.flatnonzero(alg != hw)[0])
             at = np.unravel_index(i, alg.shape)
             x = int(np.broadcast_to(xs, alg.shape)[at])
             m = int(masks[at[-1]])  # a range, or the pair masks

@@ -91,21 +91,23 @@ def test_trichotomy_failure_renders_counterexample(monkeypatch, capsys):
 
 def test_equiv_mismatch_renders_its_pair(monkeypatch, capsys):
     # At q = 61 the pair (17, 42) is pair 17 * 61 + 42 = 1079 of the
-    # exhaustive scan; both forms send it to 39 until the fault.
-    original = preimage.barrett_nat_eval_vec
+    # exhaustive scan; both forms send it to 39 until the fault.  The scan
+    # evaluates the two-branch form at every pair and the s-bit form once
+    # a difference x - m, so the pair's fault goes in the two-branch form.
+    original = preimage.barrett_algebraic_eval_vec
 
     def off_by_one_at_17_42(p, x, m):
         out = original(p, x, m)
         out[(np.asarray(x) == 17) & (np.asarray(m) == 42)] += 1
         return out
 
-    monkeypatch.setattr(preimage, "barrett_nat_eval_vec", off_by_one_at_17_42)
+    monkeypatch.setattr(preimage, "barrett_algebraic_eval_vec", off_by_one_at_17_42)
     code, doc = run_json(capsys, "equiv", "--q", "61", "--s", "6")
     assert code == 1
     assert doc["summary"] == {"passed": False, "pairs_checked": 1080}
     (row,) = doc["rows"]
     assert (row["passed"], row["pairs_checked"], row["pair_mode"]) == (False, 1080, "exhaustive")
-    assert (row["mm_secret"], row["mm_mask"], row["mm_algebraic"], row["mm_hw"]) == (17, 42, 39, 40)
+    assert (row["mm_secret"], row["mm_mask"], row["mm_algebraic"], row["mm_hw"]) == (17, 42, 40, 39)
 
 
 SLICES = gadgets._two_branch_slices

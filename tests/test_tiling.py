@@ -31,12 +31,13 @@ from maskwire.gadgets import (
     INT64,
     BarrettParams,
     WireGadget,
+    barrett_algebraic_eval_vec,
     barrett_nat_eval_vec,
     lane_dtype,
     make_barrett_gadget,
     make_identity_gadget,
 )
-from maskwire.cli import _profile_pass
+from maskwire.cli import _profile_pass, _sample_agrees
 from maskwire.pipeline import _shared_wire, compose
 from maskwire.preimage import (
     BLOCK_BYTES,
@@ -111,11 +112,11 @@ def test_tiled_exhaustive_equivalence_passes(case):
     assert (rep.mm_secret, rep.mm_mask, rep.mm_algebraic, rep.mm_hw) == (None,) * 4
 
 
-def faulty_hw(q, bad):
-    """The hardware-faithful evaluator, off by one on the flat pairs x*q + m in bad."""
+def off_by_one(kernel, q, bad):
+    """A Barrett evaluator, off by one on the flat pairs x*q + m in bad."""
 
     def evaluate(p, x, m):
-        out = barrett_nat_eval_vec(p, x, m)
+        out = kernel(p, x, m)
         hit = np.isin(np.asarray(x) * q + m, bad)
         out[hit] += 1
         return out
@@ -126,13 +127,23 @@ def faulty_hw(q, bad):
 @settings(max_examples=100, deadline=None)
 @given(tiled_case(), st.data())
 def test_tiled_equivalence_reports_first_mismatch(case, data):
+    # The exhaustive scan runs the two-branch form on every pair, and the
+    # s-bit form once a difference x - m, so a pair's fault is planted in
+    # the two-branch form there; the sampled path runs both on every pair.
     tile, q, s, _ = case
     p = BarrettParams.create(q, s)
     bad = data.draw(st.lists(st.integers(0, q * q - 1), min_size=1, max_size=4))
-    evaluate = faulty_hw(q, np.array(bad, dtype=np.int64))
-    with tiles_of(tile), mock.patch.object(preimage, "barrett_nat_eval_vec", evaluate):
-        exhaustive = equivalence_check(p)
-        sampled = equivalence_check(p, sample=3 * q, seed=q)
+    bad_pairs = np.array(bad, dtype=np.int64)
+    with tiles_of(tile):
+        with mock.patch.object(
+            preimage, "barrett_algebraic_eval_vec",
+            off_by_one(barrett_algebraic_eval_vec, q, bad_pairs),
+        ):
+            exhaustive = equivalence_check(p)
+        with mock.patch.object(
+            preimage, "barrett_nat_eval_vec", off_by_one(barrett_nat_eval_vec, q, bad_pairs)
+        ):
+            sampled = equivalence_check(p, sample=3 * q, seed=q)
         n = tile_len(INT64) // 2
 
     first = min(bad)
@@ -141,7 +152,7 @@ def test_tiled_equivalence_reports_first_mismatch(case, data):
     assert not exhaustive.passed
     assert exhaustive.pairs_checked == first + 1
     assert (exhaustive.mm_secret, exhaustive.mm_mask) == (x, m)
-    assert exhaustive.mm_hw == hw + 1
+    assert (exhaustive.mm_algebraic, exhaustive.mm_hw) == (hw + 1, hw)
 
     # The sampled path draws each tile's secrets, then its masks, from
     # one seeded numpy generator, n pairs a draw.
@@ -315,23 +326,77 @@ def test_blocked_equivalence_reports_first_mismatch_in_a_later_row(case, rows, d
     m = data.draw(st.integers(0, q - 1))
     later = data.draw(st.lists(st.integers(x * q + m, q * q - 1), max_size=3))
     bad = np.array([x * q + m, *later], dtype=np.int64)
-    faulty = faulty_hw(q, bad)
+    faulty = off_by_one(barrett_algebraic_eval_vec, q, bad)
     sizes = []
 
     def evaluate(p, xs, masks):
         sizes.append(np.size(xs))
         return faulty(p, xs, masks)
 
+    # The two-branch form is the one evaluated at every pair (see above).
     with blocks_of(rows, q, lane_dtype(q, s)), mock.patch.object(
-        preimage, "barrett_nat_eval_vec", evaluate
+        preimage, "barrett_algebraic_eval_vec", evaluate
     ):
         rep = equivalence_check(p)
     assert not rep.passed
     assert rep.pairs_checked == x * q + m + 1
     assert (rep.mm_secret, rep.mm_mask) == (x, m)
-    assert rep.mm_hw == ref_wire_hw(q, s, x, m) + 1
+    hw = ref_wire_hw(q, s, x, m)
+    assert (rep.mm_algebraic, rep.mm_hw) == (hw + 1, hw)
     assert sizes[:-1] == [rows] * (len(sizes) - 1)
     assert sizes[-1] == min(rows, q - x // rows * rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiled_case(), ROWS, st.booleans(), st.data())
+def test_s_bit_fault_at_one_difference_is_reported_at_its_first_pair(case, rows, blocked, data):
+    # The s-bit form reads a pair through d = x - m alone, so a fault of it
+    # at one d shows on every pair with that difference.  Scanned secret
+    # by secret, the first such pair is (d, 0), or (0, -d) when d < 0.
+    tile, q, s, _ = case
+    p = BarrettParams.create(q, s)
+    d = data.draw(st.integers(1 - q, q - 1))
+
+    def off_at_d(p, x, m):
+        out = barrett_nat_eval_vec(p, x, m)
+        out[np.asarray(x) - np.asarray(m) == d] += 1
+        return out
+
+    with blocks_of(rows, q, lane_dtype(q, s)) if blocked else tiles_of(tile):
+        with mock.patch.object(preimage, "barrett_nat_eval_vec", off_at_d):
+            rep = equivalence_check(p)
+    x, m = (d, 0) if d >= 0 else (0, -d)
+    hw = ref_wire_hw(q, s, x, m)
+    assert not rep.passed
+    assert rep.pairs_checked == x * q + m + 1
+    assert (rep.mm_secret, rep.mm_mask, rep.mm_algebraic, rep.mm_hw) == (x, m, hw, hw + 1)
+
+
+SHIFTS_OF_LANE = {"int32": (0, 31), "int64": (32, 62), "python ints": (63, 70)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 69), st.sampled_from(sorted(SHIFTS_OF_LANE)), st.integers(2, 9), ROWS,
+    st.booleans(), st.data(),
+)
+def test_line_window_is_the_s_bit_form_on_every_exhaustive_tile(q, lane, tile, rows, blocked, data):
+    # The identity the exhaustive scan rests on: each tile's window of the
+    # line, built once from 2q - 1 differences, holds what the s-bit form
+    # gives on the tile's (col, masks), in its lane, without a copy.
+    lo, hi = SHIFTS_OF_LANE[lane]
+    p = BarrettParams.create(q, data.draw(st.integers(max(lo, ceil_log2(q)), hi)))
+    dtype = lane_dtype(q, p.s)
+    with blocks_of(rows, q, dtype) if blocked else tiles_of(tile):
+        line = preimage._s_bit_line(p)
+        tiles = list(preimage._exhaustive_pair_tiles(q, dtype))
+    assert line.shape == (2 * q - 1,)
+    assert sum(col.size * len(masks) for _, col, masks in tiles) == q * q
+    for before, col, masks in tiles:
+        want = barrett_nat_eval_vec(p, col, masks)
+        window = preimage._line_window(line, q, before, want.shape)
+        assert window.dtype == want.dtype and np.shares_memory(window, line)
+        assert np.array_equal(window, want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -749,6 +814,44 @@ def test_counts_equal_modulo_256_read_as_disagreement():
     # Past 255 runs a row too, counts that agree read as agreement.
     ramp = WireGadget("ramp", q, 1, lambda x, m: np.tile(np.asarray(m), (len(x), 1)))
     assert counts_bruteforce_check(ramp, xs, np.ones((2, q), np.uint8)) is None
+
+
+def spy_on_tally(monkeypatch):
+    """The dtype of every _tally call from here on, in call order."""
+    dtypes, tally = [], preimage._tally
+
+    def spied(g, xs, dtype, **kw):
+        dtypes.append(dtype)
+        return tally(g, xs, dtype, **kw)
+
+    monkeypatch.setattr(preimage, "_tally", spied)
+    return dtypes
+
+
+@pytest.mark.parametrize("q,s", [(257, 9), (1021, 10)])
+def test_sample_check_enumerates_once_on_np_add_at_tiles(monkeypatch, q, s):
+    # A Barrett row of a few hundred masks falls into at most three runs
+    # averaging under RUN_BREAK_EVEN, so its tile takes np.add.at.  The
+    # tile's runs still bound each row's, at most 255 here, so the zero
+    # residue stands and the 16 secrets are enumerated once, with no recount.
+    dtypes = spy_on_tally(monkeypatch)
+    assert _sample_agrees(BarrettParams.create(q, s), 0)
+    assert dtypes == [np.uint8]
+
+
+def test_constant_wire_check_still_recounts_in_int32(monkeypatch):
+    # Every mask goes to value 0, a count of q = 300 that reads 44 in uint8,
+    # and taking 300 masks off 44 leaves a zero residue.  Each mask is a run
+    # of its own, past 255 a row, so the check recounts: the uint8 pass's
+    # mass is off, the int32 recount reads 300, and the counts disagree.
+    q = 300
+    g = WireGadget("constant", q, q, lambda x, m: np.zeros((len(x), len(m)), np.int32))
+    counts = np.zeros((2, q), dtype=np.uint8)
+    counts[:, 0] = q % 256
+    dtypes = spy_on_tally(monkeypatch)
+    theirs = counts_bruteforce_check(g, np.arange(2), counts)
+    assert dtypes == [np.uint8, np.uint8, np.int32]
+    assert theirs.dtype == np.int32 and theirs[:, 0].tolist() == [q, q] and not theirs[:, 1:].any()
 
 
 def test_counts_of_another_dtype_are_compared_whole():
