@@ -33,10 +33,12 @@ passes:
   values, negative and non-canonical ones included, with wrapping int64
   arithmetic; the hardware-faithful one takes this path for s <= 62 and
   exact Python ints above;
-* on int32 or range masks each evaluator runs in lane_dtype(q, s), with
-  s = 0 for the two maps that wrap at no s-bit word, and when that is
-  int32 treats both operands as canonical residues 0 <= x, m < q and
-  returns int32; other int32 mask arrays are widened to int64 first;
+* on int16, int32 or range masks each evaluator runs in lane_dtype(q, s),
+  with s = 0 for the two maps that wrap at no s-bit word: int16 for
+  q <= 2^14 and s <= 15, int32 for q <= 2^30 and s <= 31, else int64.
+  In int16 or int32 it treats both operands as canonical residues
+  0 <= x, m < q and returns that lane; masks of another dtype are
+  widened to int64 first;
 * counts_closedform_all (in preimage) needs a canonical secret
   0 <= x < q, because it slices each row at x + 1 and at the wrap set's
   bounds, which are the interval lemma's sets only for such x.
@@ -47,17 +49,19 @@ v % q is written v -= (v // q) * q, exact for every int64 since the true
 result lies in [0, q) and wrapping cancels; % 2^s is written & (2^s - 1).
 With numpy 2.4 on a 2-vCPU x86-64 host, int64 % q costs 4.1 ns per
 element, // q 1.1 ns and & 0.8 ns, and the exhaustive equivalence scan
-at q = 12289 costs 1.2 ns per pair at s = 28 (int32 tiles) and 1.9 ns at
-s = 40 (int64), against 2.3 and 4.7 ns with the s-bit form run at every
-pair.  The scan checks the two-branch evaluator at every pair against
-the s-bit one on the 2q - 1 differences x - m (preimage), so they share
-only _in_lane and _floor_mod, unused by the slice form, never r or the wrap.
+at q = 12289 costs 0.6 ns per pair at s = 28 and at s = 40 (int16 tiles),
+against 1.1 and 1.9 ns on int32 and int64 tiles and 2.3 and 4.7 ns with
+the s-bit form run at every pair.  The scan checks the two-branch
+evaluator at every pair against the s-bit one on the 2q - 1 differences
+x - m (preimage), so they share only _in_lane and _floor_mod, unused by
+the slice form, never r or the wrap.
 
 Every evaluator broadcasts x against m: a scan passes a (B, 1) column
 of B consecutive secrets against one range of masks and gets a (B, n)
 block back, so a small ring pays numpy's per-call cost once per block
 instead of once per secret.  preimage.block_rows sizes B so that every
-block-sized array stays under glibc's 128 KiB mmap threshold; past it,
+block-sized array stays under glibc's 128 KiB mmap threshold: 65,408
+int16 masks, 19 secrets a block at q = 3329 (9 in int32).  Past it,
 each temporary is mapped and faulted in afresh.  At q = 12289, two-row
 int64 blocks (196 KB temporaries) made the exhaustive equivalence scan
 take 3.4 s against 1.4 s one row at a time.  On a 2-vCPU x86-64 host
@@ -78,24 +82,30 @@ from .modring import Modulus, branch_offset
 
 IntOrArray = Union[int, np.ndarray]
 Masks = Union[np.ndarray, range]
+INT16 = np.dtype(np.int16)
 INT32 = np.dtype(np.int32)
 INT64 = np.dtype(np.int64)
-# Rows this long or longer take the slice form.  General / slice form per 128 KiB
-# block, in us (2-vCPU x86-64, numpy 2.4): Barrett 94 / 1,997 at q = 61 (536 rows),
-# 80 / 63 at 2053 (15 rows), 54 / 26 at 3329 (9); identity 40 / 46, 31 / 23.
-SLICE_MIN_ROW = 2048
+# Rows this long or longer take the slice form, which pays Python per row.  General /
+# slice form per 128 KiB int16 block, in us (2-vCPU x86-64, numpy 2.4): Barrett 89 / 2,302
+# at q = 61 (1,072 rows), 53 / 63 at 2053 (31), 46 / 45 at 3329 (19), 46 / 30 at 4591
+# (14); identity 35 / 1,683, 26 / 56, 22 / 34, 23 / 28.
+SLICE_MIN_ROW = 4096
 
 
 def lane_dtype(q: int, s: int = 0) -> np.dtype:
-    """int32 when q <= 2^30 and s <= 31, else int64.
+    """int16 when q <= 2^14 and s <= 15, int32 when q <= 2^30 and s <= 31, else int64.
 
-    The dtype in which a scan over canonical residues of Z_q keeps every
-    intermediate exact.  Residue arithmetic alone (the two-branch form's
-    x - m + r) stays in (-q, 2q), inside int32 for q <= 2^30; s is the
-    width of the word the hardware-faithful form wraps at, whose
-    (x - m) & (2^s - 1) fits int32 for s <= 31.  Arithmetic that wraps at
-    no s-bit word leaves s at 0.
+    The narrowest dtype in which a scan over canonical residues of Z_q
+    keeps every intermediate exact.  Residue arithmetic alone (the
+    two-branch form's x - m + r) stays in (-q, 2q), inside int16 for
+    q <= 2^14, as ML-KEM's reference code keeps its coefficients, and
+    inside int32 for q <= 2^30; s is the width of the word the
+    hardware-faithful form wraps at, whose (x - m) & (2^s - 1) fits int16
+    for s <= 15 and int32 for s <= 31.  Arithmetic that wraps at no s-bit
+    word leaves s at 0.
     """
+    if q <= 2**14 and s <= 15:
+        return INT16
     return INT32 if q <= 2**30 and s <= 31 else INT64
 
 
@@ -139,10 +149,10 @@ class BarrettParams:
 
 
 def _in_lane(q: int, s: int, x: IntOrArray, m: Masks) -> tuple:
-    """(x, m, x - m) as arrays in lane_dtype(q, s) for int32 masks or a range, else in int64."""
+    """(x, m, x - m) in lane_dtype(q, s) for int16 or int32 masks or a range, else in int64."""
     if isinstance(m, range):
         m = np.arange(m.start, m.stop, m.step, dtype=lane_dtype(q, s))
-    lane = lane_dtype(q, s) if getattr(m, "dtype", None) == INT32 else INT64
+    lane = lane_dtype(q, s) if getattr(m, "dtype", None) in (INT16, INT32) else INT64
     x = np.asarray(x, dtype=lane)
     m = np.asarray(m, dtype=lane)
     return x, m, np.subtract(x, m, out=np.empty(np.broadcast(x, m).shape, lane))
@@ -217,10 +227,10 @@ class WireGadget:
 
     eval_vec is the stage's only form of its map, used by every mask
     scan; tests pin it to tests/reference.py.  A scan hands it canonical
-    secrets in lane_dtype(q) (int32 wherever q <= 2^30) and masks as
-    a range, which a gadget that needs an array turns into
-    np.arange(m.start, m.stop), and reads back any integer array of wire
-    values.  It must broadcast: a scan passes a (B, 1)
+    secrets in lane_dtype(q) (int16 up to q = 2^14, int32 up to 2^30,
+    else int64) and masks as a range, which a gadget that needs an array
+    turns into np.arange(m.start, m.stop), and reads back any integer
+    array of wire values.  It must broadcast: a scan passes a (B, 1)
     column of secrets, B = 1 for a lone secret, against a range of n
     masks and reads row i of the (B, n) result as secret i's wire
     values, so a column call must equal the 0-d-secret calls stacked.

@@ -22,23 +22,24 @@ Every scan keeps each array it builds within BLOCK_BYTES, under glibc's
 in blocks of B = block_rows(q, dtype), the most whole rows of q that
 fit, and a block is one (B, q) array: a (B, 1) secret column against a
 row of masks, so small rings pay numpy's per-call cost once per block
-(9 secrets in int32 at q = 3329).  A row that does not fit is a block
+(19 secrets in int16 at q = 3329).  A row that does not fit is a block
 of one, cut into tiles of tile_len(dtype) = BLOCK_BYTES // itemsize
-elements (32,704 in int32) whose temporaries stay in L2 cache.  Both
-routes count in uint8, q bytes a secret.  The closed form fills its
-rows in place, three slices a row with Python-int bounds: 1.5 ms a
-secret at q = 8,380,417 (2-vCPU x86-64 host, numpy 2.4).
+elements (65,408 in int16, 32,704 in int32) whose temporaries stay in
+L2 cache.  Both routes count in uint8, q bytes a secret.  The closed
+form fills its rows in place, three slices a row with Python-int
+bounds: 1.5 ms a secret at q = 8,380,417 (2-vCPU x86-64 host, numpy 2.4).
 
-Enumeration walks its mask axis through _tiles in lane_dtype(q), and
-the exhaustive equivalence scan in lane_dtype(q, s).  Only that scan's
-line of 2q - 1 s-bit values (equivalence_check), one a scan, and what
-builds it pass BLOCK_BYTES, from q = 16,353 in int32 and 8,177 in int64:
-above every NTT modulus at its sweep shift.  The two-branch and
-translation wires wrap at no s-bit word, so q alone sets a route's
-lane, int32 wherever q <= 2^30.  Its masks are a range a tile, so the
-two wires take gadgets' slice form.  It tallies a tile with one slice
-add per run of masks whose values fall by one, exact for any
-wire (see _tally); the two wires break a row's run at most twice, at the
+Enumeration and the exhaustive equivalence scan walk their mask axis
+through _tiles in lane_dtype(q): the two-branch and translation wires
+wrap at no s-bit word, so q alone sets a route's lane, int16 wherever
+q <= 2^14 (every NTT modulus) and int32 up to 2^30.  Only that scan's
+line of 2q - 1 s-bit values (equivalence_check), one a scan, and the
+half of it being built pass BLOCK_BYTES: from q = 2^14 + 1, where the
+line is int32, and from q = 16,353 when s > 31 puts the build in int64.
+A tile's masks are a range, so on long rows the two wires take
+gadgets' slice form.  Enumeration tallies a tile with one slice add per
+run of masks whose values fall by one, exact for any wire (see
+_tally); the two wires break a row's run at most twice, at the
 branch switch and at the wrap past 0, so a Barrett secret at
 q = 8,380,417 took 8.6-16 ms (20-35 ms with the general form and a range
 check over every value).  The runs, else a row's mass, tell whether a
@@ -67,7 +68,6 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Tuple
 import numpy as np
 
 from .gadgets import (
-    INT32,
     INT64,
     BarrettParams,
     IntOrArray,
@@ -86,8 +86,9 @@ DEFAULT_SAMPLE_SECRETS = 16
 DEFAULT_SEED = 0
 # Bytes per block or tile array, kept under glibc's 128 KiB mmap threshold.
 BLOCK_BYTES = 2**17 - 256
-# Mean run length from which enumeration tallies a tile by slices, not np.add.at.  Tiles
-# of 32,704 int32 masks into an 8.4 MB uint8 row broke even at runs of 768-1024 masks.
+# Mean run length from which enumeration tallies a tile by slices, not np.add.at.  Tiles of
+# 32,704 int32 masks into an 8.4 MB uint8 row broke even at runs of 768-1024; int16 blocks of
+# 65,408 near 660-770 (np.add.at / slices, us: 210 / 230 at runs of 600, 200 / 171 at 1,000).
 RUN_BREAK_EVEN = 1024
 # (offset, secrets, masks) from _tiles (masks a range) and for equivalence_check.
 Tile = Tuple[int, np.ndarray, Masks]
@@ -334,7 +335,8 @@ def _tally(
     them in place instead, and they are returned.
     """
     q = g.q
-    offsets = np.arange(0, xs.size * q, q, dtype=lane_dtype(xs.size * q)).reshape(-1, 1)
+    # Narrowest unsigned dtype: plus the values read unsigned, the index keeps their width.
+    offsets = np.arange(0, xs.size * q, q, dtype=np.min_scalar_type(xs.size * q)).reshape(-1, 1)
     counts = np.zeros(xs.size * q, dtype=dtype) if into is None else into.reshape(-1)
     # ~0 is -1 in any integer dtype, modulo 256 in uint8.  A typed step keeps
     # ufunc.at on its fast path; a Python 1 does not.
@@ -348,9 +350,10 @@ def _tally(
         cut = np.count_nonzero(breaks)
         if flat.size < RUN_BREAK_EVEN * (cut + 1):
             # Read unsigned, a negative value is huge, so one max bounds both ends.
-            if vals.view(f"u{vals.itemsize}").max(initial=0) >= q:
+            unsigned = vals.view(f"u{vals.itemsize}")
+            if unsigned.max(initial=0) >= q:
                 raise WireValueError(f"wire value outside [0, {q}) for modulus {q}")
-            np.add.at(counts, (vals + offsets).ravel(), step)
+            np.add.at(counts, (unsigned + offsets).ravel(), step)
             # Of the tile's cut + 1 runs, each other row holds one or more.
             runs = [k + min(n, cut + 2 - len(vals)) for k in runs]
         else:
@@ -513,10 +516,15 @@ def _s_bit_line(p: BarrettParams) -> np.ndarray:
     """The s-bit form at every pair of residues: hw(x, m) = line[q - 1 - x + m].
 
     The form reads a pair only through d = x - m, so it runs once a d in
-    q - 1 .. 1 - q, on (d, 0) or (0, -d), with int32 masks (gadgets' lanes).
+    q - 1 .. 1 - q: on secrets q - 1 .. 0 at mask 0, then on masks 1 .. q - 1
+    at secret 0, each half in the form's lane and written into one line in
+    lane_dtype(q), so the build holds the line and one half's arrays.
     """
-    d = np.arange(p.q - 1, -p.q, -1, dtype=INT32)
-    return barrett_nat_eval_vec(p, np.maximum(d, 0), np.maximum(-d, 0))
+    q, lane = p.q, lane_dtype(p.q, p.s)
+    line = np.empty(2 * q - 1, lane_dtype(q))
+    line[:q] = barrett_nat_eval_vec(p, np.arange(q - 1, -1, -1, dtype=lane), range(1))
+    line[q:] = barrett_nat_eval_vec(p, 0, range(1, q))
+    return line
 
 
 def _line_window(line: np.ndarray, q: int, before: int, shape: Tuple[int, int]) -> np.ndarray:
@@ -550,17 +558,18 @@ def equivalence_check(
     """Compare the algebraic and hardware-faithful forms pointwise.
 
     sample = None checks all q^2 (x, m) pairs, in tiles in the lane
-    gadgets.lane_dtype(q, s) picks, each against its window of one line
-    of the hardware form (_s_bit_line); otherwise `sample` int64 pairs
-    are drawn tile by tile from one np.random.default_rng(seed), each
-    tile's secrets and masks by one integers(0, q, size=(2, n)) call.
+    gadgets.lane_dtype(q) picks whatever s is, each against its window of
+    one line of the hardware form (_s_bit_line) in that lane; otherwise
+    `sample` int64 pairs are drawn tile by tile from one
+    np.random.default_rng(seed), each tile's secrets and masks by one
+    integers(0, q, size=(2, n)) call.
     Raises ScopeConditionError when q > 2^s — a usage error, distinct
     from a mismatch.
     """
     p.require_scope()
     q = p.q
     if sample is None:
-        mode, total, tiles = "exhaustive", q * q, _exhaustive_pair_tiles(q, lane_dtype(q, p.s))
+        mode, total, tiles = "exhaustive", q * q, _exhaustive_pair_tiles(q, lane_dtype(q))
     else:
         mode, total, tiles = "sampled", sample, _sampled_pair_tiles(q, sample, seed)
     line = _s_bit_line(p) if sample is None else None

@@ -4,8 +4,9 @@ q ranges over [1, 2^16] and s from ceil_log2(q) to 80, with s = 61..64
 and 200 always tried, so both sides of the s > 62 Python-int fallback of
 the hardware-faithful evaluator are covered, on 0-d operands too.  The
 evaluators are checked on arbitrary int64 inputs, negative and
-non-canonical ones included, and on the same reduced to canonical int32
-residues; the closed-form counter only promises exact counts for a
+non-canonical ones included, and on the same reduced to canonical
+residues with int32 masks, which they take into their lane (int16 for
+q <= 2^14); the closed-form counter only promises exact counts for a
 canonical secret.
 Scans pass a (B, 1) column of secrets against a row of masks, and each
 evaluator must then give the scalar-secret rows stacked, in both lanes.
@@ -80,8 +81,9 @@ def test_evaluators_match_independent_forms(qs, xm):
     p = BarrettParams.create(q, s)
     x, m = xm
     # The arbitrary int64 operands, then the same reduced to canonical
-    # residues with int32 masks, which every evaluator's int32 lane takes.
+    # residues with int32 masks, which every evaluator takes into its lane.
     for x, m in ((x, m), (x % q, np.asarray(m % q, dtype=np.int32))):
+        narrow = m.dtype == np.int32
         xa = np.asarray(x, dtype=np.int64)
         shape = np.broadcast(xa, m).shape
         # The forms below run on 1-D copies: 0-d int64 arithmetic would
@@ -90,15 +92,15 @@ def test_evaluators_match_independent_forms(qs, xm):
         ms = np.broadcast_to(m, shape).ravel().astype(np.int64)
 
         alg = barrett_algebraic_eval_vec(p, x, m)
-        assert alg.dtype == m.dtype and alg.shape == shape
+        assert alg.dtype == (lane_dtype(q) if narrow else np.int64) and alg.shape == shape
         np.testing.assert_array_equal(alg.ravel(), remainder_form(q, p.r, xs, ms))
 
         ident = identity_mask_eval_vec(q, x, m)
-        assert ident.dtype == m.dtype and ident.shape == shape
+        assert ident.dtype == alg.dtype and ident.shape == shape
         np.testing.assert_array_equal(ident.ravel(), (xs - ms) % q)
 
         hw = barrett_nat_eval_vec(p, x, m)
-        lane = lane_dtype(q, s) if m.dtype == np.int32 else np.int64
+        lane = lane_dtype(q, s) if narrow else np.int64
         assert hw.dtype == lane and hw.shape == shape
         want_hw = [ref_wire_hw(q, s, int(a), int(b)) for a, b in zip(xs, ms)]
         assert hw.ravel().tolist() == want_hw
@@ -201,22 +203,22 @@ def slice_and_general_forms(p, col, masks):
 @example(64, 6, 8, [7, 63, 0])  # r = 0: one bound, x + 1
 @example(79, 9, 40, [78, 0, 39])  # whole rows in one tile, then a short one
 def test_slice_form_equals_general_form_and_reference_on_every_tile(q, s, tile, secrets):
-    # Tiles of `tile` int32 masks, and SLICE_MIN_ROW 1, so every tile of
-    # a few rows takes the slice form; lo > 0 past the first tile.
-    p = BarrettParams.create(q, s)
+    # Tiles of `tile` masks in the lane, and SLICE_MIN_ROW 1, so every tile
+    # of a few rows takes the slice form; lo > 0 past the first tile.
+    p, lane = BarrettParams.create(q, s), lane_dtype(q)
     xs = np.array([x % q for x in secrets])
     want = {
         "barrett": [[ref_wire(q, s, x, m) for m in range(q)] for x in xs.tolist()],
         "identity": [[(x - m) % q for m in range(q)] for x in xs.tolist()],
     }
-    with mock.patch.object(preimage, "BLOCK_BYTES", 4 * tile), mock.patch.object(
+    with mock.patch.object(preimage, "BLOCK_BYTES", lane.itemsize * tile), mock.patch.object(
         gadgets, "SLICE_MIN_ROW", 1
     ):
-        tiles = list(preimage._tiles(xs, q, INT32))
+        tiles = list(preimage._tiles(xs, q, lane))
         assert [len(masks) for _, _, masks in tiles][:-1] == [tile] * (len(tiles) - 1)
         for lo, col, masks in tiles:
             for name, (sliced, general) in zip(want, slice_and_general_forms(p, col, masks)):
-                assert sliced.dtype == general.dtype == INT32
+                assert sliced.dtype == general.dtype == lane
                 assert sliced.shape == general.shape == (len(xs), len(masks))
                 ref = [row[lo : lo + len(masks)] for row in want[name]]
                 assert sliced.tolist() == general.tolist() == ref

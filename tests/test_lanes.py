@@ -1,13 +1,16 @@
-"""The int32 lanes of the wire evaluators.
+"""The int16 and int32 lanes of the wire evaluators.
 
-gadgets.lane_dtype(q, s) picks int32 for q <= 2^30 and s <= 31.  The
-hardware-faithful evaluator takes lane_dtype(q, s); the two-branch and
-translation evaluators wrap at no s-bit word and take lane_dtype(q).
-These tests sit on both sides of that rule: q around 2^30 and at 2^31 - 1,
-s = 30, 31 and 32.  They check the rule against the int32 bounds of each
-form's largest intermediate, and the int32 results against the int64
-path and the pure-int reference, on short windows of canonical values
-near 0, x and q - 1.  No test here builds a q-length array.
+gadgets.lane_dtype(q, s) picks int16 for q <= 2^14 and s <= 15, int32 for
+q <= 2^30 and s <= 31, else int64.  The hardware-faithful evaluator takes
+lane_dtype(q, s); the two-branch and translation evaluators wrap at no
+s-bit word and take lane_dtype(q).  These tests sit on both sides of each
+bound: q around 2^30 and at 2^31 - 1 with s = 30, 31 and 32, and q around
+2^14 with s = 14, 15 and 16.  They check the rule against the bounds of
+each form's largest intermediate, and the narrow results against the
+int64 path and the pure-int reference, on short windows of canonical
+values near 0, x and q - 1.  Only the tests at the int16 bound build
+q-length arrays: a scan's blocks there, against the reference and the
+closed form.
 """
 
 import numpy as np
@@ -15,16 +18,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from maskwire import preimage
 from maskwire.gadgets import (
     BarrettParams,
     barrett_algebraic_eval_vec,
     barrett_nat_eval_vec,
     identity_mask_eval_vec,
     lane_dtype,
+    make_barrett_gadget,
+    make_identity_gadget,
 )
+from maskwire.preimage import block_rows, counts_bruteforce_all, counts_closedform_all
 
 from reference import ref_wire, ref_wire_hw
 
+INT16_MAX = int(np.iinfo(np.int16).max)
 INT32_MAX = int(np.iinfo(np.int32).max)
 BOUNDARY_Q = (2**30 - 1, 2**30, 2**30 + 1, 2**31 - 1)
 BOUNDARY_S = (30, 31, 32)
@@ -32,6 +40,11 @@ BOUNDARY_S = (30, 31, 32)
 # within 2^16 of the int32 limit.
 NEAR_LIMIT = (1073709057, 45)
 WINDOW = 16
+# q = 2^14 is the last modulus whose 2q - 2 = 32,766 fits int16.
+INT16_Q = (2**14 - 1, 2**14, 2**14 + 1)
+INT16_S = (14, 15, 16)
+# 2^21 mod q = q - 1: the two-branch form's r at its largest below 2^14.
+NEAR_INT16_LIMIT = (16257, 21)
 
 
 @st.composite
@@ -42,10 +55,10 @@ def near_edges(draw, q):
 
 
 @st.composite
-def lane_case(draw):
-    """(q, s, x, masks) on the boundary grid, x and masks near 0 or q - 1."""
-    q = draw(st.sampled_from(BOUNDARY_Q))
-    s = draw(st.sampled_from(BOUNDARY_S))
+def lane_case(draw, qs=BOUNDARY_Q, ss=BOUNDARY_S):
+    """(q, s, x, masks) on a boundary grid, x and masks near 0 or q - 1."""
+    q = draw(st.sampled_from(qs))
+    s = draw(st.sampled_from(ss))
     x = draw(near_edges(q))
     masks = draw(st.lists(near_edges(q), min_size=1, max_size=WINDOW))
     return q, s, x, masks
@@ -99,3 +112,77 @@ def test_int32_lane_evaluators_match_int64_and_reference(case):
         assert hw.dtype == lane_dtype(q, s)
         assert hw.tolist() == barrett_nat_eval_vec(p, x, m64).tolist()
         assert hw.tolist() == [ref_wire_hw(q, s, x, m) for m in ms]
+
+
+@pytest.mark.parametrize("q", INT16_Q + (NEAR_INT16_LIMIT[0], 3329, 12289))
+@pytest.mark.parametrize("s", (0,) + INT16_S + (NEAR_INT16_LIMIT[1],))
+def test_lane_rule_picks_int16_exactly_where_safe(q, s):
+    # The same intermediates as for int32, against the int16 limit.
+    safe = 2 * q - 2 <= INT16_MAX and 2**s - 1 <= INT16_MAX
+    assert lane_dtype(q, s) == (np.int16 if safe else np.int32)
+
+
+@settings(max_examples=120, deadline=None)
+@given(lane_case(INT16_Q + (NEAR_INT16_LIMIT[0],), INT16_S), st.sampled_from([np.int16, np.int32]))
+@example((2**14, 14, 2**14 - 1, [0, 1, 2**14 - 1]), np.int16)
+@example((2**14 + 1, 15, 2**14, [0, 2**14]), np.int16)
+@example((16257, 15, 16256, [0, 16256]), np.int32)
+def test_int16_lane_evaluators_match_int64_and_reference(case, dtype):
+    # int16 and int32 masks both go into the lane, int16 up to q = 2^14.
+    q, s, x, ms = case
+    p = BarrettParams.create(q, s)
+    narrow = np.array(ms, dtype=dtype)
+    m64 = np.array(ms, dtype=np.int64)
+
+    alg = barrett_algebraic_eval_vec(p, x, narrow)
+    assert alg.dtype == lane_dtype(q) == (np.int16 if q <= 2**14 else np.int32)
+    assert alg.tolist() == barrett_algebraic_eval_vec(p, x, m64).tolist()
+    assert alg.tolist() == [ref_wire(q, s, x, m) for m in ms]
+    ident = identity_mask_eval_vec(p.q, x, narrow)
+    assert ident.dtype == lane_dtype(q)
+    assert ident.tolist() == [(x - m) % q for m in ms]
+    if p.scope_ok():
+        hw = barrett_nat_eval_vec(p, x, narrow)
+        assert hw.dtype == lane_dtype(q, s)
+        assert hw.tolist() == barrett_nat_eval_vec(p, x, m64).tolist()
+        assert hw.tolist() == [ref_wire_hw(q, s, x, m) for m in ms]
+
+
+def edge_secrets(p):
+    """Secrets at the edges of the ring and of the wrap set, ascending."""
+    q, r = p.q, p.r
+    return sorted({0, 1, max(r - 1, 0), q - 1 - r, q // 2, q - 2, q - 1})
+
+
+@pytest.mark.parametrize(
+    "q,s", [(2**14, 14), (2**14, 15), (2**14 - 1, 16), (2**14 + 1, 15), (2**14 + 1, 16),
+            NEAR_INT16_LIMIT],
+)
+def test_scan_blocks_at_the_int16_bound_match_int64_and_reference(q, s):
+    # A scan's blocks in lane_dtype(q): rows of int16 masks, 65,408 in all,
+    # up to q = 2^14 (3 rows there), and one int32 row above.  On each
+    # tile the slice forms, the general forms on int64 masks and the s-bit
+    # form agree with the reference on every mask, and enumeration agrees
+    # with the closed form.
+    p = BarrettParams.create(q, s)
+    lane = lane_dtype(q)
+    assert (lane, block_rows(q, lane)) == ((np.int16, 65408 // q) if q <= 2**14 else (np.int32, 1))
+    for xs in preimage._blocks(edge_secrets(p), block_rows(q, lane)):
+        for lo, col, masks in preimage._tiles(xs, q, lane):
+            array = np.arange(masks.start, masks.stop)
+            want = [[ref_wire(q, s, x, m) for m in masks] for x in xs.tolist()]
+            sliced = barrett_algebraic_eval_vec(p, col, masks)
+            assert sliced.dtype == lane and sliced.tolist() == want
+            assert barrett_algebraic_eval_vec(p, col, array).tolist() == want
+            ident = identity_mask_eval_vec(q, col, masks)
+            assert ident.dtype == lane
+            assert ident.tolist() == [[(x - m) % q for m in masks] for x in xs.tolist()]
+            if p.scope_ok():
+                hw = barrett_nat_eval_vec(p, col, masks)
+                assert hw.dtype == lane_dtype(q, s)
+                assert hw.tolist() == barrett_nat_eval_vec(p, col, array).tolist()
+                assert hw.tolist() == want
+        barrett = counts_bruteforce_all(make_barrett_gadget(p), xs)
+        assert np.array_equal(barrett, counts_closedform_all(p, xs))
+        identity = counts_bruteforce_all(make_identity_gadget(q), xs)
+        assert identity.shape == (len(xs), q) and (identity == 1).all()

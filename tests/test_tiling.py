@@ -5,10 +5,11 @@ rows, and enumeration and the equivalence scan walk the mask axis in
 tiles of preimage.tile_len elements, both derived from
 preimage.BLOCK_BYTES; the closed form fills whole rows and has no tiles.
 Patching BLOCK_BYTES to 8 * tile gives int64 tiles of 2..9 elements
-(int32 tiles of twice that), which puts many tile boundaries inside
-rings of q <= 300; patching it to rows * q * itemsize gives those rings
-blocks of 2..9 secrets with a short last block, where the scalar
-reference in tests/reference.py can check every count.  The memory
+(int16 tiles, the lane of every q <= 2^14, of four times that), which
+puts many tile boundaries inside rings of q <= 300; patching it to
+rows * q * itemsize gives those rings blocks of 2..9 secrets with a
+short last block, where the scalar reference in tests/reference.py can
+check every count.  The memory
 tests run at the real BLOCK_BYTES and read numpy's allocations from
 tracemalloc.
 """
@@ -27,6 +28,7 @@ import maskwire.preimage as preimage
 import pytest
 
 from maskwire.gadgets import (
+    INT16,
     INT32,
     INT64,
     BarrettParams,
@@ -69,7 +71,7 @@ STAGES = st.sampled_from(["barrett", "identity"])
 
 @contextmanager
 def tiles_of(tile):
-    """Patch the budget so that int64 tiles hold `tile` elements, int32 tiles 2 * tile."""
+    """Patch the budget so that int64 tiles hold `tile` elements, int16 tiles 4 * tile."""
     with mock.patch.object(preimage, "BLOCK_BYTES", 8 * tile):
         yield
 
@@ -117,7 +119,7 @@ def off_by_one(kernel, q, bad):
 
     def evaluate(p, x, m):
         out = kernel(p, x, m)
-        hit = np.isin(np.asarray(x) * q + m, bad)
+        hit = np.isin(np.asarray(x, dtype=np.int64) * q + m, bad)
         out[hit] += 1
         return out
 
@@ -333,8 +335,9 @@ def test_blocked_equivalence_reports_first_mismatch_in_a_later_row(case, rows, d
         sizes.append(np.size(xs))
         return faulty(p, xs, masks)
 
-    # The two-branch form is the one evaluated at every pair (see above).
-    with blocks_of(rows, q, lane_dtype(q, s)), mock.patch.object(
+    # The two-branch form is the one evaluated at every pair (see above),
+    # on tiles in lane_dtype(q) whatever s is.
+    with blocks_of(rows, q, lane_dtype(q)), mock.patch.object(
         preimage, "barrett_algebraic_eval_vec", evaluate
     ):
         rep = equivalence_check(p)
@@ -362,7 +365,7 @@ def test_s_bit_fault_at_one_difference_is_reported_at_its_first_pair(case, rows,
         out[np.asarray(x) - np.asarray(m) == d] += 1
         return out
 
-    with blocks_of(rows, q, lane_dtype(q, s)) if blocked else tiles_of(tile):
+    with blocks_of(rows, q, lane_dtype(q)) if blocked else tiles_of(tile):
         with mock.patch.object(preimage, "barrett_nat_eval_vec", off_at_d):
             rep = equivalence_check(p)
     x, m = (d, 0) if d >= 0 else (0, -d)
@@ -372,7 +375,9 @@ def test_s_bit_fault_at_one_difference_is_reported_at_its_first_pair(case, rows,
     assert (rep.mm_secret, rep.mm_mask, rep.mm_algebraic, rep.mm_hw) == (x, m, hw, hw + 1)
 
 
-SHIFTS_OF_LANE = {"int32": (0, 31), "int64": (32, 62), "python ints": (63, 70)}
+SHIFTS_OF_LANE = {
+    "int16": (0, 15), "int32": (16, 31), "int64": (32, 62), "python ints": (63, 70)
+}
 
 
 @settings(max_examples=100, deadline=None)
@@ -382,20 +387,22 @@ SHIFTS_OF_LANE = {"int32": (0, 31), "int64": (32, 62), "python ints": (63, 70)}
 )
 def test_line_window_is_the_s_bit_form_on_every_exhaustive_tile(q, lane, tile, rows, blocked, data):
     # The identity the exhaustive scan rests on: each tile's window of the
-    # line, built once from 2q - 1 differences, holds what the s-bit form
-    # gives on the tile's (col, masks), in its lane, without a copy.
+    # line, built once from 2q - 1 differences, holds what the s-bit form,
+    # in the lane of its shift, gives on the tile's (col, masks), without a
+    # copy.  Line and tiles are in lane_dtype(q) whatever s is.
     lo, hi = SHIFTS_OF_LANE[lane]
     p = BarrettParams.create(q, data.draw(st.integers(max(lo, ceil_log2(q)), hi)))
-    dtype = lane_dtype(q, p.s)
+    dtype = lane_dtype(q)
     with blocks_of(rows, q, dtype) if blocked else tiles_of(tile):
         line = preimage._s_bit_line(p)
         tiles = list(preimage._exhaustive_pair_tiles(q, dtype))
-    assert line.shape == (2 * q - 1,)
+    assert line.shape == (2 * q - 1,) and line.dtype == dtype
     assert sum(col.size * len(masks) for _, col, masks in tiles) == q * q
     for before, col, masks in tiles:
         want = barrett_nat_eval_vec(p, col, masks)
         window = preimage._line_window(line, q, before, want.shape)
-        assert window.dtype == want.dtype and np.shares_memory(window, line)
+        assert want.dtype == lane_dtype(q, p.s)
+        assert window.dtype == dtype and np.shares_memory(window, line)
         assert np.array_equal(window, want)
 
 
@@ -472,7 +479,9 @@ def test_empty_block_has_no_rows():
 @pytest.mark.parametrize(
     "q,dtype,rows",
     [(3329, INT32, 9), (4591, INT32, 7), (7681, INT32, 4), (12289, INT32, 2),
-     (3329, INT64, 4), (16353, INT32, 1), (2**20, INT32, 1)],
+     (3329, INT64, 4), (16353, INT32, 1), (2**20, INT32, 1),
+     (3329, INT16, 19), (4591, INT16, 14), (7681, INT16, 8), (12289, INT16, 5),
+     (2**14, INT16, 3), (8176, INT16, 8)],
 )
 def test_block_rows_at_the_documented_moduli(q, dtype, rows):
     assert block_rows(q, dtype) == rows
@@ -482,17 +491,17 @@ def test_block_rows_at_the_documented_moduli(q, dtype, rows):
 def test_block_scan_memory_stays_near_the_mmap_threshold():
     # One block scan holds a few block-sized arrays at once, each under
     # glibc's 128 KiB mmap threshold.  Both counting routes run on the
-    # 9-row block a scan hands them; the closed form fills its uint8 rows
-    # in place and holds no tile.  Measured peaks, in 128 KiB (numpy
-    # 2.4.6): closed form 0.24 (its 29,961-byte rows and 1,118 bytes),
-    # enumeration 2.41 (3.09 with int32 rows), equivalence 3.80; with a
-    # budget twice as large enumeration and equivalence read 4.95 / 7.85
-    # (6.45 with int32 rows), past their bounds.
+    # 19-row int16 block a scan hands them; the closed form fills its uint8
+    # rows in place and holds no tile.  Measured peaks, in 128 KiB (numpy
+    # 2.4.6): closed form 0.49 (its 63,251-byte rows and about 1,300 bytes),
+    # enumeration 2.92, equivalence 2.14.  On 9-row int32 blocks they read
+    # 0.24 / 2.31 / 2.18; with a budget twice as large, enumeration and
+    # equivalence read 4.95 / 7.85 there, past their bounds.
     q, s = 3329, 24
     threshold = 2**17
     p = BarrettParams.create(q, s)
     rows = block_rows(q, lane_dtype(q))
-    assert rows == 9
+    assert rows == 19
     closed, closed_peak = traced_peak(counts_closedform_all, p, np.arange(rows))
     oracle, oracle_peak = traced_peak(
         counts_bruteforce_all, make_barrett_gadget(p), np.arange(rows)
@@ -503,6 +512,57 @@ def test_block_scan_memory_stays_near_the_mmap_threshold():
     assert closed_peak < closed.nbytes + BLOCK_BYTES
     assert oracle_peak < 4 * threshold
     assert equiv_peak < 6 * threshold
+
+
+def test_add_at_index_of_a_full_int16_block_stays_within_the_budget():
+    # At q = 8176 an int16 block is 8 rows of 65,408 masks in all, the
+    # whole budget, and its row offsets reach 57,232, past int16.  With
+    # RUN_BREAK_EVEN past every run, the tile takes np.add.at, indexed by
+    # the values read as uint16 plus uint16 offsets.  Measured peak 3.55 x
+    # 128 KiB (numpy 2.4.6); an int32 index, twice the budget, read 4.55.
+    q = 8176
+    p = BarrettParams.create(q, 26)
+    rows = block_rows(q, lane_dtype(q))
+    assert rows * q == tile_len(INT16)
+    with mock.patch.object(preimage, "RUN_BREAK_EVEN", 2**31):
+        oracle, peak = traced_peak(counts_bruteforce_all, make_barrett_gadget(p), np.arange(rows))
+    assert np.array_equal(oracle, counts_closedform_all(p, np.arange(rows)))
+    assert peak < 4 * 2**17
+
+
+@pytest.mark.parametrize("s", [31, 40])
+def test_s_bit_line_is_built_in_halves_into_one_array(s):
+    # The line is 2q - 1 values in lane_dtype(q), int32 here.  Each half
+    # is the s-bit form on q - 1 .. 0 at mask 0, or at secret 0 on masks
+    # 1 .. q - 1, and holds three q-length arrays in the form's lane (int32
+    # at s = 31, int64 at 40) beside the line: measured 21.0 and 33.6 MB
+    # (numpy 2.4.6).  Built from one array of the 2q - 1 differences it
+    # read 41.9 and 75.5 MB.
+    q = 2**20 - 3
+    p = BarrettParams.create(q, s)
+    line, peak = traced_peak(preimage._s_bit_line, p)
+    assert line.dtype == lane_dtype(q) and line.shape == (2 * q - 1,)
+    assert peak < line.nbytes + 3 * q * lane_dtype(q, s).itemsize + BLOCK_BYTES
+    for d in (q - 1, q // 2, 1, 0, -1, -(q // 3), 1 - q):
+        x, m = max(d, 0), max(-d, 0)
+        assert line[q - 1 - d] == ref_wire_hw(q, s, x, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 70))
+def test_exhaustive_scan_runs_the_s_bit_form_on_2q_minus_1_values(q, s):
+    # The bench's gate at q = 3329: barrett_nat_eval_vec returns 6,657 items.
+    p = BarrettParams.create(q, max(s, ceil_log2(q)))
+    items = []
+
+    def counted(p, x, m):
+        out = barrett_nat_eval_vec(p, x, m)
+        items.append(np.size(out))
+        return out
+
+    with mock.patch.object(preimage, "barrett_nat_eval_vec", counted):
+        assert equivalence_check(p).passed
+    assert sum(items) == 2 * q - 1
 
 
 def test_tile_len_is_the_block_budget_in_elements():
@@ -542,11 +602,12 @@ def test_tile_walk_holds_no_list_of_tiles():
 
 @pytest.mark.parametrize(
     "q,route,rows",
-    [(3329, "closed", 9), (4591, "closed", 7), (7681, "closed", 4), (12289, "closed", 2),
-     (3329, "enumerate", 9)],
+    [(3329, "closed", 19), (4591, "closed", 14), (7681, "closed", 8), (12289, "closed", 5),
+     (3329, "enumerate", 19), (16411, "closed", 1), (16411, "enumerate", 1)],
 )
 def test_secret_blocks_are_sized_in_the_lane_of_the_route(q, route, rows):
-    # Both routes count in lane_dtype(q), int32 here, so q alone sizes the blocks.
+    # Both routes count in lane_dtype(q), so q alone sizes the blocks: int16
+    # up to q = 2^14, and int32 above, where one row fills a block.
     p = BarrettParams.create(q, 2 * ceil_log2(q))
     if route == "closed":
         count = partial(counts_closedform_all, p)
