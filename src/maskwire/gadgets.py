@@ -31,14 +31,13 @@ passes:
 
 * on int64 inputs every vec evaluator returns int64 and is exact for any
   values, negative and non-canonical ones included, with wrapping int64
-  arithmetic; the hardware-faithful one takes this path for s <= 62 and
-  exact Python ints above;
-* on int16, int32 or range masks each evaluator runs in lane_dtype(q, s),
-  with s = 0 for the two maps that wrap at no s-bit word: int16 for
-  q <= 2^14 and s <= 15, int32 for q <= 2^30 and s <= 31, else int64.
-  In int16 or int32 it treats both operands as canonical residues
-  0 <= x, m < q and returns that lane; masks of another dtype are
-  widened to int64 first;
+  arithmetic; the hardware-faithful one computes in int64 whatever its
+  masks' dtype for s <= 62, and in exact Python ints above;
+* on int16, int32 or range masks the two-branch and identity evaluators
+  run in lane_dtype(q): int16 for q <= 2^14, int32 for q <= 2^30, else
+  int64.  In int16 or int32 they treat both operands as canonical
+  residues 0 <= x, m < q and return that lane; masks of another dtype
+  are widened to int64 first;
 * counts_closedform_all (in preimage) needs a canonical secret
   0 <= x < q, because it slices each row at x + 1 and at the wrap set's
   bounds, which are the interval lemma's sets only for such x.
@@ -52,9 +51,9 @@ element, // q 1.1 ns and & 0.8 ns, and the exhaustive equivalence scan
 at q = 12289 costs 0.6 ns per pair at s = 28 and at s = 40 (int16 tiles),
 against 1.1 and 1.9 ns on int32 and int64 tiles and 2.3 and 4.7 ns with
 the s-bit form run at every pair.  The scan checks the two-branch
-evaluator at every pair against the s-bit one on the 2q - 1 differences
-x - m (preimage), so they share only _in_lane and _floor_mod, unused by
-the slice form, never r or the wrap.
+evaluator at every pair, in lane_dtype(q), against the s-bit one on the
+2q - 1 differences x - m in int64 (preimage), so they share only _in_lane
+and _floor_mod, unused by the slice form, never r or the wrap.
 
 Every evaluator broadcasts x against m: a scan passes a (B, 1) column
 of B consecutive secrets against one range of masks and gets a (B, n)
@@ -92,21 +91,18 @@ INT64 = np.dtype(np.int64)
 SLICE_MIN_ROW = 4096
 
 
-def lane_dtype(q: int, s: int = 0) -> np.dtype:
-    """int16 when q <= 2^14 and s <= 15, int32 when q <= 2^30 and s <= 31, else int64.
+def lane_dtype(q: int) -> np.dtype:
+    """int16 when q <= 2^14, int32 when q <= 2^30, else int64.
 
-    The narrowest dtype in which a scan over canonical residues of Z_q
-    keeps every intermediate exact.  Residue arithmetic alone (the
-    two-branch form's x - m + r) stays in (-q, 2q), inside int16 for
-    q <= 2^14, as ML-KEM's reference code keeps its coefficients, and
-    inside int32 for q <= 2^30; s is the width of the word the
-    hardware-faithful form wraps at, whose (x - m) & (2^s - 1) fits int16
-    for s <= 15 and int32 for s <= 31.  Arithmetic that wraps at no s-bit
-    word leaves s at 0.
+    The narrowest dtype that holds residue arithmetic on canonical
+    residues of Z_q, the two-branch form's x - m + r in (-q, 2q), as
+    ML-KEM's reference code keeps its coefficients in int16.  The
+    hardware-faithful form, which wraps at an s-bit word, runs on 2q - 1
+    values a scan and computes in int64 whatever s is.
     """
-    if q <= 2**14 and s <= 15:
+    if q <= 2**14:
         return INT16
-    return INT32 if q <= 2**30 and s <= 31 else INT64
+    return INT32 if q <= 2**30 else INT64
 
 
 class ScopeConditionError(ValueError):
@@ -148,11 +144,11 @@ class BarrettParams:
             )
 
 
-def _in_lane(q: int, s: int, x: IntOrArray, m: Masks) -> tuple:
-    """(x, m, x - m) in lane_dtype(q, s) for int16 or int32 masks or a range, else in int64."""
+def _in_lane(lane: np.dtype, x: IntOrArray, m: Masks) -> tuple:
+    """(x, m, x - m) in the caller's lane for int16 or int32 masks or a range, else in int64."""
     if isinstance(m, range):
-        m = np.arange(m.start, m.stop, m.step, dtype=lane_dtype(q, s))
-    lane = lane_dtype(q, s) if getattr(m, "dtype", None) in (INT16, INT32) else INT64
+        m = np.arange(m.start, m.stop, m.step, dtype=lane)
+    lane = lane if getattr(m, "dtype", None) in (INT16, INT32) else INT64
     x = np.asarray(x, dtype=lane)
     m = np.asarray(m, dtype=lane)
     return x, m, np.subtract(x, m, out=np.empty(np.broadcast(x, m).shape, lane))
@@ -193,13 +189,13 @@ def barrett_algebraic_eval_vec(p: BarrettParams, x: IntOrArray, m: Masks) -> np.
     """Two-branch wire map (x - m, plus r where m > x) mod q, in the masks' lane_dtype(q)."""
     if _sliceable(x, m):
         return _two_branch_slices(p.q, p.r, x, m)
-    x, m, out = _in_lane(p.q, 0, x, m)
+    x, m, out = _in_lane(lane_dtype(p.q), x, m)
     np.add(out, p.r, out=out, where=m > x)
     return _floor_mod(out, p.q)
 
 
 def barrett_nat_eval_vec(p: BarrettParams, x: IntOrArray, m: Masks) -> np.ndarray:
-    """Hardware-faithful wire map ((x + 2^s - m) mod 2^s) mod q, in the masks' lane."""
+    """Hardware-faithful wire map ((x + 2^s - m) mod 2^s) mod q, in int64."""
     p.require_scope()
     q = p.q
     if p.s > 62:
@@ -208,7 +204,7 @@ def barrett_nat_eval_vec(p: BarrettParams, x: IntOrArray, m: Masks) -> np.ndarra
         pair = np.frompyfunc(lambda a, b: (a + w - b) % w % q, 2, 1)
         return np.asarray(pair(x, m), dtype=np.int64)  # a 0-d result is a bare int
     # The + 2^s that keeps x - m non-negative sets only bits above the s-bit mask.
-    _, _, out = _in_lane(q, p.s, x, m)
+    _, _, out = _in_lane(INT64, x, m)
     out &= (1 << p.s) - 1
     return _floor_mod(out, q)
 
@@ -217,7 +213,7 @@ def identity_mask_eval_vec(q: int, x: IntOrArray, m: Masks) -> np.ndarray:
     """Translation wire map (x - m) mod q, in the masks' lane_dtype(q)."""
     if _sliceable(x, m):
         return _two_branch_slices(q, 0, x, m)
-    return _floor_mod(_in_lane(q, 0, x, m)[2], q)
+    return _floor_mod(_in_lane(lane_dtype(q), x, m)[2], q)
 
 
 @dataclass(frozen=True)
@@ -227,11 +223,11 @@ class WireGadget:
 
     eval_vec is the stage's only form of its map, used by every mask
     scan; tests pin it to tests/reference.py.  A scan hands it canonical
-    secrets in lane_dtype(q) (int16 up to q = 2^14, int32 up to 2^30,
-    else int64) and masks as a range, which a gadget that needs an array
-    turns into np.arange(m.start, m.stop), and reads back any integer
-    array of wire values.  It must broadcast: a scan passes a (B, 1)
-    column of secrets, B = 1 for a lone secret, against a range of n
+    secrets in lane_dtype(q), set by q alone (int16 up to q = 2^14, int32
+    up to 2^30, else int64), and masks as a range, which a gadget that
+    needs an array turns into np.arange(m.start, m.stop), and reads back
+    any integer array of wire values.  It must broadcast: a scan passes a
+    (B, 1) column of secrets, B = 1 for a lone secret, against a range of n
     masks and reads row i of the (B, n) result as secret i's wire
     values, so a column call must equal the 0-d-secret calls stacked.
     """

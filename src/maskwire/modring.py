@@ -8,9 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 # Keeps q below 2^31, so every preimage count (at most q) fits int32 and the
-# scans' intermediates on canonical residues, in (-q, 2q) or below 2^s, fit
-# int16 lanes for q <= 2^14 and s <= 15, int32 lanes for q <= 2^30 and
-# s <= 31 (gadgets.lane_dtype), else int64.
+# scans' intermediates on canonical residues, in (-q, 2q), fit int16 lanes for
+# q <= 2^14 and int32 lanes for q <= 2^30 (gadgets.lane_dtype), else int64.
 MAX_MODULUS = 2**31 - 1
 
 

@@ -31,11 +31,11 @@ bounds: 1.5 ms a secret at q = 8,380,417 (2-vCPU x86-64 host, numpy 2.4).
 
 Enumeration and the exhaustive equivalence scan walk their mask axis
 through _tiles in lane_dtype(q): the two-branch and translation wires
-wrap at no s-bit word, so q alone sets a route's lane, int16 wherever
+wrap at no s-bit word, and q alone sets every lane: int16 wherever
 q <= 2^14 (every NTT modulus) and int32 up to 2^30.  Only that scan's
-line of 2q - 1 s-bit values (equivalence_check), one a scan, and the
-half of it being built pass BLOCK_BYTES: from q = 2^14 + 1, where the
-line is int32, and from q = 16,353 when s > 31 puts the build in int64.
+line of 2q - 1 s-bit values (equivalence_check), one a scan in
+lane_dtype(q), passes BLOCK_BYTES, from q = 2^14 + 1 where it is int32;
+it is built in int64 tiles beside a few tile-sized temporaries.
 A tile's masks are a range, so on long rows the two wires take
 gadgets' slice form.  Enumeration tallies a tile with one slice add per
 run of masks whose values fall by one, exact for any wire (see
@@ -193,8 +193,8 @@ class EquivalenceReport:
 
 
 def tile_len(dtype: np.dtype) -> int:
-    """Elements of dtype per tile: as many as fit BLOCK_BYTES."""
-    return BLOCK_BYTES // np.dtype(dtype).itemsize
+    """Elements of dtype per tile: as many as fit BLOCK_BYTES, at least 1."""
+    return max(1, BLOCK_BYTES // np.dtype(dtype).itemsize)
 
 
 def block_rows(q: int, dtype: np.dtype) -> int:
@@ -279,16 +279,17 @@ def _canonical(x: IntOrArray, q: int) -> np.ndarray:
 def counts_bruteforce_all(g: WireGadget, x: IntOrArray) -> np.ndarray:
     """Per-value preimage counts for secret(s) x over every mask, of shape(x) + (q,).
 
-    uint8, or int32 if a count passes 255.  A count is at most its value's
-    runs (see _tally), so with at most 255 runs a row no uint8 count wraps.
-    Else a row's q masks make q increments, and with a count c kept as
-    c mod 256 the row sums to q - 256 * sum(c // 256): to q exactly when no
-    count passed 255.  A block with a row off is counted again in int32.
+    uint8, or lane_dtype(q)'s unsigned twin if a count passes 255.  A count
+    is at most its value's runs (see _tally), so with at most 255 runs a
+    row no uint8 count wraps.  Else a row's q masks make q increments, and
+    with a count c kept as c mod 256 the row sums to q - 256 * sum(c // 256):
+    to q exactly when no count passed 255.  A block with a row off is counted
+    again in the twin: it holds any count <= q in the block's bytes in the lane.
     """
     xs = _canonical(x, g.q)
     counts, runs = _tally(g, xs, np.uint8)
     if runs > 255 and (counts.sum(axis=-1, dtype=np.uint32) != g.q).any():
-        counts, _ = _tally(g, xs, np.int32)
+        counts, _ = _tally(g, xs, np.dtype(f"u{lane_dtype(g.q).itemsize}").type)
     return counts
 
 
@@ -516,14 +517,15 @@ def _s_bit_line(p: BarrettParams) -> np.ndarray:
     """The s-bit form at every pair of residues: hw(x, m) = line[q - 1 - x + m].
 
     The form reads a pair only through d = x - m, so it runs once a d in
-    q - 1 .. 1 - q: on secrets q - 1 .. 0 at mask 0, then on masks 1 .. q - 1
-    at secret 0, each half in the form's lane and written into one line in
-    lane_dtype(q), so the build holds the line and one half's arrays.
+    q - 1 .. 1 - q, on secret max(d, 0) and mask max(-d, 0), in int64
+    tiles of tile_len(INT64) differences written into one line in
+    lane_dtype(q): the build holds the line and a few tile temporaries.
     """
-    q, lane = p.q, lane_dtype(p.q, p.s)
+    q, step = p.q, tile_len(INT64)
     line = np.empty(2 * q - 1, lane_dtype(q))
-    line[:q] = barrett_nat_eval_vec(p, np.arange(q - 1, -1, -1, dtype=lane), range(1))
-    line[q:] = barrett_nat_eval_vec(p, 0, range(1, q))
+    for lo in range(0, 2 * q - 1, step):
+        d = np.arange(q - 1 - lo, max(-q, q - 1 - lo - step), -1, dtype=np.int64)
+        line[lo : lo + d.size] = barrett_nat_eval_vec(p, np.maximum(d, 0), np.maximum(-d, 0))
     return line
 
 
@@ -557,9 +559,9 @@ def equivalence_check(
 ) -> EquivalenceReport:
     """Compare the algebraic and hardware-faithful forms pointwise.
 
-    sample = None checks all q^2 (x, m) pairs, in tiles in the lane
-    gadgets.lane_dtype(q) picks whatever s is, each against its window of
-    one line of the hardware form (_s_bit_line) in that lane; otherwise
+    sample = None checks all q^2 (x, m) pairs, in tiles in
+    gadgets.lane_dtype(q), each against its window of one line of the
+    hardware form (_s_bit_line) in that lane; otherwise
     `sample` int64 pairs are drawn tile by tile from one
     np.random.default_rng(seed), each tile's secrets and masks by one
     integers(0, q, size=(2, n)) call.

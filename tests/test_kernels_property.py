@@ -5,8 +5,9 @@ and 200 always tried, so both sides of the s > 62 Python-int fallback of
 the hardware-faithful evaluator are covered, on 0-d operands too.  The
 evaluators are checked on arbitrary int64 inputs, negative and
 non-canonical ones included, and on the same reduced to canonical
-residues with int32 masks, which they take into their lane (int16 for
-q <= 2^14); the closed-form counter only promises exact counts for a
+residues with int32 masks, which the two-branch and identity evaluators
+take into their lane (int16 for q <= 2^14) and the hardware-faithful one
+into int64; the closed-form counter only promises exact counts for a
 canonical secret.
 Scans pass a (B, 1) column of secrets against a row of masks, and each
 evaluator must then give the scalar-secret rows stacked, in both lanes.
@@ -81,7 +82,8 @@ def test_evaluators_match_independent_forms(qs, xm):
     p = BarrettParams.create(q, s)
     x, m = xm
     # The arbitrary int64 operands, then the same reduced to canonical
-    # residues with int32 masks, which every evaluator takes into its lane.
+    # residues with int32 masks, which the two-branch and identity forms take
+    # into their lane and the hardware-faithful form into int64.
     for x, m in ((x, m), (x % q, np.asarray(m % q, dtype=np.int32))):
         narrow = m.dtype == np.int32
         xa = np.asarray(x, dtype=np.int64)
@@ -100,15 +102,14 @@ def test_evaluators_match_independent_forms(qs, xm):
         np.testing.assert_array_equal(ident.ravel(), (xs - ms) % q)
 
         hw = barrett_nat_eval_vec(p, x, m)
-        lane = lane_dtype(q, s) if narrow else np.int64
-        assert hw.dtype == lane and hw.shape == shape
+        assert hw.dtype == np.int64 and hw.shape == shape
         want_hw = [ref_wire_hw(q, s, int(a), int(b)) for a, b in zip(xs, ms)]
         assert hw.ravel().tolist() == want_hw
         if m.size:
             # A numpy-scalar secret against a 0-d mask, where the s > 62
             # fallback's arithmetic gives a bare int.
             point = barrett_nat_eval_vec(p, xs[0], m.ravel()[0, ...])
-            assert point.shape == () and point.dtype == lane and point == want_hw[0]
+            assert point.shape == () and point.dtype == np.int64 and point == want_hw[0]
 
 
 @st.composite

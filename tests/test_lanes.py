@@ -1,16 +1,17 @@
 """The int16 and int32 lanes of the wire evaluators.
 
-gadgets.lane_dtype(q, s) picks int16 for q <= 2^14 and s <= 15, int32 for
-q <= 2^30 and s <= 31, else int64.  The hardware-faithful evaluator takes
-lane_dtype(q, s); the two-branch and translation evaluators wrap at no
-s-bit word and take lane_dtype(q).  These tests sit on both sides of each
-bound: q around 2^30 and at 2^31 - 1 with s = 30, 31 and 32, and q around
-2^14 with s = 14, 15 and 16.  They check the rule against the bounds of
-each form's largest intermediate, and the narrow results against the
-int64 path and the pure-int reference, on short windows of canonical
-values near 0, x and q - 1.  Only the tests at the int16 bound build
-q-length arrays: a scan's blocks there, against the reference and the
-closed form.
+gadgets.lane_dtype(q) picks int16 for q <= 2^14, int32 for q <= 2^30,
+else int64, whatever s is.  The two-branch and translation evaluators
+wrap at no s-bit word and run in lane_dtype(q); the hardware-faithful
+evaluator, which wraps at an s-bit word, takes masks of any lane into
+int64.  These tests sit on both sides of each bound: q around 2^30 and
+at 2^31 - 1 with s = 30, 31 and 32, and q around 2^14 with s = 14, 15
+and 16.  They check the rule against the bound of the two-branch form's
+largest intermediate, the s-bit form's int64 result on lane masks at
+every shift, and the narrow results against the int64 path and the
+pure-int reference, on short windows of canonical values near 0, x and
+q - 1.  Only the tests at the int16 bound build q-length arrays: a
+scan's blocks there, against the reference and the closed form.
 """
 
 import numpy as np
@@ -64,22 +65,33 @@ def lane_case(draw, qs=BOUNDARY_Q, ss=BOUNDARY_S):
     return q, s, x, masks
 
 
+def assert_s_bit_form_widens_lane_masks(q, s):
+    """The s-bit form takes lane_dtype(q) masks into int64, exact at the ring's edges."""
+    p = BarrettParams.create(q, s)
+    if p.scope_ok():
+        masks = np.array([0, 1, q - 1], dtype=lane_dtype(q))
+        hw = barrett_nat_eval_vec(p, q - 1, masks)
+        assert hw.dtype == np.int64
+        assert hw.tolist() == [ref_wire_hw(q, s, q - 1, int(m)) for m in masks]
+
+
 @pytest.mark.parametrize("q", BOUNDARY_Q + (NEAR_LIMIT[0],))
 @pytest.mark.parametrize("s", (0,) + BOUNDARY_S + (NEAR_LIMIT[1],))
 def test_lane_rule_picks_int32_exactly_where_safe(q, s):
-    # Largest intermediates on canonical inputs: x - m + r <= 2q - 2 for the
-    # two-branch form, (x - m) & (2^s - 1) <= 2^s - 1 for the
-    # hardware-faithful form.
-    safe = 2 * q - 2 <= INT32_MAX and 2**s - 1 <= INT32_MAX
-    assert lane_dtype(q, s) == (np.int32 if safe else np.int64)
+    # The largest intermediate on canonical inputs in the lane is the
+    # two-branch form's x - m + r <= 2q - 2, whatever s is: the
+    # hardware-faithful form's (x - m) & (2^s - 1) is computed in int64.
+    safe = 2 * q - 2 <= INT32_MAX
+    assert lane_dtype(q) == (np.int32 if safe else np.int64)
+    assert_s_bit_form_widens_lane_masks(q, s)
 
 
 @pytest.mark.parametrize("q,s", [(40961, 32), (2**30 + 1, 31), (2**30 + 1, 32)])
 def test_int32_inputs_widen_where_the_rule_says_int64(q, s):
-    # Past s = 31 the hardware-faithful form widens; the two-branch form
-    # wraps at no s-bit word and stays int32 while q <= 2^30.
+    # The hardware-faithful form widens int32 masks to int64 at any s; the
+    # two-branch form wraps at no s-bit word and stays int32 while q <= 2^30.
     p = BarrettParams.create(q, s)
-    assert lane_dtype(q, s) == np.int64
+    assert lane_dtype(q) == (np.int32 if q <= 2**30 else np.int64)
     masks = np.concatenate([np.arange(10), np.arange(q - 10, q)]).astype(np.int32)
     for x in (0, 5, q - 1):
         alg = barrett_algebraic_eval_vec(p, x, masks)
@@ -109,7 +121,7 @@ def test_int32_lane_evaluators_match_int64_and_reference(case):
     assert ident.tolist() == [(x - m) % q for m in ms]
     if p.scope_ok():
         hw = barrett_nat_eval_vec(p, x, m32)
-        assert hw.dtype == lane_dtype(q, s)
+        assert hw.dtype == np.int64
         assert hw.tolist() == barrett_nat_eval_vec(p, x, m64).tolist()
         assert hw.tolist() == [ref_wire_hw(q, s, x, m) for m in ms]
 
@@ -117,9 +129,10 @@ def test_int32_lane_evaluators_match_int64_and_reference(case):
 @pytest.mark.parametrize("q", INT16_Q + (NEAR_INT16_LIMIT[0], 3329, 12289))
 @pytest.mark.parametrize("s", (0,) + INT16_S + (NEAR_INT16_LIMIT[1],))
 def test_lane_rule_picks_int16_exactly_where_safe(q, s):
-    # The same intermediates as for int32, against the int16 limit.
-    safe = 2 * q - 2 <= INT16_MAX and 2**s - 1 <= INT16_MAX
-    assert lane_dtype(q, s) == (np.int16 if safe else np.int32)
+    # The same intermediate as for int32, against the int16 limit.
+    safe = 2 * q - 2 <= INT16_MAX
+    assert lane_dtype(q) == (np.int16 if safe else np.int32)
+    assert_s_bit_form_widens_lane_masks(q, s)
 
 
 @settings(max_examples=120, deadline=None)
@@ -143,7 +156,7 @@ def test_int16_lane_evaluators_match_int64_and_reference(case, dtype):
     assert ident.tolist() == [(x - m) % q for m in ms]
     if p.scope_ok():
         hw = barrett_nat_eval_vec(p, x, narrow)
-        assert hw.dtype == lane_dtype(q, s)
+        assert hw.dtype == np.int64
         assert hw.tolist() == barrett_nat_eval_vec(p, x, m64).tolist()
         assert hw.tolist() == [ref_wire_hw(q, s, x, m) for m in ms]
 
@@ -162,8 +175,8 @@ def test_scan_blocks_at_the_int16_bound_match_int64_and_reference(q, s):
     # A scan's blocks in lane_dtype(q): rows of int16 masks, 65,408 in all,
     # up to q = 2^14 (3 rows there), and one int32 row above.  On each
     # tile the slice forms, the general forms on int64 masks and the s-bit
-    # form agree with the reference on every mask, and enumeration agrees
-    # with the closed form.
+    # form, in int64, agree with the reference on every mask, and
+    # enumeration agrees with the closed form.
     p = BarrettParams.create(q, s)
     lane = lane_dtype(q)
     assert (lane, block_rows(q, lane)) == ((np.int16, 65408 // q) if q <= 2**14 else (np.int32, 1))
@@ -179,7 +192,7 @@ def test_scan_blocks_at_the_int16_bound_match_int64_and_reference(q, s):
             assert ident.tolist() == [[(x - m) % q for m in masks] for x in xs.tolist()]
             if p.scope_ok():
                 hw = barrett_nat_eval_vec(p, col, masks)
-                assert hw.dtype == lane_dtype(q, s)
+                assert hw.dtype == np.int64
                 assert hw.tolist() == barrett_nat_eval_vec(p, col, array).tolist()
                 assert hw.tolist() == want
         barrett = counts_bruteforce_all(make_barrett_gadget(p), xs)

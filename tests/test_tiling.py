@@ -375,22 +375,21 @@ def test_s_bit_fault_at_one_difference_is_reported_at_its_first_pair(case, rows,
     assert (rep.mm_secret, rep.mm_mask, rep.mm_algebraic, rep.mm_hw) == (x, m, hw, hw + 1)
 
 
-SHIFTS_OF_LANE = {
-    "int16": (0, 15), "int32": (16, 31), "int64": (32, 62), "python ints": (63, 70)
-}
+# Shifts whose s-bit word fits int16, int32 and int64, and past int64 (Python ints).
+SHIFT_BANDS = [(0, 15), (16, 31), (32, 62), (63, 70)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.integers(1, 69), st.sampled_from(sorted(SHIFTS_OF_LANE)), st.integers(2, 9), ROWS,
+    st.integers(1, 69), st.sampled_from(SHIFT_BANDS), st.integers(2, 9), ROWS,
     st.booleans(), st.data(),
 )
-def test_line_window_is_the_s_bit_form_on_every_exhaustive_tile(q, lane, tile, rows, blocked, data):
+def test_line_window_is_the_s_bit_form_on_every_exhaustive_tile(q, band, tile, rows, blocked, data):
     # The identity the exhaustive scan rests on: each tile's window of the
-    # line, built once from 2q - 1 differences, holds what the s-bit form,
-    # in the lane of its shift, gives on the tile's (col, masks), without a
+    # line, built once from 2q - 1 differences in int64 tiles, holds what
+    # the s-bit form, in int64, gives on the tile's (col, masks), without a
     # copy.  Line and tiles are in lane_dtype(q) whatever s is.
-    lo, hi = SHIFTS_OF_LANE[lane]
+    lo, hi = band
     p = BarrettParams.create(q, data.draw(st.integers(max(lo, ceil_log2(q)), hi)))
     dtype = lane_dtype(q)
     with blocks_of(rows, q, dtype) if blocked else tiles_of(tile):
@@ -401,7 +400,7 @@ def test_line_window_is_the_s_bit_form_on_every_exhaustive_tile(q, lane, tile, r
     for before, col, masks in tiles:
         want = barrett_nat_eval_vec(p, col, masks)
         window = preimage._line_window(line, q, before, want.shape)
-        assert want.dtype == lane_dtype(q, p.s)
+        assert want.dtype == INT64
         assert window.dtype == dtype and np.shares_memory(window, line)
         assert np.array_equal(window, want)
 
@@ -531,21 +530,34 @@ def test_add_at_index_of_a_full_int16_block_stays_within_the_budget():
 
 
 @pytest.mark.parametrize("s", [31, 40])
-def test_s_bit_line_is_built_in_halves_into_one_array(s):
-    # The line is 2q - 1 values in lane_dtype(q), int32 here.  Each half
-    # is the s-bit form on q - 1 .. 0 at mask 0, or at secret 0 on masks
-    # 1 .. q - 1, and holds three q-length arrays in the form's lane (int32
-    # at s = 31, int64 at 40) beside the line: measured 21.0 and 33.6 MB
-    # (numpy 2.4.6).  Built from one array of the 2q - 1 differences it
-    # read 41.9 and 75.5 MB.
+def test_s_bit_line_is_built_in_tiles_into_one_array(s):
+    # The line is 2q - 1 values in lane_dtype(q), int32 here, of 8.39 MB.
+    # Each int64 tile of differences d is the s-bit form on secrets
+    # max(d, 0) and masks max(-d, 0), written into the line, so the build
+    # holds a few tile-sized temporaries beside it.  Built in two halves,
+    # each three q-length arrays in the form's lane, it read 21.0 and
+    # 33.6 MB at s = 31 and 40 (numpy 2.4.6); from one array of the 2q - 1
+    # differences, 41.9 and 75.5 MB.
     q = 2**20 - 3
     p = BarrettParams.create(q, s)
     line, peak = traced_peak(preimage._s_bit_line, p)
     assert line.dtype == lane_dtype(q) and line.shape == (2 * q - 1,)
-    assert peak < line.nbytes + 3 * q * lane_dtype(q, s).itemsize + BLOCK_BYTES
+    assert peak < line.nbytes + 8 * BLOCK_BYTES
     for d in (q - 1, q // 2, 1, 0, -1, -(q // 3), 1 - q):
         x, m = max(d, 0), max(-d, 0)
         assert line[q - 1 - d] == ref_wire_hw(q, s, x, m)
+
+
+@pytest.mark.parametrize("q", [1, 2, 7])
+def test_s_bit_line_walks_a_budget_under_one_int64(q):
+    # blocks_of can leave BLOCK_BYTES under 8 on tiny rings, so that no
+    # whole int64 fits it: the line's tiles then hold one difference each.
+    p = BarrettParams.create(q, 5)
+    with mock.patch.object(preimage, "BLOCK_BYTES", 4):
+        assert tile_len(INT64) == 1
+        line = preimage._s_bit_line(p)
+    want = [ref_wire_hw(q, 5, max(d, 0), max(-d, 0)) for d in range(q - 1, -q, -1)]
+    assert line.tolist() == want
 
 
 @settings(max_examples=30, deadline=None)
@@ -637,7 +649,8 @@ def test_lone_secret_scan_memory_stays_within_a_few_tiles(q):
 
 def test_constant_wire_counts_every_mask_at_one_value():
     # Every mask hits value 0, so its count is q = 65537 in every row: past
-    # int16 and uint16, summed over the 5 tiles of each row.
+    # int16 and uint16, summed over the 5 tiles of each row into the uint32
+    # twin of the int32 lane.
     q = 65537
 
     def zeros(x, m):
@@ -647,7 +660,7 @@ def test_constant_wire_counts_every_mask_at_one_value():
     with tiles_of(2**13):
         assert -(-q // tile_len(INT32)) == 5
         counts = counts_bruteforce_all(g, np.array([0, 1, q - 1]))
-    assert counts.dtype == np.int32
+    assert counts.dtype == np.uint32
     assert counts[:, 0].tolist() == [q] * 3 and not counts[:, 1:].any()
 
 
@@ -715,7 +728,7 @@ def runs_only():
 )
 def test_tally_matches_a_per_mask_count(wire, tile, break_even, data):
     # Break-even 1 sends every tile down the run path, with np.add.at
-    # barred; tiles of 4..18 int32 masks put run ends on tile edges; the
+    # barred; tiles of 8..36 int16 masks put run ends on tile edges; the
     # secrets are one block, several rows or none, or a lone 0-d secret.
     q, table, kind = wire
     secrets = data.draw(st.lists(st.integers(0, q - 1), max_size=5))
@@ -751,8 +764,10 @@ def piled_table(q, hits):
 @pytest.mark.parametrize("break_even", [1, preimage.RUN_BREAK_EVEN])
 def test_uint8_tally_wraps_only_into_an_int32_recount(hits, break_even):
     # A uint8 count of 256 or 512 reads 0, and 257 reads 1, so only the
-    # row's mass (q - 256 * (hits // 256)) gives the wrap away.  Tiles of
-    # 14 int32 masks cut both kinds of run; break-even 1 bars np.add.at.
+    # row's mass (q - 256 * (hits // 256)) gives the wrap away, and the
+    # block is counted again in uint16, the int16 lane's unsigned twin.
+    # Tiles of 28 int16 masks cut both kinds of run; break-even 1 bars
+    # np.add.at.
     q = GUARD_Q
     table = piled_table(q, [1, hits])
     g = WireGadget("piled", q, q, lambda x, m: table[x, m])
@@ -762,16 +777,16 @@ def test_uint8_tally_wraps_only_into_an_int32_recount(hits, break_even):
             with runs_only() if break_even == 1 else nullcontext():
                 got = counts_bruteforce_all(g, xs)
         assert got.reshape(-1, q).tolist() == per_mask_tally(q, table, secrets)
-        assert got.dtype == (np.int32 if hits > 255 and 1 in secrets else np.uint8)
+        assert got.dtype == (np.uint16 if hits > 255 and 1 in secrets else np.uint8)
 
 
 @pytest.mark.parametrize("cover", [255, 256])
 def test_runs_bound_every_count_so_255_runs_need_no_mass_guard(cover):
     # One run falls from q - cover to 0, then cover - 1 one-mask runs hit
     # 0 again: value 0 is covered by all `cover` runs of the row.  Tiles
-    # of 14 masks cut the long run into pieces, which count as one run.
+    # of 28 masks cut the long run into pieces, which count as one run.
     # 255 runs bound every count, so the uint8 tally stands unsummed; 256
-    # can wrap (256 reads 0), so the mass guard recounts in int32.
+    # can wrap (256 reads 0), so the mass guard recounts in uint16.
     q = GUARD_Q
     table = np.array([list(range(q - cover, -1, -1)) + [0] * (cover - 1)], dtype=np.int32)
     g = WireGadget("covered", q, q, lambda x, m: table[x, m])
@@ -781,7 +796,7 @@ def test_runs_bound_every_count_so_255_runs_need_no_mass_guard(cover):
     assert runs == cover
     assert counts[0, 0] == cover % 256
     assert got.tolist() == per_mask_tally(q, table, [0])[0]
-    assert got.dtype == (np.uint8 if cover == 255 else np.int32)
+    assert got.dtype == (np.uint8 if cover == 255 else np.uint16)
 
 
 @pytest.mark.parametrize("at", [0, 3, 6])
@@ -866,7 +881,7 @@ def test_counts_equal_modulo_256_read_as_disagreement():
     g = WireGadget("piled", q, 256, lambda x, m: np.tile(values[np.asarray(m)], (len(x), 1)))
     xs = np.arange(2)
     exact = counts_bruteforce_all(g, xs)
-    assert exact.dtype == np.int32 and exact[:, 0].tolist() == [256, 256]
+    assert exact.dtype == np.uint16 and exact[:, 0].tolist() == [256, 256]
     counts = exact.astype(np.uint8)
     assert counts[:, 0].tolist() == [0, 0]
     theirs = counts_bruteforce_check(g, xs, counts)
@@ -904,15 +919,31 @@ def test_constant_wire_check_still_recounts_in_int32(monkeypatch):
     # Every mask goes to value 0, a count of q = 300 that reads 44 in uint8,
     # and taking 300 masks off 44 leaves a zero residue.  Each mask is a run
     # of its own, past 255 a row, so the check recounts: the uint8 pass's
-    # mass is off, the int32 recount reads 300, and the counts disagree.
+    # mass is off, the recount in uint16, the int16 lane's unsigned twin,
+    # reads 300, and the counts disagree.
     q = 300
     g = WireGadget("constant", q, q, lambda x, m: np.zeros((len(x), len(m)), np.int32))
     counts = np.zeros((2, q), dtype=np.uint8)
     counts[:, 0] = q % 256
     dtypes = spy_on_tally(monkeypatch)
     theirs = counts_bruteforce_check(g, np.arange(2), counts)
-    assert dtypes == [np.uint8, np.uint8, np.int32]
-    assert theirs.dtype == np.int32 and theirs[:, 0].tolist() == [q, q] and not theirs[:, 1:].any()
+    assert dtypes == [np.uint8, np.uint8, np.uint16]
+    assert theirs.dtype == np.uint16 and theirs[:, 0].tolist() == [q, q] and not theirs[:, 1:].any()
+
+
+def test_constant_wire_recount_block_stays_within_the_budget():
+    # A constant wire fails the uint8 mass guard on every row, so a full
+    # 19-row int16 block at q = 3329 is counted again in uint16, the lane's
+    # unsigned twin: 126,502 bytes, within BLOCK_BYTES, beside the uint8
+    # pass's 63,251.  Measured peak 4.42 x 128 KiB (numpy 2.4.6); an int32
+    # recount of 253,004 bytes read 5.39.
+    q = 3329
+    rows = block_rows(q, lane_dtype(q))
+    g = WireGadget("constant", q, q, lambda x, m: np.zeros((len(x), len(m)), x.dtype))
+    counts, peak = traced_peak(counts_bruteforce_all, g, np.arange(rows))
+    assert counts[:, 0].tolist() == [q] * rows and not counts[:, 1:].any()
+    assert counts.nbytes <= BLOCK_BYTES
+    assert peak < 5 * 2**17
 
 
 def test_counts_of_another_dtype_are_compared_whole():
