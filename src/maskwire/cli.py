@@ -212,17 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _profile_pass(p: BarrettParams, secrets: Sequence[int], check: Optional[Callable] = None):
-    """(profile, agree) per secret, in order, from one closed-form scan checked by check."""
-    def profiles(xs, counts):
-        return [
-            MultiplicityProfile.from_counts(x, p.q, row)
-            for x, row in zip(xs.tolist(), counts)
-        ]
+    """(profile, agree) per scan block, in order: one profile of each block of
+    one closed-form scan checked by check."""
+    def profile(xs, counts):
+        return MultiplicityProfile.from_counts(xs, p.q, counts)
 
     # partial reads this module's global now, so a tracer's or test's rebinding is what runs.
-    for block, agree in scan(p.q, secrets, partial(counts_closedform_all, p), profiles, check):
-        for prof in block:
-            yield prof, agree
+    return scan(p.q, secrets, partial(counts_closedform_all, p), profile, check)
 
 
 def _sample_agrees(p: BarrettParams, seed: int) -> bool:
@@ -247,23 +243,31 @@ def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
         # Off mask mass leaves no distribution to measure; a value hit
         # three times keeps its min-entropy, which then reads below the
         # floor.  Either way the profile is not conserved and fails the run.
-        measured = prof.overflow != 0 or prof.conserved
-        passed = passed and prof.conserved
-        rows.append(
+        conserved = prof.conserved
+        passed = passed and all(conserved.tolist())
+        columns = zip(
+            prof.secret.tolist(), prof.zeros.tolist(), prof.ones.tolist(),
+            prof.twos.tolist(), prof.max_count.tolist(), prof.support_size.tolist(),
+            support_gap_predicted_paper(p, prof.secret),
+            support_gap_predicted_extended(p, prof.secret),
+            min_entropy(prof), ((prof.overflow != 0) | conserved).tolist(),
+        )
+        rows += [
             {
-                "secret": prof.secret,
-                "zeros": prof.zeros,
-                "ones": prof.ones,
-                "twos": prof.twos,
-                "max_count": prof.max_count,
-                "support": prof.support_size,
-                "gap_observed": prof.zeros,
-                "gap_paper": support_gap_predicted_paper(p, prof.secret),
-                "gap_extended": support_gap_predicted_extended(p, prof.secret),
-                "min_entropy_bits": min_entropy(prof) if measured else None,
+                "secret": x,
+                "zeros": zeros,
+                "ones": ones,
+                "twos": twos,
+                "max_count": top,
+                "support": support,
+                "gap_observed": zeros,
+                "gap_paper": paper,
+                "gap_extended": extended,
+                "min_entropy_bits": bits if measured else None,
                 "floor_bits": floor if measured else None,
             }
-        )
+            for x, zeros, ones, twos, top, support, paper, extended, bits, measured in columns
+        ]
     params = _scope_params(args, p, secrets, secret_mode)
     summary = {"passed": passed, "secrets_checked": len(rows), "route": "closedform"}
     return params, rows, summary, 0 if passed else 1
@@ -414,22 +418,29 @@ def _sweep_case(
     }
     rows = [case_row]
     for prof, agree in _profile_pass(p, secrets, check):
-        case_row["max_count"] = max(case_row["max_count"], prof.max_count)
-        case_row["conservation_ok"] = case_row["conservation_ok"] and prof.conserved
+        case_row["max_count"] = max(case_row["max_count"], *prof.max_count.tolist())
+        case_row["conservation_ok"] = case_row["conservation_ok"] and all(prof.conserved.tolist())
         case_row["routes_agree"] = case_row["routes_agree"] and agree
-        for formula, predicted in (
-            ("paper", support_gap_predicted_paper(p, prof.secret)),
-            ("extended", support_gap_predicted_extended(p, prof.secret)),
-        ):
-            if predicted == prof.zeros:
-                continue
-            case_row[f"{formula}_gap_mismatches"] += 1
-            if case_row[f"{formula}_gap_mismatches"] <= MISMATCH_ROW_CAP:
-                rows.append({
-                    **dict.fromkeys(case_row), "row": "mismatch", "q": q, "s": s,
-                    "r": p.r, "formula": formula, "secret": prof.secret,
-                    "observed": prof.zeros, "predicted": predicted,
-                })
+        observed = prof.zeros.tolist()
+        predicted = (
+            support_gap_predicted_paper(p, prof.secret),
+            support_gap_predicted_extended(p, prof.secret),
+        )
+        # A block whose gaps all match builds no row; else its rows go in
+        # secret order, paper before extended, each formula under the cap.
+        if predicted == (observed, observed):
+            continue
+        for x, zeros, *guesses in zip(prof.secret.tolist(), observed, *predicted):
+            for formula, guess in zip(("paper", "extended"), guesses):
+                if guess == zeros:
+                    continue
+                case_row[f"{formula}_gap_mismatches"] += 1
+                if case_row[f"{formula}_gap_mismatches"] <= MISMATCH_ROW_CAP:
+                    rows.append({
+                        **dict.fromkeys(case_row), "row": "mismatch", "q": q, "s": s,
+                        "r": p.r, "formula": formula, "secret": x,
+                        "observed": zeros, "predicted": guess,
+                    })
 
     case_row["trichotomy_ok"] = case_row["max_count"] <= 2
     if q <= SWEEP_EQUIV_LIMIT and p.scope_ok():

@@ -11,8 +11,11 @@ Cross-checking the two routes is the core property this package exists
 to exercise, so neither is ever expressed in terms of the other.  Both
 take a canonical secret 0 <= x < q, or a 1-D array of them, return
 counts of shape shape(x) + (q,), and raise ValueError if any secret is
-not canonical; so do the scalar forms and profiles, on plain ints.
-count_closedform stays a scalar O(1) form next to the vectorised
+not canonical.  MultiplicityProfile.from_counts and the two gap
+predictors follow the same shape(x) rule: an int secret gives ints, a
+block of B secrets one profile of length-B int64 arrays and lists of B
+predicted gaps, so a scan block is profiled and predicted in one call
+each.  count_closedform stays a scalar O(1) form next to the vectorised
 counts_closedform_all: the test suite checks the vectorised counts
 against it, and building it from counts_closedform_all would make that
 check vouch for itself.
@@ -60,7 +63,7 @@ counts a secret.  Only reduce's result outlives a block.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Optional, Tuple
@@ -100,56 +103,80 @@ class WireValueError(ValueError):
 
 @dataclass(frozen=True)
 class MultiplicityProfile:
-    """Per-secret histogram of preimage sizes over all q output values.
+    """Histogram of preimage sizes over all q output values, of a secret or a block.
 
     The secret and q, then measurements: zeros/ones/twos count output
     values by preimage size; overflow (size >= 3) and support_size
-    (size >= 1) follow from them and q.  Construction checks nothing, so
-    a report keeps a broken histogram as data; `conserved` gives the verdict.
+    (size >= 1) follow from them and q.  For an int secret every field
+    is an int; for an array of secrets, such as a scan block of B, each
+    field but q is an int64 array of its shape, and overflow,
+    support_size and conserved hold elementwise.  Construction checks
+    nothing, so a report keeps a broken histogram as data; `conserved`
+    gives the verdict.
     """
 
-    secret: int
+    secret: IntOrArray
     q: int
-    zeros: int
-    ones: int
-    twos: int
-    max_count: int
+    zeros: IntOrArray
+    ones: IntOrArray
+    twos: IntOrArray
+    max_count: IntOrArray
 
     @classmethod
-    def from_counts(cls, secret: int, q: int, counts: np.ndarray) -> "MultiplicityProfile":
-        """Profile a per-value counts array from its nonzero, twos, max and, if signed, min.
+    def from_counts(cls, secret: IntOrArray, q: int, counts: np.ndarray) -> "MultiplicityProfile":
+        """Profile counts of shape shape(secret) + (q,) from each row's nonzero, twos and max.
 
-        The twos, and a broken row's ones, are counted BLOCK_BYTES values at a
-        time, so no q-length bool is built beside the row.
+        A block is measured in one max(axis=1), one count_nonzero per
+        row and one counts == 2 while the block fits BLOCK_BYTES (see
+        _count_equal), so no row-length bool is built beside a long row.
+        count_nonzero(axis=1) would cast the block to intp first.  Past
+        0..2, or in a signed dtype, nonzero - twos need not be the ones:
+        they are counted too, so a broken row stays data.
         """
-        _require_canonical("secret", secret, q)
-        if counts.shape != (q,):
-            raise ValueError(f"counts array must have length q={q}")
-        nonzero, twos = int(np.count_nonzero(counts)), _count_equal(counts, 2)
-        top = int(counts.max())
-        # Past 0..2, nonzero - twos is not the ones: count them, so a broken row stays data.
-        in_range = top <= 2 and (counts.dtype.kind == "u" or counts.min() >= 0)
-        ones = nonzero - twos if in_range else _count_equal(counts, 1)
-        return cls(secret, q, zeros=q - nonzero, ones=ones, twos=twos, max_count=top)
+        xs = _canonical(secret, q)
+        if counts.shape != xs.shape + (q,):
+            raise ValueError(f"counts array must have length q={q} for each secret")
+        block = counts.reshape(-1, q)
+        top = block.max(axis=1).astype(np.int64)
+        nonzero = np.array([np.count_nonzero(row) for row in block], dtype=np.int64)
+        twos = _count_equal(block, 2)
+        if block.dtype.kind == "u" and max(top.tolist(), default=0) <= 2:
+            ones = nonzero - twos
+        else:
+            ones = _count_equal(block, 1)
+        columns = [c.reshape(xs.shape) for c in (q - nonzero, ones, twos, top)]
+        if xs.ndim == 0:
+            return cls(int(xs), q, *map(int, columns))
+        return cls(xs, q, *columns)
+
+    def __eq__(self, other: object) -> bool:
+        """Field by field, a block's fields as whole arrays (a tuple compare of
+        arrays would ask an array for its truth value)."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
     @property
-    def overflow(self) -> int:
+    def overflow(self) -> IntOrArray:
         return self.q - self.zeros - self.ones - self.twos
 
     @property
-    def support_size(self) -> int:
+    def support_size(self) -> IntOrArray:
         return self.q - self.zeros
 
     @property
-    def conserved(self) -> bool:
-        """The conservation law holds: no overflow and zeros = twos.
+    def conserved(self) -> Any:
+        """The conservation law holds (a bool, or a bool array for a block):
+        no overflow and zeros = twos.
 
         The wire map is total, so with no value hit three times its q
         masks must add up to ones + 2*twos = q.  With no overflow,
         zeros + ones + twos = q, so ones + 2*twos = q holds exactly when
         zeros = twos: the mass needs no clause of its own.
         """
-        return self.overflow == 0 and self.zeros == self.twos
+        return (self.zeros + self.ones + self.twos == self.q) & (self.zeros == self.twos)
 
 
 @dataclass(frozen=True)
@@ -202,12 +229,21 @@ def block_rows(q: int, dtype: np.dtype) -> int:
     return max(1, tile_len(dtype) // q)
 
 
-def _count_equal(row: np.ndarray, value: int) -> int:
-    """Entries of a 1-D row equal to value, compared BLOCK_BYTES entries at a time."""
+def _count_equal(block: np.ndarray, value: int) -> np.ndarray:
+    """Entries of each row of a (B, q) block equal to value, as int64.
+
+    One compare over the block while it fits BLOCK_BYTES, else each row
+    BLOCK_BYTES entries at a time; each row's bools are counted alone.
+    """
     n = BLOCK_BYTES
-    if row.size <= n:
-        return int(np.count_nonzero(row == value))
-    return sum(int(np.count_nonzero(row[i : i + n] == value)) for i in range(0, row.size, n))
+    if block.size <= n:
+        hits = [np.count_nonzero(row) for row in block == value]
+    else:
+        hits = [
+            sum(np.count_nonzero(row[i : i + n] == value) for i in range(0, row.size, n))
+            for row in block
+        ]
+    return np.array(hits, dtype=np.int64)
 
 
 def _blocks(secrets: Iterable[int], rows: int) -> Iterator[np.ndarray]:
@@ -270,10 +306,10 @@ def _require_canonical(name: str, n: int, q: int) -> None:
 def _canonical(x: IntOrArray, q: int) -> np.ndarray:
     """x as an int64 array, or ValueError naming its first secret outside [0, q)."""
     xs = np.asarray(x)
-    bad = (xs < 0) | (xs >= q)
-    if bad.any():
-        raise ValueError(f"secret {xs[bad][0]} not canonical for modulus {q}")
-    return xs.astype(np.int64)
+    for n in xs.ravel().tolist():  # Python ints: a huge secret cannot wrap into range
+        if not 0 <= n < q:
+            raise ValueError(f"secret {n} not canonical for modulus {q}")
+    return xs.astype(np.int64, copy=False)
 
 
 def counts_bruteforce_all(g: WireGadget, x: IntOrArray) -> np.ndarray:
@@ -402,7 +438,8 @@ def counts_closedform_all(p: BarrettParams, x: IntOrArray) -> np.ndarray:
         lo = (x + 1 + r) % q
         hi = lo + q - 1 - x
         row[lo:hi] += 1
-        row[: max(0, hi - q)] += 1
+        if hi > q:
+            row[: hi - q] += 1
     return counts.reshape(xs.shape + (q,))
 
 
@@ -456,19 +493,18 @@ def trichotomy_check(
     )
 
 
-def support_gap_predicted_paper(p: BarrettParams, x: int) -> int:
+def support_gap_predicted_paper(p: BarrettParams, x: IntOrArray) -> Any:
     """Published three-term gap predictor min(x+1, q-r, q-1-x).
 
     It lacks the r term of the derived four-term form (see the extended
     predictor), so it overshoots exactly when r < min(x+1, q-1-x, q-r);
-    both are reported side by side so the data can speak.
+    both are reported side by side so the data can speak.  An int x
+    gives an int, a 1-D array of secrets a list of ints.
     """
-    q, r = p.q, p.r
-    _require_canonical("secret", x, q)
-    return max(0, min(x + 1, q - r, q - 1 - x))
+    return _gap(p, x, p.q - p.r)
 
 
-def support_gap_predicted_extended(p: BarrettParams, x: int) -> int:
+def support_gap_predicted_extended(p: BarrettParams, x: IntOrArray) -> Any:
     """Four-term gap predictor min(x+1, q-1-x, r, q-r), derived exactly.
 
     With D = [0, x], the direct masks m <= x hit each v in D once and the
@@ -476,10 +512,20 @@ def support_gap_predicted_extended(p: BarrettParams, x: int) -> int:
     count(v) = [v in D] + [v in D^c + r] lies in {0, 1, 2}, the counts sum
     to q, and zeros = twos = |D| - |D & (D + r)| = max(0, min(x+1, q-1-x,
     r, q-r)).  The test suite and the sweep still check it by enumeration.
+    An int x gives an int, a 1-D array of secrets a list of ints.
     """
-    q, r = p.q, p.r
-    _require_canonical("secret", x, q)
-    return max(0, min(x + 1, q - 1 - x, r, q - r))
+    return _gap(p, x, min(p.r, p.q - p.r))
+
+
+def _gap(p: BarrettParams, x: IntOrArray, cap: int) -> Any:
+    """max(0, min(x+1, q-1-x, cap)) for canonical secret(s) x: an int, or a list for a block.
+
+    x + 1 >= 1, q - 1 - x >= 0 and cap >= 0, so the max never binds.  Plain
+    ints cost less than numpy calls on a block of 5 to 19 secrets.
+    """
+    xs, q = _canonical(x, p.q), p.q
+    gaps = [min(n + 1, q - 1 - n, cap) for n in xs.ravel().tolist()]
+    return gaps if xs.ndim else gaps[0]
 
 
 def tightness_witness_search(p: BarrettParams) -> WitnessReport:

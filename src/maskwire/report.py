@@ -38,15 +38,32 @@ def format_value(value: Any) -> str:
 
 
 def render_json(env: ReportEnvelope) -> Tuple[str, str]:
-    doc = {
-        "tool_version": env.tool_version,
-        "command": env.command,
-        "parameters": env.parameters,
-        "rows": env.rows,
-        "summary": env.summary,
-        "elapsed_ms": round(env.elapsed_ms, 3),
-    }
-    return json.dumps(doc, indent=2) + "\n", ""
+    """The bytes of json.dumps(doc, indent=2) + "\n", its rows by the C encoder.
+
+    json.dumps(indent=2) runs json's pure-Python encoder; only the keys
+    around the rows still go through it.
+    """
+    head = json.dumps(
+        {"tool_version": env.tool_version, "command": env.command, "parameters": env.parameters},
+        indent=2,
+    )
+    tail = json.dumps({"summary": env.summary, "elapsed_ms": round(env.elapsed_ms, 3)}, indent=2)
+    return f"{head[:-2]},\n  \"rows\": {_rows_json(env.rows)},\n{tail[2:]}\n", ""
+
+
+def _rows_json(rows: Sequence[Mapping[str, Any]]) -> str:
+    """rows as json.dumps(doc, indent=2) lays them out one level deep.
+
+    A row holds plain values, whose encoding has no newline, so one C-encoder
+    call with a key's indent in its item separator lays out every row; only
+    the boundaries between rows are then re-indented.  "[]" and an empty
+    row "{}" have no indented body, so they take the pure-Python encoder.
+    """
+    if not rows or not all(rows):
+        return json.dumps(list(rows), indent=2).replace("\n", "\n  ")
+    flat = json.dumps(list(rows), separators=(",\n      ", ": "))
+    body = flat[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+    return f"[\n    {{\n      {body}\n    }}\n  ]"
 
 
 def render_csv(env: ReportEnvelope) -> Tuple[str, str]:

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from maskwire import cli
+from maskwire import cli, preimage
 from maskwire.cli import main
 from maskwire.leakage import MAX_LEAKAGE_BITS, floor_bits
-from maskwire.preimage import MultiplicityProfile
+from maskwire.gadgets import BarrettParams, lane_dtype
+from maskwire.preimage import MultiplicityProfile, block_rows, counts_closedform_all
 
 
 def run(capsys, *argv):
@@ -147,25 +148,33 @@ def test_secret_scope_echoed(capsys, tmp_path, argv, secret_mode, sample):
 
 
 def test_every_secret_profiled_through_from_counts(monkeypatch, capsys, tmp_path):
-    # analyze and sweep build one MultiplicityProfile per secret, all
-    # through from_counts, so its per-call timing measures real work.
+    # analyze and sweep profile each scan block in one from_counts call,
+    # so its per-call timing measures a block's work and the secrets
+    # handed over, in call order, are every secret once.
     calls = []
     original = MultiplicityProfile.from_counts.__func__
 
     def counted(cls, secret, q, counts):
-        calls.append(secret)
+        calls.append(secret.tolist())
         return original(cls, secret, q, counts)
 
+    def blocks(q):
+        return -(-q // block_rows(q, lane_dtype(q)))
+
     monkeypatch.setattr(MultiplicityProfile, "from_counts", classmethod(counted))
-    code, _, _ = run_json(capsys, "analyze", "--q", "97", "--s", "7")
-    assert code == 0
-    assert calls == list(range(97))
-    calls.clear()
     cfg = tmp_path / "cases.json"
     cfg.write_text(json.dumps({"cases": [{"q": 61, "s": 6}]}))
-    code, _, _ = run_json(capsys, "sweep", "--config", str(cfg))
-    assert code == 0
-    assert calls == list(range(61))
+    for argv, q in (
+        (("analyze", "--q", "97", "--s", "7"), 97),
+        (("analyze", "--q", "4591", "--s", "25"), 4591),
+        (("sweep", "--config", str(cfg)), 61),
+    ):
+        calls.clear()
+        code, _, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert [x for block in calls for x in block] == list(range(q))
+        assert len(calls) == blocks(q)
+    assert blocks(4591) == 328  # 14 secrets a block in int16
 
 
 def test_analyze_secret_out_of_range(monkeypatch, capsys):
@@ -450,6 +459,52 @@ def test_sweep_mismatch_rows_capped(tmp_path, capsys):
     code, doc, _ = run_json(capsys, "sweep", "--config", str(cfg), "--strict-formula")
     assert code == 1
     assert doc["summary"]["paper_gap_mismatches"] == 1014
+
+
+def test_sweep_mismatch_rows_follow_secret_order_per_formula(monkeypatch, tmp_path, capsys):
+    # An extended predictor off by one at every third secret: a block may
+    # then mismatch in either formula alone or in both, and its rows must
+    # be the per-secret reading of the case, paper before extended, each
+    # formula under its own cap.  At (61, 5), r = 32, the paper formula
+    # never misses; at (1021, 10) it misses 1,014 secrets.
+    real = preimage.support_gap_predicted_extended
+
+    def every_third_off(p, x):
+        gaps, xs = real(p, x), np.asarray(x).tolist()
+        if isinstance(gaps, int):
+            return gaps + (xs % 3 == 0)
+        return [g + (x % 3 == 0) for g, x in zip(gaps, xs)]
+
+    monkeypatch.setattr(cli, "support_gap_predicted_extended", every_third_off)
+    cases = [(61, 5), (1021, 10)]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"cases": [{"q": q, "s": s} for q, s in cases]}))
+    code, doc, _ = run_json(capsys, "sweep", "--config", str(cfg))
+    assert code == 0
+    expected, tallies = [], []
+    for q, s in cases:
+        p = BarrettParams.create(q, s)
+        tally = {"paper": 0, "extended": 0}
+        for x in range(q):
+            zeros = MultiplicityProfile.from_counts(x, q, counts_closedform_all(p, x)).zeros
+            for formula, predict in (
+                ("paper", preimage.support_gap_predicted_paper), ("extended", every_third_off)
+            ):
+                guess = predict(p, x)
+                if guess != zeros:
+                    tally[formula] += 1
+                    if tally[formula] <= cli.MISMATCH_ROW_CAP:
+                        expected.append((q, formula, x, zeros, guess))
+        tallies.append((tally["paper"], tally["extended"]))
+    got = [
+        (row["q"], row["formula"], row["secret"], row["observed"], row["predicted"])
+        for row in doc["rows"] if row["row"] == "mismatch"
+    ]
+    assert got == expected
+    assert [
+        (row["paper_gap_mismatches"], row["extended_gap_mismatches"])
+        for row in doc["rows"] if row["row"] == "case"
+    ] == tallies == [(0, 21), (1014, 341)]
 
 
 def test_sweep_trivial_ring(tmp_path, capsys):

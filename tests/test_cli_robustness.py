@@ -21,6 +21,11 @@ def broken_counts(p, xs):
     return counts
 
 
+def empty_counts(p, xs):
+    """One row per secret that hits no value at all: no distribution to measure."""
+    return np.zeros((len(xs), p.q), dtype=np.uint8)
+
+
 def three_hit_counts(p, xs):
     """One row per secret with one value hit three times and two values missed:
     the mask mass still adds up to q."""
@@ -48,6 +53,7 @@ def run_json(capsys, *argv):
     [
         pytest.param(broken_counts, (0, 60, 1), 2, None, id="mass-off"),
         pytest.param(three_hit_counts, (2, 58, 0), 3, 4.345774836841731, id="three-hit"),
+        pytest.param(empty_counts, (61, 0, 0), 0, None, id="no-value-hit"),
     ],
 )
 def test_analyze_reports_broken_conservation(

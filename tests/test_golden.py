@@ -8,7 +8,9 @@ recorded from the parent of the change that added it, before any
 source edit, and must not be regenerated from the code under test.
 golden/render_digests.json does the same for the csv and human
 renderings: exit code, stdout and stderr, with elapsed_ms and the sweep's
-config path masked.  Every command also hands render plain values only.
+config path masked.  Every command also hands render plain values only,
+and render_json lays its report out byte for byte as
+json.dumps(doc, indent=2) does.
 """
 
 import contextlib
@@ -20,10 +22,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maskwire import cli
 from maskwire.cli import main
-from maskwire.report import ReportEnvelope
+from maskwire.report import ReportEnvelope, render_json
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_digests.json").read_text())
 
@@ -111,3 +115,39 @@ def test_every_golden_command_renders_plain_values(case, tmp_path, monkeypatch):
     main([arg.replace("{config}", str(config)) for arg in case["argv"]])
     (env,) = envs
     assert env.rows and not_plain(env) == []
+    # The JSON digests hash parsed rows; the bytes are pinned here.
+    assert render_json(env) == (json_dumps_indent_2(env), "")
+
+
+def json_dumps_indent_2(env: ReportEnvelope) -> str:
+    """The JSON report as json.dumps(doc, indent=2) lays it out, key order kept."""
+    doc = {
+        "tool_version": env.tool_version,
+        "command": env.command,
+        "parameters": env.parameters,
+        "rows": env.rows,
+        "summary": env.summary,
+        "elapsed_ms": round(env.elapsed_ms, 3),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+PLAIN_VALUES = (
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False) | st.text(alphabet=st.sampled_from('"}{],\n\\ ax\u00e9\u2603'))
+    | st.text()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.dictionaries(st.text(max_size=5), PLAIN_VALUES, max_size=6), max_size=6),
+    st.dictionaries(st.text(max_size=5), PLAIN_VALUES, max_size=3),
+    st.floats(0, 1e6),
+)
+@example([], {}, 0.0)
+@example([{}, {"a": 1}], {}, 1.0)
+@example([{"a": "},\n      {"}, {"b": None, "c": 1.5, "d": "\u00e9\"x"}], {"passed": True}, 2.5)
+def test_render_json_is_json_dumps_indent_2(rows, summary, elapsed_ms):
+    env = ReportEnvelope("analyze", {"q": 61, "mode": "x\ny"}, rows, summary, elapsed_ms)
+    assert render_json(env) == (json_dumps_indent_2(env), "")

@@ -3,6 +3,8 @@
 import json
 import math
 
+import numpy as np
+
 from maskwire.cli import main
 from maskwire.gadgets import BarrettParams
 from maskwire.leakage import MAX_LEAKAGE_BITS, floor_bits, min_entropy
@@ -29,6 +31,23 @@ def test_min_entropy_degenerate_offset():
     # r = 0: every secret keeps the full log2(q) bits.
     p = BarrettParams.create(16, 4)
     assert [min_entropy(_profile(p, x)) for x in range(16)] == [4.0] * 16
+
+
+def test_min_entropy_of_a_block_is_each_secret_s():
+    # One float a secret, each the scalar form's bytes; a row that hits no
+    # value has no distribution and reads None.
+    for p in (MLKEM, BarrettParams.create(16, 4), BarrettParams.create(61, 6)):
+        xs = np.arange(min(p.q, 19))
+        block = MultiplicityProfile.from_counts(xs, p.q, counts_closedform_all(p, xs))
+        bits = min_entropy(block)
+        assert bits == [min_entropy(_profile(p, x)) for x in xs.tolist()]
+        assert all(type(b) is float for b in bits)
+    counts = np.ones((2, 7), dtype=np.uint8)
+    counts[1] = 0
+    assert min_entropy(MultiplicityProfile.from_counts(np.arange(2), 7, counts)) == [
+        math.log2(7), None
+    ]
+    assert min_entropy(MultiplicityProfile.from_counts(1, 7, counts[1])) is None
 
 
 def _barrier_row(capsys, *argv):

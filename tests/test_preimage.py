@@ -1,5 +1,6 @@
 """Counting routes, profiles, gap predictors, witness, and equivalence."""
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from maskwire.cli import _secret_scope
 from maskwire.gadgets import BarrettParams, ScopeConditionError, make_barrett_gadget
 from maskwire.preimage import (
+    BLOCK_BYTES,
     MultiplicityProfile,
     count_closedform,
     counts_bruteforce_all,
@@ -192,6 +194,122 @@ def test_conservation_is_the_mask_mass_with_no_value_hit_three_times(counts, dty
     assert prof.overflow == np.count_nonzero((c < 0) | (c >= 3))
     assert prof.max_count == c.max()
     assert prof.support_size == np.count_nonzero(c != 0)
+
+
+PROFILE_FIELDS = ("secret", "zeros", "ones", "twos", "max_count")
+
+
+def assert_block_is_its_rows(xs, q, counts):
+    """The block profile of xs is the stack of one profile per row, and each
+    field is what counting the row directly gives."""
+    block = MultiplicityProfile.from_counts(xs, q, counts)
+    rows = [MultiplicityProfile.from_counts(x, q, row) for x, row in zip(xs.tolist(), counts)]
+    for name in (*PROFILE_FIELDS, "overflow", "support_size", "conserved"):
+        column = getattr(block, name)
+        assert isinstance(column, np.ndarray) and column.shape == xs.shape, name
+        assert column.tolist() == [getattr(prof, name) for prof in rows], name
+    assert all(type(getattr(prof, name)) is int for prof in rows for name in PROFILE_FIELDS)
+    direct = [[np.count_nonzero(row == k) for row in counts] for k in (0, 1, 2)]
+    assert [block.zeros.tolist(), block.ones.tolist(), block.twos.tolist()] == direct
+    assert block.max_count.tolist() == counts.max(axis=1).tolist()
+    assert block.zeros.dtype == block.max_count.dtype == np.int64
+    assert block == MultiplicityProfile.from_counts(xs.copy(), q, counts.copy())
+    assert block != replace(block, ones=block.ones + np.arange(len(xs)) % 2 + 1) != rows[0]
+    assert rows[0] == MultiplicityProfile.from_counts(int(xs[0]), q, counts[0].copy())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 97).flatmap(lambda q: st.tuples(
+        st.just(q),
+        st.integers(0, 40),
+        st.lists(st.integers(0, q - 1), min_size=1, max_size=8),
+    )),
+    st.sampled_from(["closedform", "bruteforce", "uint16"]),
+)
+def test_block_profile_is_a_stack_of_row_profiles(case, route):
+    # Closed-form and enumeration blocks, and the lane's unsigned twin that
+    # the mass guard recounts in.
+    q, s, secrets = case
+    p = BarrettParams.create(q, s)
+    xs = np.array(secrets, dtype=np.int64)
+    if route == "bruteforce":
+        counts = counts_bruteforce_all(make_barrett_gadget(p), xs)
+    else:
+        counts = counts_closedform_all(p, xs)
+    if route == "uint16":
+        counts = counts.astype(np.uint16)
+    assert_block_is_its_rows(xs, q, counts)
+    paper = support_gap_predicted_paper(p, xs)
+    extended = support_gap_predicted_extended(p, xs)
+    assert paper == [support_gap_predicted_paper(p, x) for x in secrets]
+    assert extended == [support_gap_predicted_extended(p, x) for x in secrets]
+    block = MultiplicityProfile.from_counts(xs, q, counts)
+    assert extended == block.zeros.tolist() == block.twos.tolist()
+    assert block.conserved.all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(lambda q: st.lists(
+        st.lists(st.integers(-2, 300), min_size=q, max_size=q), min_size=1, max_size=6
+    )),
+    st.sampled_from([np.uint8, np.uint16, np.int8, np.int16, np.int64]),
+)
+@example([[3, 0, 0, 1], [1, 1, 1, 1]], np.uint8)
+@example([[-1, 2, 2], [2, 1, 0]], np.int64)
+@example([[300, 0], [1, 1]], np.uint16)
+def test_broken_block_rows_stay_data(rows, dtype):
+    # Rows past 0..2, or negative, are profiled as they are: any row of the
+    # block may hold them, and the ones are then counted, not derived.
+    info = np.iinfo(dtype)
+    counts = np.clip(np.array(rows), info.min, info.max).astype(dtype)
+    xs = np.arange(len(rows), dtype=np.int64) % counts.shape[1]
+    assert_block_is_its_rows(xs, counts.shape[1], counts)
+
+
+def test_block_profile_of_rows_longer_than_a_block():
+    # A row longer than BLOCK_BYTES is compared in slices, alone or with
+    # another row; a value hit three times makes the ones counted too.
+    q = BLOCK_BYTES + 1001
+    p = BarrettParams.create(q, 40)
+    xs = np.array([5, q // 3], dtype=np.int64)
+    counts = counts_closedform_all(p, xs)
+    assert_block_is_its_rows(xs[1:], q, counts[1:])
+    assert_block_is_its_rows(xs, q, counts)
+    broken = counts.astype(np.int64)
+    broken[0, :3] = (3, 0, 0)
+    assert_block_is_its_rows(xs, q, broken)
+
+
+def test_predictors_take_every_secret_at_once():
+    # The block form of each predictor against the published formulas on
+    # plain ints, at every secret and every offset class of small rings.
+    for q in range(1, 40):
+        for s in range(0, 12):
+            p = BarrettParams.create(q, s)
+            r = p.r
+            xs = np.arange(q)
+            assert support_gap_predicted_paper(p, xs) == [
+                max(0, min(x + 1, q - r, q - 1 - x)) for x in range(q)
+            ]
+            assert support_gap_predicted_extended(p, xs) == [
+                max(0, min(x + 1, q - 1 - x, r, q - r)) for x in range(q)
+            ]
+
+
+def test_block_forms_reject_a_non_canonical_secret():
+    p = BarrettParams.create(7, 3)
+    xs = np.array([0, 7, 3])
+    for call in (
+        support_gap_predicted_paper,
+        support_gap_predicted_extended,
+        lambda p, xs: MultiplicityProfile.from_counts(xs, p.q, np.ones((3, 7), np.uint8)),
+    ):
+        with pytest.raises(ValueError, match="^secret 7 not canonical for modulus 7$"):
+            call(p, xs)
+    with pytest.raises(ValueError, match="counts array must have length q=7"):
+        MultiplicityProfile.from_counts(np.array([0, 1]), 7, np.ones((3, 7), np.uint8))
 
 
 def test_gap_predictors_small_case():
