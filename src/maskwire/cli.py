@@ -26,9 +26,9 @@ import sys
 import time
 from dataclasses import asdict
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .gadgets import BarrettParams, make_barrett_gadget, make_identity_gadget
+from .gadgets import BarrettParams, WireGadget, make_barrett_gadget, make_identity_gadget
 from .leakage import MAX_LEAKAGE_BITS, floor_bits, min_entropy
 from .pipeline import MODES, PIPELINE_EXHAUSTIVE_LIMIT, compose
 from .preimage import (
@@ -38,7 +38,7 @@ from .preimage import (
     MultiplicityProfile,
     WireValueError,
     _require_canonical,
-    counts_bruteforce_all,  # unused here; bench/test_harness.py reads this binding
+    counts_bruteforce_all,
     counts_bruteforce_check,
     counts_closedform_all,
     equivalence_check,
@@ -211,14 +211,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _profile_pass(p: BarrettParams, secrets: Sequence[int], check: Optional[Callable] = None):
-    """(profile, agree) per scan block, in order: one profile of each block of
-    one closed-form scan checked by check."""
+def _profile_pass(p: BarrettParams, secrets: Sequence[int], g: Optional[WireGadget] = None):
+    """(profile, agree) per block of one closed-form scan, in order.
+
+    Given a wire gadget g, each profiled block is then checked against g's
+    enumeration, which cancels the closed form's counts in place; a block
+    that fails is profiled from enumeration's counts instead, agree False.
+    """
     def profile(xs, counts):
-        return MultiplicityProfile.from_counts(xs, p.q, counts)
+        prof = MultiplicityProfile.from_counts(xs, p.q, counts)
+        if g is None or counts_bruteforce_check(g, xs, counts):
+            return prof, True
+        return MultiplicityProfile.from_counts(xs, p.q, counts_bruteforce_all(g, xs)), False
 
     # partial reads this module's global now, so a tracer's or test's rebinding is what runs.
-    return scan(p.q, secrets, partial(counts_closedform_all, p), profile, check)
+    return scan(p.q, secrets, partial(counts_closedform_all, p), profile)
 
 
 def _sample_agrees(p: BarrettParams, seed: int) -> bool:
@@ -226,8 +233,7 @@ def _sample_agrees(p: BarrettParams, seed: int) -> bool:
     cross-check of an exhaustive scope, which profiles nothing."""
     check = partial(counts_bruteforce_check, make_barrett_gadget(p))
     sample = sample_secrets(p.q, DEFAULT_SAMPLE_SECRETS, seed)
-    blocks = scan(p.q, sample, partial(counts_closedform_all, p), lambda xs, counts: None, check)
-    return all(agree for _, agree in blocks)
+    return all(scan(p.q, sample, partial(counts_closedform_all, p), check))
 
 
 def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
@@ -405,7 +411,7 @@ def _sweep_case(
     # Sampled secrets are cross-checked as they are profiled; an exhaustive
     # case checks the seeded sample first.
     sampled = secret_mode == "sampled"
-    check = partial(counts_bruteforce_check, make_barrett_gadget(p)) if sampled else None
+    g = make_barrett_gadget(p) if sampled else None
     # The case row is the tally: its flags and counts are updated as checks
     # run.  Its keys are every row's columns, in order.
     case_row = {
@@ -417,7 +423,7 @@ def _sweep_case(
         "formula": None, "secret": None, "observed": None, "predicted": None,
     }
     rows = [case_row]
-    for prof, agree in _profile_pass(p, secrets, check):
+    for prof, agree in _profile_pass(p, secrets, g):
         case_row["max_count"] = max(case_row["max_count"], *prof.max_count.tolist())
         case_row["conservation_ok"] = case_row["conservation_ok"] and all(prof.conserved.tolist())
         case_row["routes_agree"] = case_row["routes_agree"] and agree

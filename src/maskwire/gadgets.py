@@ -17,10 +17,11 @@ Each map has one *_eval_vec kernel: the Barrett wire's two-branch and
 hardware-faithful s-bit forms, and the identity wire.  A 0-d secret and
 mask give a single wire value.  The tests pin every kernel to the
 pure-int oracle in tests/reference.py.  A scan's tile, a (B, 1) column
-of canonical secrets against range(lo, hi) with SLICE_MIN_ROW or more
-masks, takes the two-branch and identity kernels' slice form: row x is
-x - m, plus r on x < m <= x + r and r + q on m > x + r (r = 0 for the
-identity wire), so one arange and a slice add at each bound in the row.
+of canonical secrets in lane_dtype(q) against range(lo, hi) with
+SLICE_MIN_ROW or more masks, takes the two-branch and identity kernels'
+slice form: row x is x - m, plus r on x < m <= x + r and r + q on
+m > x + r (r = 0 for the identity wire), so one arange and a slice add
+at each bound in the row.
 Mask arrays (sampled pairs, witness), a (B, n) secret (the shared wire's
 second stage) and shorter rows take the general form below.  The slice
 bounds x + 1 and x + 1 + r are the closed form's in mask space, so an
@@ -33,11 +34,12 @@ passes:
   values, negative and non-canonical ones included, with wrapping int64
   arithmetic; the hardware-faithful one computes in int64 whatever its
   masks' dtype for s <= 62, and in exact Python ints above;
-* on int16, int32 or range masks the two-branch and identity evaluators
-  run in lane_dtype(q): int16 for q <= 2^14, int32 for q <= 2^30, else
-  int64.  In int16 or int32 they treat both operands as canonical
-  residues 0 <= x, m < q and return that lane; masks of another dtype
-  are widened to int64 first;
+* on a range of masks against secrets already in lane_dtype(q), the
+  calls a scan makes, the two-branch and identity evaluators run in that
+  lane: int16 for q <= 2^14, int32 for q <= 2^30, else int64.  There
+  they treat both operands as canonical residues 0 <= x, m < q and
+  return that lane; every other call, int16 or int32 arrays included,
+  runs in int64;
 * counts_closedform_all (in preimage) needs a canonical secret
   0 <= x < q, because it slices each row at x + 1 and at the wrap set's
   bounds, which are the interval lemma's sets only for such x.
@@ -145,11 +147,13 @@ class BarrettParams:
 
 
 def _in_lane(lane: np.dtype, x: IntOrArray, m: Masks) -> tuple:
-    """(x, m, x - m) in the caller's lane for int16 or int32 masks or a range, else in int64."""
+    """(x, m, x - m) in the caller's lane for a range of masks against secrets
+    already in it, else in int64."""
+    if not (isinstance(m, range) and getattr(x, "dtype", None) == lane):
+        lane = INT64
+    x = np.asarray(x, dtype=lane)
     if isinstance(m, range):
         m = np.arange(m.start, m.stop, m.step, dtype=lane)
-    lane = lane if getattr(m, "dtype", None) in (INT16, INT32) else INT64
-    x = np.asarray(x, dtype=lane)
     m = np.asarray(m, dtype=lane)
     return x, m, np.subtract(x, m, out=np.empty(np.broadcast(x, m).shape, lane))
 
@@ -161,10 +165,11 @@ def _floor_mod(out: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _sliceable(x: IntOrArray, m: Masks) -> bool:
-    """A (B, 1) secret column against SLICE_MIN_ROW or more contiguous masks, a range."""
+def _sliceable(q: int, x: IntOrArray, m: Masks) -> bool:
+    """A (B, 1) secret column in lane_dtype(q) against SLICE_MIN_ROW or more
+    contiguous masks, a range."""
     sliceable = isinstance(m, range) and m.step == 1 and len(m) >= SLICE_MIN_ROW
-    return sliceable and np.shape(x)[1:] == (1,)
+    return sliceable and np.shape(x)[1:] == (1,) and getattr(x, "dtype", None) == lane_dtype(q)
 
 
 def _two_branch_slices(q: int, r: int, x: np.ndarray, m: range) -> np.ndarray:
@@ -186,8 +191,8 @@ def _two_branch_slices(q: int, r: int, x: np.ndarray, m: range) -> np.ndarray:
 
 
 def barrett_algebraic_eval_vec(p: BarrettParams, x: IntOrArray, m: Masks) -> np.ndarray:
-    """Two-branch wire map (x - m, plus r where m > x) mod q, in the masks' lane_dtype(q)."""
-    if _sliceable(x, m):
+    """Two-branch wire map (x - m, plus r where m > x) mod q, in _in_lane's dtype."""
+    if _sliceable(p.q, x, m):
         return _two_branch_slices(p.q, p.r, x, m)
     x, m, out = _in_lane(lane_dtype(p.q), x, m)
     np.add(out, p.r, out=out, where=m > x)
@@ -210,8 +215,8 @@ def barrett_nat_eval_vec(p: BarrettParams, x: IntOrArray, m: Masks) -> np.ndarra
 
 
 def identity_mask_eval_vec(q: int, x: IntOrArray, m: Masks) -> np.ndarray:
-    """Translation wire map (x - m) mod q, in the masks' lane_dtype(q)."""
-    if _sliceable(x, m):
+    """Translation wire map (x - m) mod q, in _in_lane's dtype."""
+    if _sliceable(q, x, m):
         return _two_branch_slices(q, 0, x, m)
     return _floor_mod(_in_lane(lane_dtype(q), x, m)[2], q)
 

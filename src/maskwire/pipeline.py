@@ -76,8 +76,7 @@ def compose(
 
     def peak(wire: WireGadget) -> int:
         count = partial(counts_bruteforce_all, wire)
-        blocks = scan(wire.q, secrets, count, lambda xs, c: int(c.max()))
-        return max((k for k, _ in blocks), default=0)
+        return max(scan(wire.q, secrets, count, lambda xs, c: int(c.max())), default=0)
 
     k1 = peak(stage1)
     # Both stage kinds compute the identity on a canonical residue, so in

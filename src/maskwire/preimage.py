@@ -47,17 +47,16 @@ branch switch and at the wrap past 0, so a Barrett secret at
 q = 8,380,417 took 8.6-16 ms (20-35 ms with the general form and a range
 check over every value).  The runs, else a row's mass, tell whether a
 uint8 count wrapped (counts_bruteforce_all).
-scan(q, secrets, count, reduce, check) drives every per-secret scan.  A
-route is a plain callable count(xs) of a secret block:
-partial(counts_closedform_all, p), partial(counts_bruteforce_all, g)
-for a WireGadget g, or any other wire's counts.  scan sizes its blocks
-in lane_dtype(q), so every route takes the same blocks at one q.
-reduce(xs, counts) runs first; then a check(xs, counts) returns None if
-the counts are right, else its own counts, which reduce gets instead.
-A check may overwrite counts, so reduce must not return a view of them.
-partial(counts_bruteforce_check, g) cancels the closed form's uint8
-counts in place, mask by mask, so a checked block holds one row of
-counts a secret.  Only reduce's result outlives a block.
+scan(q, secrets, count, reduce) drives every per-secret scan: it yields
+reduce(xs, count(xs)) for each block xs.  A route is a plain callable
+count(xs) of a secret block: partial(counts_closedform_all, p),
+partial(counts_bruteforce_all, g) for a WireGadget g, or any other
+wire's counts.  scan sizes its blocks in lane_dtype(q), so every route
+takes the same blocks at one q.  A cross-check is a reduce like any
+other: partial(counts_bruteforce_check, g) answers whether the closed
+form's uint8 counts are g's, cancelling them in place, mask by mask, so
+a checked block holds one row of counts a secret.  Only reduce's result
+outlives a block.
 """
 
 from __future__ import annotations
@@ -270,32 +269,15 @@ def scan(
     secrets: Iterable[int],
     count: Callable[[np.ndarray], np.ndarray],
     reduce: Callable[[np.ndarray, np.ndarray], Any],
-    check: Optional[Callable[[np.ndarray, np.ndarray], Optional[np.ndarray]]] = None,
-) -> Iterator[Tuple[Any, bool]]:
-    """(reduce(xs, counts), agree) for each block xs of the secrets, in order.
+) -> Iterator[Any]:
+    """reduce(xs, count(xs)) for each block xs of the secrets, in order.
 
     xs is an int64 array of block_rows(q, lane_dtype(q)) secrets; only the
-    last block may be shorter, and counts = count(xs).  reduce runs first.
-    check(xs, counts), if given, then returns None when counts are right
-    and otherwise its own counts, which reduce gets in their place, with
-    agree False.  A check may overwrite counts, so reduce must not return
-    a view of them.
+    last block may be shorter.  A block's counts die once reduce returns,
+    unless reduce returns them.
     """
     for xs in _blocks(secrets, block_rows(q, lane_dtype(q))):
-        yield _scan_block(xs, count, reduce, check)
-
-
-def _scan_block(
-    xs: np.ndarray, count: Callable, reduce: Callable, check: Optional[Callable]
-) -> Tuple[Any, bool]:
-    """One block of scan; its count arrays die on return, before the next block."""
-    counts = count(xs)
-    result = reduce(xs, counts)
-    theirs = None if check is None else check(xs, counts)
-    if theirs is None:
-        return result, True
-    del counts  # reduce runs beside the check's counts alone
-    return reduce(xs, theirs), False
+        yield reduce(xs, count(xs))
 
 
 def _require_canonical(name: str, n: int, q: int) -> None:
@@ -329,28 +311,23 @@ def counts_bruteforce_all(g: WireGadget, x: IntOrArray) -> np.ndarray:
     return counts
 
 
-def counts_bruteforce_check(
-    g: WireGadget, x: IntOrArray, counts: np.ndarray
-) -> Optional[np.ndarray]:
-    """None if counts are g's preimage counts for secret(s) x, else those counts.
+def counts_bruteforce_check(g: WireGadget, x: IntOrArray, counts: np.ndarray) -> bool:
+    """Whether counts are g's preimage counts for secret(s) x, by enumeration.
 
-    scan's check by enumeration.  _tally takes 1 off uint8 counts in place
-    for every mask, so counts that agree leave all zeros, modulo 256.  No
-    enumerated count passes its runs, so with at most 255 runs a row a
-    zero residue is agreement; with more, the counts agree unless an exact
-    recount passes 255.  Counts of another dtype or shape are compared
-    with the recount.
+    _tally takes 1 off uint8 counts in place for every mask, so counts
+    that agree leave all zeros, modulo 256.  No enumerated count passes
+    its runs, so with at most 255 runs a row a zero residue is agreement;
+    with more, the counts agree unless an exact recount passes 255.
+    Counts of another dtype or shape are compared whole with the recount
+    and left as they are.
     """
     xs = _canonical(x, g.q)
     if counts.dtype != np.uint8 or counts.shape != xs.shape + (g.q,):
-        exact = counts_bruteforce_all(g, xs)
-        return None if np.array_equal(exact, counts) else exact
+        return np.array_equal(counts_bruteforce_all(g, xs), counts)
     residue, runs = _tally(g, xs, np.uint8, into=counts)
-    zero = not np.count_nonzero(residue)
-    if zero and runs <= 255:
-        return None
-    exact = counts_bruteforce_all(g, xs)
-    return None if zero and exact.dtype == np.uint8 else exact
+    if np.count_nonzero(residue):
+        return False
+    return runs <= 255 or counts_bruteforce_all(g, xs).dtype == np.uint8
 
 
 def _tally(
@@ -384,7 +361,7 @@ def _tally(
         n, flat = len(masks), vals.ravel()
         breaks = flat[1:] - flat[:-1] != -1
         breaks[n - 1 :: n] = True  # no run crosses into the next row
-        cut = np.count_nonzero(breaks)
+        cut = int(np.count_nonzero(breaks))  # Python ints keep runs, and the check's answer, plain
         if flat.size < RUN_BREAK_EVEN * (cut + 1):
             # Read unsigned, a negative value is huge, so one max bounds both ends.
             unsigned = vals.view(f"u{vals.itemsize}")
@@ -480,7 +457,7 @@ def trichotomy_check(
         name, count = "closedform", partial(counts_closedform_all, p)
     checked = max_seen = 0
     counterexample = None
-    for (seen, peak, counterexample), _ in scan(
+    for seen, peak, counterexample in scan(
         p.q, range(p.q) if secrets is None else secrets, count, _trichotomy_block
     ):
         checked += seen

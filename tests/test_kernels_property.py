@@ -5,17 +5,17 @@ and 200 always tried, so both sides of the s > 62 Python-int fallback of
 the hardware-faithful evaluator are covered, on 0-d operands too.  The
 evaluators are checked on arbitrary int64 inputs, negative and
 non-canonical ones included, and on the same reduced to canonical
-residues with int32 masks, which the two-branch and identity evaluators
-take into their lane (int16 for q <= 2^14) and the hardware-faithful one
-into int64; the closed-form counter only promises exact counts for a
-canonical secret.
+residues with int32 masks, which every evaluator runs in int64: only a
+range of masks against secrets in lane_dtype(q) runs in the lane.  The
+closed-form counter only promises exact counts for a canonical secret.
 Scans pass a (B, 1) column of secrets against a row of masks, and each
 evaluator must then give the scalar-secret rows stacked, in both lanes.
 On a scan's tiles, a column against a range of masks, the two-branch and
 identity kernels take their slice form; it must equal their general form
-on the same masks as an array, and the reference, on every tile.
+on the same range, in the same lane, and the reference, on every tile.
 """
 
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -82,10 +82,9 @@ def test_evaluators_match_independent_forms(qs, xm):
     p = BarrettParams.create(q, s)
     x, m = xm
     # The arbitrary int64 operands, then the same reduced to canonical
-    # residues with int32 masks, which the two-branch and identity forms take
-    # into their lane and the hardware-faithful form into int64.
+    # residues with int32 masks: an array of masks is never trusted to be
+    # canonical, so every form takes both into int64.
     for x, m in ((x, m), (x % q, np.asarray(m % q, dtype=np.int32))):
-        narrow = m.dtype == np.int32
         xa = np.asarray(x, dtype=np.int64)
         shape = np.broadcast(xa, m).shape
         # The forms below run on 1-D copies: 0-d int64 arithmetic would
@@ -94,7 +93,7 @@ def test_evaluators_match_independent_forms(qs, xm):
         ms = np.broadcast_to(m, shape).ravel().astype(np.int64)
 
         alg = barrett_algebraic_eval_vec(p, x, m)
-        assert alg.dtype == (lane_dtype(q) if narrow else np.int64) and alg.shape == shape
+        assert alg.dtype == np.int64 and alg.shape == shape
         np.testing.assert_array_equal(alg.ravel(), remainder_form(q, p.r, xs, ms))
 
         ident = identity_mask_eval_vec(q, x, m)
@@ -183,12 +182,12 @@ def test_column_call_equals_stacked_scalar_calls(case):
 
 
 def slice_and_general_forms(p, col, masks):
-    """(sliced, general) for both sliceable kernels: on the range, and on it as an array."""
-    array = np.arange(masks.start, masks.stop, dtype=np.int32)
-    return [
-        (barrett_algebraic_eval_vec(p, col, masks), barrett_algebraic_eval_vec(p, col, array)),
-        (identity_mask_eval_vec(p.q, col, masks), identity_mask_eval_vec(p.q, col, array)),
-    ]
+    """(sliced, general) for both sliceable kernels on the range, the general
+    form with SLICE_MIN_ROW past the range's length."""
+    kernels = (partial(barrett_algebraic_eval_vec, p), partial(identity_mask_eval_vec, p.q))
+    sliced = [kernel(col, masks) for kernel in kernels]
+    with mock.patch.object(gadgets, "SLICE_MIN_ROW", len(masks) + 1):
+        return list(zip(sliced, [kernel(col, masks) for kernel in kernels]))
 
 
 @settings(max_examples=200, deadline=None)

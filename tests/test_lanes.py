@@ -2,16 +2,18 @@
 
 gadgets.lane_dtype(q) picks int16 for q <= 2^14, int32 for q <= 2^30,
 else int64, whatever s is.  The two-branch and translation evaluators
-wrap at no s-bit word and run in lane_dtype(q); the hardware-faithful
-evaluator, which wraps at an s-bit word, takes masks of any lane into
-int64.  These tests sit on both sides of each bound: q around 2^30 and
-at 2^31 - 1 with s = 30, 31 and 32, and q around 2^14 with s = 14, 15
-and 16.  They check the rule against the bound of the two-branch form's
-largest intermediate, the s-bit form's int64 result on lane masks at
-every shift, and the narrow results against the int64 path and the
-pure-int reference, on short windows of canonical values near 0, x and
-q - 1.  Only the tests at the int16 bound build q-length arrays: a
-scan's blocks there, against the reference and the closed form.
+wrap at no s-bit word and run in lane_dtype(q) on what a scan passes
+them, a range of masks against secrets already in that lane, and in
+int64 on anything else; the hardware-faithful evaluator, which wraps
+at an s-bit word, takes masks of any lane into int64.  These tests sit
+on both sides of each bound: q around 2^30 and at 2^31 - 1 with s = 30,
+31 and 32, and q around 2^14 with s = 14, 15 and 16.  They check the
+rule against the bound of the two-branch form's largest intermediate,
+the s-bit form's int64 result on lane masks at every shift, and the
+narrow results against the int64 path and the pure-int reference, on
+short ranges of canonical masks near 0 and q - 1.  Only the tests at
+the int16 bound build q-length arrays: a scan's blocks there, against
+the reference and the closed form.
 """
 
 import numpy as np
@@ -57,12 +59,13 @@ def near_edges(draw, q):
 
 @st.composite
 def lane_case(draw, qs=BOUNDARY_Q, ss=BOUNDARY_S):
-    """(q, s, x, masks) on a boundary grid, x and masks near 0 or q - 1."""
+    """(q, s, x, masks) on a boundary grid: x near 0 or q - 1, masks a range
+    of up to WINDOW canonical residues from near 0 or q - 1."""
     q = draw(st.sampled_from(qs))
     s = draw(st.sampled_from(ss))
     x = draw(near_edges(q))
-    masks = draw(st.lists(near_edges(q), min_size=1, max_size=WINDOW))
-    return q, s, x, masks
+    lo = draw(near_edges(q))
+    return q, s, x, range(lo, min(q, lo + draw(st.integers(1, WINDOW))))
 
 
 def assert_s_bit_form_widens_lane_masks(q, s):
@@ -88,42 +91,46 @@ def test_lane_rule_picks_int32_exactly_where_safe(q, s):
 
 @pytest.mark.parametrize("q,s", [(40961, 32), (2**30 + 1, 31), (2**30 + 1, 32)])
 def test_int32_inputs_widen_where_the_rule_says_int64(q, s):
-    # The hardware-faithful form widens int32 masks to int64 at any s; the
-    # two-branch form wraps at no s-bit word and stays int32 while q <= 2^30.
+    # The hardware-faithful form widens int32 secrets to int64 at any s; the
+    # two-branch form wraps at no s-bit word and stays int32 while q <= 2^30,
+    # where int32 is the lane.
     p = BarrettParams.create(q, s)
     assert lane_dtype(q) == (np.int32 if q <= 2**30 else np.int64)
-    masks = np.concatenate([np.arange(10), np.arange(q - 10, q)]).astype(np.int32)
-    for x in (0, 5, q - 1):
-        alg = barrett_algebraic_eval_vec(p, x, masks)
-        hw = barrett_nat_eval_vec(p, x, masks)
-        assert alg.dtype == lane_dtype(q) and hw.dtype == np.int64
-        assert alg.tolist() == [ref_wire(q, s, x, int(m)) for m in masks]
-        assert hw.tolist() == [ref_wire_hw(q, s, x, int(m)) for m in masks]
+    for x in np.array([0, 5, q - 1], dtype=np.int32):
+        for masks in (range(10), range(q - 10, q)):
+            alg = barrett_algebraic_eval_vec(p, x, masks)
+            hw = barrett_nat_eval_vec(p, x, masks)
+            assert alg.dtype == lane_dtype(q) and hw.dtype == np.int64
+            assert alg.tolist() == [ref_wire(q, s, int(x), m) for m in masks]
+            assert hw.tolist() == [ref_wire_hw(q, s, int(x), m) for m in masks]
 
 
 @settings(max_examples=120, deadline=None)
 @given(lane_case())
-@example((2**30, 31, 0, [1, 2**30 - 1]))
-@example((2**30 + 1, 31, 2**30, [0, 2**30]))
+@example((2**30, 31, 0, range(0, 2)))
+@example((2**30, 31, 0, range(2**30 - 1, 2**30)))
+@example((2**30 + 1, 31, 2**30, range(0, 1)))
+@example((2**30 + 1, 31, 2**30, range(2**30 - 1, 2**30 + 1)))
 def test_int32_lane_evaluators_match_int64_and_reference(case):
+    # A (1, 1) secret column in the lane against a range of masks, as a scan passes them.
     q, s, x, ms = case
     p = BarrettParams.create(q, s)
-    m32 = np.array(ms, dtype=np.int32)
-    m64 = np.array(ms, dtype=np.int64)
+    col = np.array([[x]], dtype=lane_dtype(q))
+    m64 = np.arange(ms.start, ms.stop)
 
-    alg = barrett_algebraic_eval_vec(p, x, m32)
+    alg = barrett_algebraic_eval_vec(p, col, ms)
     assert alg.dtype == lane_dtype(q)
-    assert alg.tolist() == barrett_algebraic_eval_vec(p, x, m64).tolist()
-    assert alg.tolist() == [ref_wire(q, s, x, m) for m in ms]
-    ident = identity_mask_eval_vec(p.q, x, m32)
+    assert alg.tolist() == barrett_algebraic_eval_vec(p, x, m64).reshape(1, -1).tolist()
+    assert alg.tolist() == [[ref_wire(q, s, x, m) for m in ms]]
+    ident = identity_mask_eval_vec(p.q, col, ms)
     assert ident.dtype == lane_dtype(q)
-    assert ident.tolist() == identity_mask_eval_vec(p.q, x, m64).tolist()
-    assert ident.tolist() == [(x - m) % q for m in ms]
+    assert ident.tolist() == identity_mask_eval_vec(p.q, x, m64).reshape(1, -1).tolist()
+    assert ident.tolist() == [[(x - m) % q for m in ms]]
     if p.scope_ok():
-        hw = barrett_nat_eval_vec(p, x, m32)
+        hw = barrett_nat_eval_vec(p, col, ms)
         assert hw.dtype == np.int64
-        assert hw.tolist() == barrett_nat_eval_vec(p, x, m64).tolist()
-        assert hw.tolist() == [ref_wire_hw(q, s, x, m) for m in ms]
+        assert hw.tolist() == barrett_nat_eval_vec(p, x, m64).reshape(1, -1).tolist()
+        assert hw.tolist() == [[ref_wire_hw(q, s, x, m) for m in ms]]
 
 
 @pytest.mark.parametrize("q", INT16_Q + (NEAR_INT16_LIMIT[0], 3329, 12289))
@@ -137,28 +144,34 @@ def test_lane_rule_picks_int16_exactly_where_safe(q, s):
 
 @settings(max_examples=120, deadline=None)
 @given(lane_case(INT16_Q + (NEAR_INT16_LIMIT[0],), INT16_S), st.sampled_from([np.int16, np.int32]))
-@example((2**14, 14, 2**14 - 1, [0, 1, 2**14 - 1]), np.int16)
-@example((2**14 + 1, 15, 2**14, [0, 2**14]), np.int16)
-@example((16257, 15, 16256, [0, 16256]), np.int32)
+@example((2**14, 14, 2**14 - 1, range(0, 2)), np.int16)
+@example((2**14, 14, 2**14 - 1, range(2**14 - 1, 2**14)), np.int16)
+@example((2**14 + 1, 15, 2**14, range(0, 1)), np.int16)
+@example((2**14 + 1, 15, 2**14, range(2**14, 2**14 + 1)), np.int32)
+@example((16257, 15, 16256, range(0, 1)), np.int32)
+@example((16257, 15, 16256, range(16256, 16257)), np.int16)
 def test_int16_lane_evaluators_match_int64_and_reference(case, dtype):
-    # int16 and int32 masks both go into the lane, int16 up to q = 2^14.
+    # Secrets in lane_dtype(q), int16 up to q = 2^14 and int32 above, run
+    # in the lane against a range of masks; secrets in the other dtype in int64.
     q, s, x, ms = case
     p = BarrettParams.create(q, s)
-    narrow = np.array(ms, dtype=dtype)
-    m64 = np.array(ms, dtype=np.int64)
+    lane = lane_dtype(q)
+    assert lane == (np.int16 if q <= 2**14 else np.int32)
+    col = np.array([[x]], dtype=dtype)
+    m64 = np.arange(ms.start, ms.stop)
 
-    alg = barrett_algebraic_eval_vec(p, x, narrow)
-    assert alg.dtype == lane_dtype(q) == (np.int16 if q <= 2**14 else np.int32)
-    assert alg.tolist() == barrett_algebraic_eval_vec(p, x, m64).tolist()
-    assert alg.tolist() == [ref_wire(q, s, x, m) for m in ms]
-    ident = identity_mask_eval_vec(p.q, x, narrow)
-    assert ident.dtype == lane_dtype(q)
-    assert ident.tolist() == [(x - m) % q for m in ms]
+    alg = barrett_algebraic_eval_vec(p, col, ms)
+    assert alg.dtype == (lane if dtype == lane else np.int64)
+    assert alg.tolist() == barrett_algebraic_eval_vec(p, x, m64).reshape(1, -1).tolist()
+    assert alg.tolist() == [[ref_wire(q, s, x, m) for m in ms]]
+    ident = identity_mask_eval_vec(p.q, col, ms)
+    assert ident.dtype == alg.dtype
+    assert ident.tolist() == [[(x - m) % q for m in ms]]
     if p.scope_ok():
-        hw = barrett_nat_eval_vec(p, x, narrow)
+        hw = barrett_nat_eval_vec(p, col, ms)
         assert hw.dtype == np.int64
-        assert hw.tolist() == barrett_nat_eval_vec(p, x, m64).tolist()
-        assert hw.tolist() == [ref_wire_hw(q, s, x, m) for m in ms]
+        assert hw.tolist() == barrett_nat_eval_vec(p, x, m64).reshape(1, -1).tolist()
+        assert hw.tolist() == [[ref_wire_hw(q, s, x, m) for m in ms]]
 
 
 def edge_secrets(p):
@@ -199,3 +212,17 @@ def test_scan_blocks_at_the_int16_bound_match_int64_and_reference(q, s):
         assert np.array_equal(barrett, counts_closedform_all(p, xs))
         identity = counts_bruteforce_all(make_identity_gadget(q), xs)
         assert identity.shape == (len(xs), q) and (identity == 1).all()
+
+
+def test_narrow_arrays_off_the_scan_run_in_int64():
+    # At q = 3329 the int16 lane trusts its operands to be canonical.  An
+    # int32 mask array, or a range against int64 secrets, is not what a scan
+    # passes, so a non-canonical value there runs in int64 and stays exact
+    # (the lane read 1255, [[1135, 1134, 1133]] and 2199).
+    q, s = 3329, 24
+    p = BarrettParams.create(q, s)
+    far = np.array([70000], np.int32)
+    assert barrett_algebraic_eval_vec(p, 5, far).tolist() == [ref_wire(q, s, 5, 70000)] == [2299]
+    got = barrett_algebraic_eval_vec(p, np.array([[70000]]), range(0, 3)).tolist()
+    assert got == [[ref_wire(q, s, 70000, m) for m in range(3)]] == [[91, 90, 89]]
+    assert identity_mask_eval_vec(q, 5, far).tolist() == [(5 - 70000) % q] == [3243]

@@ -328,7 +328,7 @@ def test_gap_predictors_mlkem():
     # Every secret's zeros by mask enumeration, one scan block at a time.
     route = partial(counts_bruteforce_all, make_barrett_gadget(MLKEM))
     blocks = scan(3329, range(3329), route, lambda xs, c: np.count_nonzero(c == 0, axis=1).tolist())
-    observed = [zeros for block, _ in blocks for zeros in block]
+    observed = [zeros for block in blocks for zeros in block]
     assert len(observed) == 3329
     for x, obs in enumerate(observed):
         assert support_gap_predicted_extended(MLKEM, x) == obs

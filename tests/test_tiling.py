@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import maskwire.cli as cli
 import maskwire.preimage as preimage
 import pytest
 
@@ -43,6 +44,7 @@ from maskwire.cli import _profile_pass, _sample_agrees
 from maskwire.pipeline import _shared_wire, compose
 from maskwire.preimage import (
     BLOCK_BYTES,
+    MultiplicityProfile,
     block_rows,
     counts_bruteforce_all,
     counts_bruteforce_check,
@@ -231,8 +233,8 @@ def test_cross_checked_profile_holds_two_rows_at_most():
     # 2q + 4.3 blocks, and an int32 oracle row compared whole 2q + 32.3.
     q = 2**20 - 3
     p = BarrettParams.create(q, 40)
-    check = partial(counts_bruteforce_check, make_barrett_gadget(p))
-    profiled, peak = traced_peak(lambda: list(_profile_pass(p, [q // 3], check)))
+    g = make_barrett_gadget(p)
+    profiled, peak = traced_peak(lambda: list(_profile_pass(p, [q // 3], g)))
     ((prof, agree),) = profiled
     assert agree and prof.conserved and prof.secret == q // 3
     assert peak < q + 8 * BLOCK_BYTES
@@ -278,7 +280,7 @@ def test_blocked_counts_match_scalar_enumeration(case, rows):
     want = [ref_counts(q, s, x) for x in secrets]
     for route in (partial(counts_closedform_all, p), partial(counts_bruteforce_all, g)):
         with tiles_of(tile), blocks_of(rows, q, lane_dtype(q)):
-            scanned = [pair for pair, _ in scan(q, secrets, route, lambda xs, counts: (xs, counts))]
+            scanned = list(scan(q, secrets, route, lambda xs, counts: (xs, counts)))
         blocks = [xs for xs, _ in scanned]
         got = [counts for _, counts in scanned]
         assert [len(xs) for xs in blocks[:-1]] == [rows] * (len(blocks) - 1)
@@ -625,7 +627,7 @@ def test_secret_blocks_are_sized_in_the_lane_of_the_route(q, route, rows):
         count = partial(counts_closedform_all, p)
     else:
         count = partial(counts_bruteforce_all, make_barrett_gadget(p))
-    lengths = [n for n, _ in scan(q, range(q), count, lambda xs, counts: len(counts))]
+    lengths = list(scan(q, range(q), count, lambda xs, counts: len(counts)))
     assert lengths[:-1] == [rows] * (len(lengths) - 1)
     assert 1 <= lengths[-1] <= rows and sum(lengths) == q
 
@@ -839,43 +841,48 @@ def stub_route(shape, flip=None, dtype=np.uint8):
     return count
 
 
+def profiled_block(monkeypatch, route, g, xs):
+    """_profile_pass over the secrets xs as one block, route as its closed form, checked by g."""
+    q = g.q
+    monkeypatch.setattr(cli, "counts_closedform_all", lambda _p, block: route(block))
+    with blocks_of(len(xs), q, lane_dtype(q)):
+        return list(_profile_pass(BarrettParams.create(q, 2 * ceil_log2(q)), xs, g))
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.int32])
-def test_scan_block_finds_one_differing_count_in_any_slice(dtype):
+def test_scan_block_finds_one_differing_count_in_any_slice(monkeypatch, dtype):
     # The identity wire hits every value once.  Two rows of
     # q = BLOCK_BYTES + 7 span three slices of BLOCK_BYTES values, the
     # last one 14 long; a 0 at either end of any slice is found, by the
-    # uint8 residue or by the int32 compare.
+    # uint8 residue or by the int32 compare.  The profile pass then
+    # profiles enumeration's counts, which hold no zero.
     q = BLOCK_BYTES + 7
     xs, shape, size = np.arange(2), (2, q), 2 * q
-    check = partial(counts_bruteforce_check, make_identity_gadget(q))
-
-    def copied(_, counts):
-        return counts.copy()  # the check overwrites uint8 counts
-
+    g = make_identity_gadget(q)
     for flip in (0, BLOCK_BYTES - 1, BLOCK_BYTES, 2 * BLOCK_BYTES, size - 1):
-        seen, agree = preimage._scan_block(xs, stub_route(shape, flip, dtype), copied, check)
-        # On disagreement reduce gets the check's counts: enumeration's ones.
-        assert not agree and seen.dtype == np.uint8 and int(seen.sum()) == size
-    seen, agree = preimage._scan_block(xs, stub_route(shape, dtype=dtype), copied, check)
-    assert agree and seen.dtype == dtype and int(seen.sum()) == size
+        ((prof, agree),) = profiled_block(monkeypatch, stub_route(shape, flip, dtype), g, xs)
+        assert not agree and prof.zeros.tolist() == [0, 0] and prof.ones.tolist() == [q, q]
+    ((prof, agree),) = profiled_block(monkeypatch, stub_route(shape, dtype=dtype), g, xs)
+    assert agree and prof.zeros.tolist() == [0, 0] and prof.ones.tolist() == [q, q]
 
 
 def test_scan_block_reads_a_shape_mismatch_as_disagreement():
     # Same values and size in another shape: taken off in place, every
-    # count would leave 0; the shapes do not agree.
+    # count would leave 0; the shapes do not agree, and the counts are
+    # compared whole, not cancelled.
     q = 61
     check = partial(counts_bruteforce_check, make_identity_gadget(q))
-    seen, agree = preimage._scan_block(
-        np.arange(2), stub_route((q, 2)), lambda _, c: c.shape, check
-    )
-    assert not agree and seen == (2, q)
+    counts = stub_route((q, 2))(None)
+    assert list(scan(q, range(2), lambda xs: counts, check)) == [False]
+    assert (counts == 1).all()
 
 
-def test_counts_equal_modulo_256_read_as_disagreement():
+def test_counts_equal_modulo_256_read_as_disagreement(monkeypatch):
     # Masks 0..255 of every secret send the wire to 0, the rest to 1, 2, ...:
     # value 0 has 256 preimages, each mask a run of its own.  Counts of 0
     # there leave a zero uint8 residue, which past 255 runs a row settles
-    # nothing: the exact recount passes 255, so the counts disagree.
+    # nothing: the exact recount passes 255, so the counts disagree, and
+    # the profile pass profiles that recount.
     q = 300
     values = np.concatenate([np.zeros(256, np.int64), np.arange(1, q - 255)])
     g = WireGadget("piled", q, 256, lambda x, m: np.tile(values[np.asarray(m)], (len(x), 1)))
@@ -884,12 +891,14 @@ def test_counts_equal_modulo_256_read_as_disagreement():
     assert exact.dtype == np.uint16 and exact[:, 0].tolist() == [256, 256]
     counts = exact.astype(np.uint8)
     assert counts[:, 0].tolist() == [0, 0]
-    theirs = counts_bruteforce_check(g, xs, counts)
-    assert theirs is not None and np.array_equal(theirs, exact)
+    ((prof, agree),) = profiled_block(monkeypatch, lambda _: counts.copy(), g, xs)
+    assert not agree and prof == MultiplicityProfile.from_counts(xs, q, exact)
+    assert prof.max_count.tolist() == [256, 256]
+    assert counts_bruteforce_check(g, xs, counts) is False
     assert not counts.any()  # the residue, in place
     # Past 255 runs a row too, counts that agree read as agreement.
     ramp = WireGadget("ramp", q, 1, lambda x, m: np.tile(np.asarray(m), (len(x), 1)))
-    assert counts_bruteforce_check(ramp, xs, np.ones((2, q), np.uint8)) is None
+    assert counts_bruteforce_check(ramp, xs, np.ones((2, q), np.uint8)) is True
 
 
 def spy_on_tally(monkeypatch):
@@ -926,9 +935,10 @@ def test_constant_wire_check_still_recounts_in_int32(monkeypatch):
     counts = np.zeros((2, q), dtype=np.uint8)
     counts[:, 0] = q % 256
     dtypes = spy_on_tally(monkeypatch)
-    theirs = counts_bruteforce_check(g, np.arange(2), counts)
+    assert counts_bruteforce_check(g, np.arange(2), counts) is False
+    assert not counts.any()  # the zero residue, in place, that the recount overrules
     assert dtypes == [np.uint8, np.uint8, np.uint16]
-    assert theirs.dtype == np.uint16 and theirs[:, 0].tolist() == [q, q] and not theirs[:, 1:].any()
+    assert counts_bruteforce_all(g, np.arange(2))[:, 0].tolist() == [q, q]
 
 
 def test_constant_wire_recount_block_stays_within_the_budget():
@@ -946,19 +956,43 @@ def test_constant_wire_recount_block_stays_within_the_budget():
     assert peak < 5 * 2**17
 
 
-def test_counts_of_another_dtype_are_compared_whole():
+def test_counts_of_another_dtype_are_compared_whole(monkeypatch):
     # int64 counts take no residue: they are compared with enumeration's
-    # and left as they are, so a count off by 256 is seen too.
+    # and left as they are, so a count off by 256 is seen too, and the
+    # profile pass profiles enumeration's counts instead.
     q = 61
     p = BarrettParams.create(q, 6)
     g, xs = make_barrett_gadget(p), np.arange(3)
     want = counts_closedform_all(p, xs)
     counts = want.astype(np.int64)
-    assert counts_bruteforce_check(g, xs, counts) is None
+    assert counts_bruteforce_check(g, xs, counts) is True
     counts[1, 5] += 256
-    theirs = counts_bruteforce_check(g, xs, counts)
-    assert theirs is not None and theirs.dtype == np.uint8 and np.array_equal(theirs, want)
+    assert counts_bruteforce_check(g, xs, counts) is False
     assert counts[1, 5] == int(want[1, 5]) + 256
+    ((prof, agree),) = profiled_block(monkeypatch, lambda _: counts, g, xs)
+    assert not agree and prof == MultiplicityProfile.from_counts(xs, q, want)
+
+
+def test_check_answers_a_plain_bool_on_every_branch():
+    # Agreement by a zero residue, a nonzero residue, a zero residue past
+    # 255 runs settled by the recount, and counts of another dtype: each
+    # answer is a bool, never a numpy one, so it renders as a plain value.
+    q = 300
+    p = BarrettParams.create(q, 18)
+    barrett, xs = make_barrett_gadget(p), np.arange(2)
+    ramp = WireGadget("ramp", q, 1, lambda x, m: np.tile(np.asarray(m), (len(x), 1)))
+    closed = counts_closedform_all(p, xs)
+    off = closed.copy()
+    off[1, 7] += 1
+    for g, counts, want in [
+        (barrett, closed.copy(), True),
+        (barrett, off, False),
+        (ramp, np.ones((2, q), np.uint8), True),
+        (barrett, closed.astype(np.int64), True),
+        (barrett, off.astype(np.int64), False),
+    ]:
+        answer = counts_bruteforce_check(g, xs, counts)
+        assert type(answer) is bool and answer is want
 
 
 MILLION = 2**20 - 3  # 32 tiles of 32,704 int32 masks and one of 2,045
@@ -1013,34 +1047,39 @@ def compared(count):
     """A check that counts a second way and compares the two arrays whole."""
 
     def check(xs, counts):
-        theirs = count(xs)
-        return None if np.array_equal(theirs, counts) else theirs
+        return np.array_equal(count(xs), counts)
 
     return check
 
 
 @pytest.mark.parametrize("rows", [2, 3])
 @pytest.mark.parametrize("enumerate_first", [False, True])
-def test_scan_cross_check_flags_only_the_disagreeing_block(rows, enumerate_first):
-    # The middle block's counts are off; the other route, as a check,
-    # flags that block alone and reduce gets its counts instead.
+def test_scan_cross_check_flags_only_the_disagreeing_block(monkeypatch, rows, enumerate_first):
+    # The middle block's counts are off; the other route, as scan's reduce,
+    # flags that block alone.  Taking the route's place, the profile pass
+    # flags the same block and profiles enumeration's counts of it instead.
     q, s = 61, 6
     p = BarrettParams.create(q, s)
+    g = make_barrett_gadget(p)
     closed = partial(counts_closedform_all, p)
-    enumerated = partial(counts_bruteforce_all, make_barrett_gadget(p))
+    enumerated = partial(counts_bruteforce_all, g)
     if enumerate_first:
         route, check = enumerated, compared(closed)
     else:
-        route, check = closed, partial(counts_bruteforce_check, make_barrett_gadget(p))
+        route, check = closed, partial(counts_bruteforce_check, g)
     route = off_by_one_on(range(rows, 2 * rows), route)
+    monkeypatch.setattr(cli, "counts_closedform_all", lambda _p, xs: route(xs))
     with blocks_of(rows, q, lane_dtype(q)):
         # Both routes share one lane, so both ask for `rows`.
         assert block_rows(q, lane_dtype(q)) == rows
-        out = list(scan(q, range(3 * rows), route, lambda xs, c: (xs.tolist(), c.tolist()), check))
-    assert [len(xs) for (xs, _), _ in out] == [rows] * 3
-    assert [agree for _, agree in out] == [True, False, True]
-    for (xs, counts), _ in out:
-        assert counts == [ref_counts(q, s, x) for x in xs]
+        flags = list(scan(q, range(3 * rows), route, check))
+        profiled = list(_profile_pass(p, range(3 * rows), g))
+    assert flags == [True, False, True]
+    assert [agree for _, agree in profiled] == [True, False, True]
+    for prof, _ in profiled:
+        assert len(prof.secret) == rows
+        want = np.array([ref_counts(q, s, x) for x in prof.secret.tolist()], dtype=np.uint8)
+        assert prof == MultiplicityProfile.from_counts(prof.secret, q, want)
 
 
 def test_trichotomy_counts_no_block_after_the_counterexample():
