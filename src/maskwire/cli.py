@@ -38,7 +38,7 @@ from .preimage import (
     MultiplicityProfile,
     WireValueError,
     _require_canonical,
-    counts_bruteforce_all,
+    counts_bruteforce_all,  # unused here; bench/test_harness.py reads this binding
     counts_bruteforce_check,
     counts_closedform_all,
     equivalence_check,
@@ -56,9 +56,9 @@ EQUIV_EXHAUSTIVE_LIMIT = 2**12
 EQUIV_SAMPLE_PAIRS = 10**6
 
 # Sweep cases: exhaustive secrets (closed form) up to the first limit,
-# _secret_scope's sample beyond, cross-checked by enumeration; pointwise
-# equivalence runs while the full q^2 sweep stays affordable.  The
-# sample size is _secret_scope's own, echoed as parameters.sample.
+# _secret_scope's sample beyond; either way the sample is cross-checked
+# by enumeration.  Pointwise equivalence runs while the full q^2 sweep is
+# affordable.  The sample size, _secret_scope's own, is parameters.sample.
 SWEEP_EXHAUSTIVE_LIMIT = 2**14
 SWEEP_EQUIV_LIMIT = 2**16
 SWEEP_SAMPLE_SECRETS = DEFAULT_SAMPLE_SECRETS
@@ -211,29 +211,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _profile_pass(p: BarrettParams, secrets: Sequence[int], g: Optional[WireGadget] = None):
+def _profile_pass(p: BarrettParams, secrets: Sequence[int], checked: Sequence[int], g: WireGadget):
     """(profile, agree) per block of one closed-form scan, in order.
 
-    Given a wire gadget g, each profiled block is then checked against g's
-    enumeration, which cancels the closed form's counts in place; a block
-    that fails is profiled from enumeration's counts instead, agree False.
+    Each block is profiled from the closed form; then its secrets in
+    checked are checked against g's enumeration, which cancels their
+    counts in place.  The profile stays the closed form's either way, and
+    agree says whether enumeration confirmed it: True with none checked.
     """
+    checked = set(checked)
+
     def profile(xs, counts):
         prof = MultiplicityProfile.from_counts(xs, p.q, counts)
-        if g is None or counts_bruteforce_check(g, xs, counts):
-            return prof, True
-        return MultiplicityProfile.from_counts(xs, p.q, counts_bruteforce_all(g, xs)), False
+        rows = [i for i, x in enumerate(xs.tolist()) if x in checked]
+        if 0 < len(rows) < len(xs):
+            xs, counts = xs[rows], counts[rows]
+        return prof, not rows or counts_bruteforce_check(g, xs, counts)
 
     # partial reads this module's global now, so a tracer's or test's rebinding is what runs.
     return scan(p.q, secrets, partial(counts_closedform_all, p), profile)
-
-
-def _sample_agrees(p: BarrettParams, seed: int) -> bool:
-    """Whether enumeration confirms the closed form on the seeded sample: the
-    cross-check of an exhaustive scope, which profiles nothing."""
-    check = partial(counts_bruteforce_check, make_barrett_gadget(p))
-    sample = sample_secrets(p.q, DEFAULT_SAMPLE_SECRETS, seed)
-    return all(scan(p.q, sample, partial(counts_closedform_all, p), check))
 
 
 def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
@@ -243,14 +239,16 @@ def _cmd_analyze(args) -> tuple[dict, list[dict], dict, int]:
         explicit=args.secret, every=args.all_secrets, sample=args.sample,
     )
     floor = floor_bits(p.q)
-    rows = []
-    passed = secret_mode != "exhaustive" or _sample_agrees(p, args.seed)
-    for prof, _ in _profile_pass(p, secrets):
+    # Only an exhaustive scope is cross-checked, on its seeded sample.
+    exhaustive = secret_mode == "exhaustive"
+    checked = sample_secrets(p.q, DEFAULT_SAMPLE_SECRETS, args.seed) if exhaustive else ()
+    rows, passed = [], True
+    for prof, agree in _profile_pass(p, secrets, checked, make_barrett_gadget(p)):
         # Off mask mass leaves no distribution to measure; a value hit
         # three times keeps its min-entropy, which then reads below the
         # floor.  Either way the profile is not conserved and fails the run.
         conserved = prof.conserved
-        passed = passed and all(conserved.tolist())
+        passed = passed and agree and all(conserved.tolist())
         columns = zip(
             prof.secret.tolist(), prof.zeros.tolist(), prof.ones.tolist(),
             prof.twos.tolist(), prof.max_count.tolist(), prof.support_size.tolist(),
@@ -408,22 +406,22 @@ def _sweep_case(
 ) -> list[dict]:
     """One case's rows: the case row, then its mismatch rows."""
     q, s = p.q, p.s
-    # Sampled secrets are cross-checked as they are profiled; an exhaustive
-    # case checks the seeded sample first.
-    sampled = secret_mode == "sampled"
-    g = make_barrett_gadget(p) if sampled else None
     # The case row is the tally: its flags and counts are updated as checks
     # run.  Its keys are every row's columns, in order.
     case_row = {
         "row": "case", "q": q, "s": s, "r": p.r, "secret_mode": secret_mode,
         "secrets_checked": len(secrets), "trichotomy_ok": None,
-        "conservation_ok": True, "routes_agree": sampled or _sample_agrees(p, seed),
+        "conservation_ok": True, "routes_agree": True,
         "equiv": "skipped",
         "max_count": 0, "paper_gap_mismatches": 0, "extended_gap_mismatches": 0,
         "formula": None, "secret": None, "observed": None, "predicted": None,
     }
     rows = [case_row]
-    for prof, agree in _profile_pass(p, secrets, g):
+    # The seeded sample, the whole scope of a sampled case, is cross-checked
+    # as it is profiled; a disagreement flags the case, and the rows stay
+    # the closed form's.
+    checked = sample_secrets(q, DEFAULT_SAMPLE_SECRETS, seed)
+    for prof, agree in _profile_pass(p, secrets, checked, make_barrett_gadget(p)):
         case_row["max_count"] = max(case_row["max_count"], *prof.max_count.tolist())
         case_row["conservation_ok"] = case_row["conservation_ok"] and all(prof.conserved.tolist())
         case_row["routes_agree"] = case_row["routes_agree"] and agree

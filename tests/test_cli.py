@@ -575,6 +575,66 @@ def test_exhaustive_scope_is_cross_checked_by_enumeration(monkeypatch, capsys, t
     assert doc["summary"]["hard_failures"] == 1
 
 
+def spy(monkeypatch, name):
+    """The secrets of every call to cli's `name` from here on, one list a call."""
+    calls, original = [], getattr(cli, name)
+
+    def spied(first, xs, *rest):
+        calls.append(np.asarray(xs).tolist())
+        return original(first, xs, *rest)
+
+    monkeypatch.setattr(cli, name, spied)
+    return calls
+
+
+def test_exhaustive_scope_counts_every_secret_once(monkeypatch, capsys, tmp_path):
+    # The seeded sample is checked in the profile pass's own blocks, so
+    # the closed form counts no secret twice.
+    calls = spy(monkeypatch, "counts_closedform_all")
+    cfg = tmp_path / "cases.json"
+    cfg.write_text(json.dumps({"cases": [{"q": 61, "s": 6}]}))
+    for argv in (("analyze", "--q", "61", "--s", "6"), ("sweep", "--config", str(cfg))):
+        calls.clear()
+        code, _, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert sorted(x for block in calls for x in block) == list(range(61))
+
+
+def test_check_sees_the_seeded_sample_in_its_scan_blocks(monkeypatch, capsys, tmp_path):
+    # At q = 4591 a block is 14 secrets: each check takes the seeded
+    # secrets of one block, in scan order, and together they are the
+    # sample, once.  A sampled case's every block is one seeded secret.
+    calls = spy(monkeypatch, "counts_bruteforce_check")
+    exhaustive, sampled = tmp_path / "exhaustive.json", tmp_path / "sampled.json"
+    exhaustive.write_text(json.dumps({"cases": [{"q": 4591, "s": 25}]}))
+    sampled.write_text(json.dumps({"cases": [{"q": 16411, "s": 10}]}))
+    for argv, q, rows in (
+        (("analyze", "--q", "4591", "--s", "25"), 4591, 14),
+        (("sweep", "--config", str(exhaustive)), 4591, 14),
+        (("sweep", "--config", str(sampled)), 16411, 1),
+    ):
+        calls.clear()
+        code, _, _ = run_json(capsys, *argv, "--seed", "7")
+        assert code == 0
+        sample = preimage.sample_secrets(q, 16, 7)
+        assert [x for block in calls for x in block] == sample
+        assert all(len({x // rows for x in block}) == 1 for block in calls)
+        assert len(calls) == len({x // rows for x in sample})
+
+
+def test_sampled_and_explicit_analyze_run_no_check(monkeypatch, capsys):
+    # Only an exhaustive scope is cross-checked (ROADMAP item 17): a
+    # sampled or explicit scope counts each secret once, by the closed
+    # form alone.
+    checks = spy(monkeypatch, "counts_bruteforce_check")
+    closed = spy(monkeypatch, "counts_closedform_all")
+    for scope in (("--sample", "8"), ("--secret", "100", "--secret", "7")):
+        code, doc, _ = run_json(capsys, "analyze", "--q", "3329", "--s", "24", *scope)
+        assert code == 0 and doc["parameters"]["secret_mode"] != "exhaustive"
+    assert checks == []
+    assert closed == [preimage.sample_secrets(3329, 8, preimage.DEFAULT_SEED), [100, 7]]
+
+
 def test_human_format_renders(capsys):
     code, out, _ = run(capsys, "witness", "--q", "3329", "--s", "24")
     assert code == 0

@@ -204,8 +204,9 @@ def test_sweep_summary_adds_up_its_case_rows(monkeypatch, capsys, tmp_path):
 
 
 def test_sweep_reports_route_disagreement(monkeypatch, capsys, tmp_path):
-    # q > 2^14 samples secrets and enumerates each one; on disagreement the
-    # enumerated counts, not the broken closed form, feed the histogram.
+    # q > 2^14 samples secrets and enumerates each one.  A disagreement
+    # flags the case, and the rows stay the broken closed form's: value 0
+    # hit twice and none missed, so conservation fails with them.
     monkeypatch.setattr(cli, "counts_closedform_all", broken_counts)
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({"cases": [{"q": 16411, "s": 10}]}))
@@ -214,7 +215,7 @@ def test_sweep_reports_route_disagreement(monkeypatch, capsys, tmp_path):
     case = doc["rows"][0]
     assert case["secret_mode"] == "sampled"
     assert case["routes_agree"] is False
-    assert case["conservation_ok"] is True
+    assert case["conservation_ok"] is False
     assert case["max_count"] == 2
     assert doc["summary"]["hard_failures"] == 1
 

@@ -40,16 +40,18 @@ from maskwire.gadgets import (
     make_barrett_gadget,
     make_identity_gadget,
 )
-from maskwire.cli import _profile_pass, _sample_agrees
+from maskwire.cli import _profile_pass
 from maskwire.pipeline import _shared_wire, compose
 from maskwire.preimage import (
     BLOCK_BYTES,
+    DEFAULT_SAMPLE_SECRETS,
     MultiplicityProfile,
     block_rows,
     counts_bruteforce_all,
     counts_bruteforce_check,
     counts_closedform_all,
     equivalence_check,
+    sample_secrets,
     scan,
     tile_len,
     trichotomy_check,
@@ -234,7 +236,7 @@ def test_cross_checked_profile_holds_two_rows_at_most():
     q = 2**20 - 3
     p = BarrettParams.create(q, 40)
     g = make_barrett_gadget(p)
-    profiled, peak = traced_peak(lambda: list(_profile_pass(p, [q // 3], g)))
+    profiled, peak = traced_peak(lambda: list(_profile_pass(p, [q // 3], [q // 3], g)))
     ((prof, agree),) = profiled
     assert agree and prof.conserved and prof.secret == q // 3
     assert peak < q + 8 * BLOCK_BYTES
@@ -842,11 +844,12 @@ def stub_route(shape, flip=None, dtype=np.uint8):
 
 
 def profiled_block(monkeypatch, route, g, xs):
-    """_profile_pass over the secrets xs as one block, route as its closed form, checked by g."""
+    """_profile_pass over the secrets xs as one block, route as its closed form,
+    every secret checked by g."""
     q = g.q
     monkeypatch.setattr(cli, "counts_closedform_all", lambda _p, block: route(block))
     with blocks_of(len(xs), q, lane_dtype(q)):
-        return list(_profile_pass(BarrettParams.create(q, 2 * ceil_log2(q)), xs, g))
+        return list(_profile_pass(BarrettParams.create(q, 2 * ceil_log2(q)), xs, xs.tolist(), g))
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int32])
@@ -854,14 +857,16 @@ def test_scan_block_finds_one_differing_count_in_any_slice(monkeypatch, dtype):
     # The identity wire hits every value once.  Two rows of
     # q = BLOCK_BYTES + 7 span three slices of BLOCK_BYTES values, the
     # last one 14 long; a 0 at either end of any slice is found, by the
-    # uint8 residue or by the int32 compare.  The profile pass then
-    # profiles enumeration's counts, which hold no zero.
+    # uint8 residue or by the int32 compare.  The profile stays the route's:
+    # the flipped row holds one zero.
     q = BLOCK_BYTES + 7
     xs, shape, size = np.arange(2), (2, q), 2 * q
     g = make_identity_gadget(q)
     for flip in (0, BLOCK_BYTES - 1, BLOCK_BYTES, 2 * BLOCK_BYTES, size - 1):
-        ((prof, agree),) = profiled_block(monkeypatch, stub_route(shape, flip, dtype), g, xs)
-        assert not agree and prof.zeros.tolist() == [0, 0] and prof.ones.tolist() == [q, q]
+        route = stub_route(shape, flip, dtype)
+        ((prof, agree),) = profiled_block(monkeypatch, route, g, xs)
+        assert not agree and prof == MultiplicityProfile.from_counts(xs, q, route(xs))
+        assert prof.zeros.tolist() == [int(flip // q == row) for row in (0, 1)]
     ((prof, agree),) = profiled_block(monkeypatch, stub_route(shape, dtype=dtype), g, xs)
     assert agree and prof.zeros.tolist() == [0, 0] and prof.ones.tolist() == [q, q]
 
@@ -882,7 +887,7 @@ def test_counts_equal_modulo_256_read_as_disagreement(monkeypatch):
     # value 0 has 256 preimages, each mask a run of its own.  Counts of 0
     # there leave a zero uint8 residue, which past 255 runs a row settles
     # nothing: the exact recount passes 255, so the counts disagree, and
-    # the profile pass profiles that recount.
+    # the profile pass keeps the profile of the wrapped counts.
     q = 300
     values = np.concatenate([np.zeros(256, np.int64), np.arange(1, q - 255)])
     g = WireGadget("piled", q, 256, lambda x, m: np.tile(values[np.asarray(m)], (len(x), 1)))
@@ -892,8 +897,8 @@ def test_counts_equal_modulo_256_read_as_disagreement(monkeypatch):
     counts = exact.astype(np.uint8)
     assert counts[:, 0].tolist() == [0, 0]
     ((prof, agree),) = profiled_block(monkeypatch, lambda _: counts.copy(), g, xs)
-    assert not agree and prof == MultiplicityProfile.from_counts(xs, q, exact)
-    assert prof.max_count.tolist() == [256, 256]
+    assert not agree and prof == MultiplicityProfile.from_counts(xs, q, counts)
+    assert prof.max_count.tolist() == [1, 1] and not prof.conserved.any()
     assert counts_bruteforce_check(g, xs, counts) is False
     assert not counts.any()  # the residue, in place
     # Past 255 runs a row too, counts that agree read as agreement.
@@ -919,8 +924,11 @@ def test_sample_check_enumerates_once_on_np_add_at_tiles(monkeypatch, q, s):
     # averaging under RUN_BREAK_EVEN, so its tile takes np.add.at.  The
     # tile's runs still bound each row's, at most 255 here, so the zero
     # residue stands and the 16 secrets are enumerated once, with no recount.
+    p = BarrettParams.create(q, s)
+    sample = sample_secrets(q, DEFAULT_SAMPLE_SECRETS, 0)
     dtypes = spy_on_tally(monkeypatch)
-    assert _sample_agrees(BarrettParams.create(q, s), 0)
+    profiled = list(_profile_pass(p, sample, sample, make_barrett_gadget(p)))
+    assert [agree for _, agree in profiled] == [True]
     assert dtypes == [np.uint8]
 
 
@@ -959,7 +967,7 @@ def test_constant_wire_recount_block_stays_within_the_budget():
 def test_counts_of_another_dtype_are_compared_whole(monkeypatch):
     # int64 counts take no residue: they are compared with enumeration's
     # and left as they are, so a count off by 256 is seen too, and the
-    # profile pass profiles enumeration's counts instead.
+    # profile pass keeps the profile of those counts.
     q = 61
     p = BarrettParams.create(q, 6)
     g, xs = make_barrett_gadget(p), np.arange(3)
@@ -970,7 +978,8 @@ def test_counts_of_another_dtype_are_compared_whole(monkeypatch):
     assert counts_bruteforce_check(g, xs, counts) is False
     assert counts[1, 5] == int(want[1, 5]) + 256
     ((prof, agree),) = profiled_block(monkeypatch, lambda _: counts, g, xs)
-    assert not agree and prof == MultiplicityProfile.from_counts(xs, q, want)
+    assert not agree and prof == MultiplicityProfile.from_counts(xs, q, counts)
+    assert prof.max_count[1] == int(want[1, 5]) + 256
 
 
 def test_check_answers_a_plain_bool_on_every_branch():
@@ -1057,7 +1066,7 @@ def compared(count):
 def test_scan_cross_check_flags_only_the_disagreeing_block(monkeypatch, rows, enumerate_first):
     # The middle block's counts are off; the other route, as scan's reduce,
     # flags that block alone.  Taking the route's place, the profile pass
-    # flags the same block and profiles enumeration's counts of it instead.
+    # flags the same block and keeps the route's profile of every block.
     q, s = 61, 6
     p = BarrettParams.create(q, s)
     g = make_barrett_gadget(p)
@@ -1067,20 +1076,40 @@ def test_scan_cross_check_flags_only_the_disagreeing_block(monkeypatch, rows, en
         route, check = enumerated, compared(closed)
     else:
         route, check = closed, partial(counts_bruteforce_check, g)
-    route = off_by_one_on(range(rows, 2 * rows), route)
+    off = range(rows, 2 * rows)
+    route = off_by_one_on(off, route)
     monkeypatch.setattr(cli, "counts_closedform_all", lambda _p, xs: route(xs))
     with blocks_of(rows, q, lane_dtype(q)):
         # Both routes share one lane, so both ask for `rows`.
         assert block_rows(q, lane_dtype(q)) == rows
         flags = list(scan(q, range(3 * rows), route, check))
-        profiled = list(_profile_pass(p, range(3 * rows), g))
+        profiled = list(_profile_pass(p, range(3 * rows), range(3 * rows), g))
     assert flags == [True, False, True]
     assert [agree for _, agree in profiled] == [True, False, True]
+    reference = off_by_one_on(
+        off, lambda xs: np.array([ref_counts(q, s, x) for x in xs.tolist()], dtype=np.uint8)
+    )
     for prof, _ in profiled:
         assert len(prof.secret) == rows
-        want = np.array([ref_counts(q, s, x) for x in prof.secret.tolist()], dtype=np.uint8)
-        assert prof == MultiplicityProfile.from_counts(prof.secret, q, want)
+        assert prof == MultiplicityProfile.from_counts(prof.secret, q, reference(prof.secret))
 
+
+def test_fault_at_a_seeded_secret_flags_only_its_block():
+    # Blocks of 5 over q = 61, the seeded sample checked as each block is
+    # profiled.  The closed form is off at one seeded secret: its block
+    # alone disagrees, and every block, that one too, keeps the closed
+    # form's profile.
+    q, s, rows = 61, 6, 5
+    p = BarrettParams.create(q, s)
+    sample = sample_secrets(q, DEFAULT_SAMPLE_SECRETS, 0)
+    bad = sample[len(sample) // 2]
+    route = off_by_one_on([bad], partial(counts_closedform_all, p))
+    with mock.patch.object(cli, "counts_closedform_all", lambda _p, xs: route(xs)):
+        with blocks_of(rows, q, lane_dtype(q)):
+            profiled = list(_profile_pass(p, range(q), sample, make_barrett_gadget(p)))
+    assert [agree for _, agree in profiled] == [k != bad // rows for k in range(-(-q // rows))]
+    for prof, _ in profiled:
+        assert prof == MultiplicityProfile.from_counts(prof.secret, q, route(prof.secret))
 
 def test_trichotomy_counts_no_block_after_the_counterexample():
     q = 61
